@@ -6,13 +6,11 @@ from .graphs import (
     Instance,
     InternalInvariantError,
     InvalidArcError,
-    OrderedPartition,
     Tournament,
     has_s_triangle,
     is_s_acyclic,
     reverse_arcs,
     s_backward_arcs,
-    s_topological_ordering,
     strongly_connected_components,
     verify_solution,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "InvalidArcError",
     "KernelResult",
     "OracleScaleError",
-    "OrderedPartition",
     "RuleOutcome",
     "SolveReport",
     "SolverConfig",
@@ -63,7 +60,6 @@ __all__ = [
     "parse_solution",
     "reverse_arcs",
     "s_backward_arcs",
-    "s_topological_ordering",
     "serialize_instance",
     "serialize_solution",
     "solve",

@@ -4,7 +4,9 @@ Verdict-style exit codes leave 0 for "work produced", 1 for usage and format
 errors, and distinct codes for the interesting outcomes so scripts can
 branch without scraping output: kernelize exits 10/20 on trivial yes/no,
 solve exits 20 when the kernelization already refutes the instance and 30
-when the trial budget finds nothing, verify exits 40 on an invalid solution.
+when the trial budget finds nothing, verify exits 40 on an invalid solution,
+and solve and bench exit 50 when an input is beyond the solver's scale limit
+(its prefix-vector lattice would not fit in memory).
 """
 
 from __future__ import annotations
@@ -35,12 +37,13 @@ from .oracle import (
     oracle_min_deletion,
     oracle_min_reversal_orderings,
 )
-from .solver import SolverConfig, solve_report
+from .solver import SolveReport, SolverConfig, SolverScaleError, solve_report
 
 EXIT_TRIVIAL_YES = 10
 EXIT_TRIVIAL_NO = 20
 EXIT_NO_SOLUTION = 30
 EXIT_INVALID = 40
+EXIT_SCALE = 50
 
 
 def _load_instance(path: str) -> Instance:
@@ -48,6 +51,15 @@ def _load_instance(path: str) -> Instance:
         return parse_instance(Path(path).read_text())
     except (InstanceFormatError, ValueError) as exc:
         raise click.ClickException(f"{path}: {exc}") from exc
+
+
+def _solve_report(ctx, path: str, instance: Instance, config: SolverConfig) -> SolveReport:
+    """`solve_report`, ending the command with EXIT_SCALE past the scale limit."""
+    try:
+        return solve_report(instance, config)
+    except SolverScaleError as exc:
+        click.echo(f"{path}: beyond the solver's scale limit: {exc}", err=True)
+        ctx.exit(EXIT_SCALE)
 
 
 @click.group()
@@ -105,10 +117,10 @@ def kernelize_cmd(ctx, input_file: str, output: Optional[str], trace_path: Optio
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON report instead of prose.")
 @click.pass_context
 def solve_cmd(ctx, input_file: str, output: Optional[str], seed: int, trials: Optional[int], workers: int, as_json: bool) -> None:
-    """Solve INPUT_FILE; exit 0 solved, 20 trivial no, 30 nothing found."""
+    """Solve INPUT_FILE; exit 0 solved, 20 trivial no, 30 nothing found, 50 too large."""
     instance = _load_instance(input_file)
     config = SolverConfig(seed=seed, max_trials=trials, parallel_trials=workers)
-    report = solve_report(instance, config)
+    report = _solve_report(ctx, input_file, instance, config)
     if report.solution is not None and output:
         Path(output).write_text(serialize_solution(report.solution))
     if as_json:
@@ -212,12 +224,13 @@ def gen(n: int, s_count: int, seed: int, k: Optional[int], planted: Optional[int
 @click.option("--seed", default=0, show_default=True)
 @click.option("--trials", type=int, default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), help="Also write the table as CSV.")
-def bench(inputs: tuple[str, ...], seed: int, trials: Optional[int], csv_path: Optional[str]) -> None:
+@click.pass_context
+def bench(ctx, inputs: tuple[str, ...], seed: int, trials: Optional[int], csv_path: Optional[str]) -> None:
     """Kernelize and solve each input, tabulating sizes and timings."""
     rows = []
     for path in inputs:
         instance = _load_instance(path)
-        report = solve_report(instance, SolverConfig(seed=seed, max_trials=trials))
+        report = _solve_report(ctx, path, instance, SolverConfig(seed=seed, max_trials=trials))
         kernel_n = report.kernel.kernel.n if report.kernel.kernel is not None else 0
         rows.append(
             {

@@ -20,17 +20,13 @@ __all__ = [
     "Instance",
     "InternalInvariantError",
     "InvalidArcError",
-    "OrderedPartition",
     "Tournament",
     "has_s_triangle",
     "is_s_acyclic",
     "reverse_arcs",
     "s_backward_arcs",
-    "s_topological_ordering",
-    "s_triangles_through_arc",
     "strongly_connected_components",
     "verify_solution",
-    "vertex_in_any_triangle",
 ]
 
 
@@ -88,18 +84,12 @@ class Tournament:
             raise ValueError("not every pair is oriented")
         return cls(adj)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.adj[u, v])
-
     def arcs(self) -> Iterator[Arc]:
         for u, v in np.argwhere(self.adj):
             yield (int(u), int(v))
 
     def arc_count(self) -> int:
         return self.n * (self.n - 1) // 2
-
-    def out_degrees(self) -> np.ndarray:
-        return self.adj.sum(axis=1)
 
     def index_of(self) -> dict[int, int]:
         """Map external label -> current vertex index."""
@@ -167,16 +157,6 @@ class Instance:
         return self.tournament.n
 
 
-@dataclass(frozen=True)
-class OrderedPartition:
-    """An ordered partition of the vertex set into parts."""
-
-    parts: tuple[tuple[int, ...], ...]
-
-    def flatten(self) -> tuple[int, ...]:
-        return tuple(v for part in self.parts for v in part)
-
-
 def reverse_arcs(t: Tournament, arcs: Iterable[Arc]) -> Tournament:
     """Reverse the given arcs; every arc must currently be present."""
     adj = np.array(t.adj)
@@ -196,8 +176,56 @@ def reverse_arcs(t: Tournament, arcs: Iterable[Arc]) -> Tournament:
 
 def _successor_lists(adj: np.ndarray) -> list[list[int]]:
     rows, cols = np.nonzero(adj)
-    starts = np.searchsorted(rows, np.arange(adj.shape[0] + 1))
-    return [cols[starts[i] : starts[i + 1]].tolist() for i in range(adj.shape[0])]
+    starts = np.searchsorted(rows, np.arange(adj.shape[0] + 1)).tolist()
+    heads = cols.tolist()
+    return [heads[starts[i] : starts[i + 1]] for i in range(adj.shape[0])]
+
+
+def _tarjan(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components (Tarjan, iterative), sink components first."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comps: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] == -1:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp: list[int] = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
 
 
 def strongly_connected_components(g: Tournament | Digraph) -> tuple[tuple[int, ...], ...]:
@@ -209,54 +237,11 @@ def strongly_connected_components(g: Tournament | Digraph) -> tuple[tuple[int, .
     """
     n = g.n
     succ = _successor_lists(g.adj)
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
+    comps = [sorted(comp) for comp in _tarjan(succ)]
     comp_of = [-1] * n
-    comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, ptr = work[-1]
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbors = succ[v]
-            while ptr < len(neighbors):
-                w = neighbors[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work[-1] = (v, ptr)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp: list[int] = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+    for c, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = c
 
     m = len(comps)
     out_edges: list[set[int]] = [set() for _ in range(m)]
@@ -283,26 +268,6 @@ def strongly_connected_components(g: Tournament | Digraph) -> tuple[tuple[int, .
     return tuple(order)
 
 
-def is_s_acyclic(g: Tournament | Digraph, terminals: frozenset[int] | set[int]) -> bool:
-    """True when no cycle passes through a terminal.
-
-    A terminal lies on a cycle exactly when some nonempty path leads back to
-    it, so boolean squaring of the reachability matrix answers every
-    terminal at once and stays in numpy; that beats an SCC pass on the small
-    dense graphs this sees by an order of magnitude.
-    """
-    if not terminals:
-        return True
-    reach = g.adj.astype(np.uint8)
-    while True:
-        grown = ((reach + reach @ reach) > 0).astype(np.uint8)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    closed = np.diagonal(reach)
-    return not any(closed[v] for v in terminals)
-
-
 def has_s_triangle(
     t: Tournament, terminals: frozenset[int] | set[int]
 ) -> Optional[tuple[int, int, int]]:
@@ -326,44 +291,23 @@ def has_s_triangle(
     return None
 
 
-def vertex_in_any_triangle(t: Tournament, v: int) -> bool:
-    """Whether v lies on any directed triangle (terminal or not)."""
-    outs = np.flatnonzero(t.adj[v])
-    ins = np.flatnonzero(t.adj[:, v])
-    if outs.size == 0 or ins.size == 0:
-        return False
-    return bool(t.adj[np.ix_(outs, ins)].any())
+def is_s_acyclic(g: Tournament | Digraph, terminals: frozenset[int] | set[int]) -> bool:
+    """True when no cycle passes through a terminal.
 
-
-def s_triangles_through_arc(
-    t: Tournament, terminals: frozenset[int] | set[int], arc: Arc
-) -> list[int]:
-    """Vertices w completing arc (u, v) to a terminal triangle u->v->w->u."""
-    u, v = arc
-    if not (0 <= u < t.n and 0 <= v < t.n) or not t.adj[u, v]:
-        raise InvalidArcError(f"arc ({u}, {v}) not present")
-    completing = t.adj[v] & t.adj[:, u]
-    if u not in terminals and v not in terminals:
-        mask = np.zeros(t.n, dtype=bool)
-        mask[sorted(terminals)] = True
-        completing = completing & mask
-    return [int(w) for w in np.flatnonzero(completing)]
-
-
-def s_topological_ordering(
-    t: Tournament, terminals: frozenset[int] | set[int]
-) -> Optional[OrderedPartition]:
-    """Ordered SCC partition with every terminal in a singleton part.
-
-    Exists exactly when the tournament has no terminal triangle. Cross-part
-    arcs all point forward because the condensation of a tournament is a
-    transitive tournament.
+    In a tournament a vertex on a cycle lies in a strong subtournament, and
+    by Moon's theorem every vertex of a strong tournament lies on cycles of
+    every length from 3 up, so a terminal is on a cycle exactly when it is
+    on a directed triangle: `has_s_triangle` decides tournaments. A
+    `Digraph` (a tournament with arcs deleted) can have long cycles and no
+    triangle, so there a terminal is on a cycle exactly when its strongly
+    connected component has more than one vertex.
     """
-    comps = strongly_connected_components(t)
-    for comp in comps:
-        if len(comp) > 1 and any(v in terminals for v in comp):
-            return None
-    return OrderedPartition(parts=comps)
+    if isinstance(g, Tournament):
+        return has_s_triangle(g, terminals) is None
+    return not any(
+        len(comp) > 1 and any(v in terminals for v in comp)
+        for comp in _tarjan(_successor_lists(g.adj))
+    )
 
 
 def s_backward_arcs(

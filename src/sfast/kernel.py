@@ -25,7 +25,6 @@ from .graphs import (
     reverse_arcs,
     s_backward_arcs,
     verify_solution,
-    vertex_in_any_triangle,
 )
 
 __all__ = [
@@ -145,7 +144,6 @@ class KernelResult:
     status: str
     kernel: Optional[Instance]
     trace: tuple[RuleOutcome, ...]
-    reversal_prefix: frozenset[Arc]
 
 
 def _stats(instance: Instance) -> list[int]:
@@ -209,7 +207,7 @@ def rr2_triangle_free_terminal(instance: Instance) -> RuleOutcome:
     """Delete the smallest terminal lying on no triangle at all."""
     t = instance.tournament
     for s in sorted(instance.terminals):
-        if not vertex_in_any_triangle(t, s):
+        if has_s_triangle(t, {s}) is None:
             nxt = _delete_vertex(instance, s)
             return _outcome(
                 "rr2",
@@ -757,19 +755,6 @@ def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
 # -- Driver ------------------------------------------------------------------
 
 
-def _reversal_prefix(trace: Iterable[RuleOutcome]) -> frozenset[Arc]:
-    acc: set[Arc] = set()
-    for rec in trace:
-        if rec.rule not in ("rr3", "rr5") or rec.status != STATUS_APPLIED:
-            continue
-        for u, v in rec.detail["reversed"]:
-            if (v, u) in acc:
-                acc.remove((v, u))
-            else:
-                acc.add((u, v))
-    return frozenset(acc)
-
-
 def kernelize(instance: Instance) -> KernelResult:
     """Apply the reduction rules to exhaustion.
 
@@ -782,7 +767,7 @@ def kernelize(instance: Instance) -> KernelResult:
 
     def done(status: str, rec: RuleOutcome, kernel: Optional[Instance]) -> KernelResult:
         trace.append(rec)
-        return KernelResult(status, kernel, tuple(trace), _reversal_prefix(trace))
+        return KernelResult(status, kernel, tuple(trace))
 
     cap = instance.n + max(instance.k, 0) + 8
     for _ in range(cap):
@@ -849,7 +834,7 @@ def kernelize(instance: Instance) -> KernelResult:
         if out.status == STATUS_TRIVIAL_NO:
             return done(out.status, out, None)
 
-        return KernelResult("reduced", cur, tuple(trace), _reversal_prefix(trace))
+        return KernelResult("reduced", cur, tuple(trace))
 
     raise InternalInvariantError("kernelization failed to settle within its cap")
 

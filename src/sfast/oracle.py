@@ -159,13 +159,11 @@ def oracle_min_deletion(
     past the branching guard it raises OracleScaleError.
     """
     terminals = frozenset(terminals)
-    if is_s_acyclic(t, terminals):
+    tri = has_s_triangle(t, terminals)
+    if tri is None:
         return 0 if k_max >= 0 else None
     if k_max <= 0:
         return None
-    tri = has_s_triangle(t, terminals)
-    if tri is None:
-        raise AssertionError("terminal cycle without terminal triangle")
     s, a, b = tri
     tri_arcs = [(s, a), (a, b), (b, s)]
     m = t.arc_count()
@@ -174,9 +172,9 @@ def oracle_min_deletion(
         for size in range(1, k_max + 1)
     )
     if candidates <= _ENUMERATION_BUDGET:
-        return _min_deletion_enumerate(t, frozenset(terminals), k_max, tri_arcs)
+        return _min_deletion_enumerate(t, terminals, k_max, tri_arcs)
     if k_max <= _BRANCHING_DEPTH_CAP:
-        return _min_deletion_branch(t, frozenset(terminals), k_max)
+        return _min_deletion_branch(t, terminals, k_max)
     raise OracleScaleError(
         f"{candidates} subsets and branching depth {k_max} both out of reach"
     )

@@ -27,6 +27,7 @@ from .graphs import (
     Digraph,
     Instance,
     InternalInvariantError,
+    Tournament,
     is_s_acyclic,
     s_backward_arcs,
     strongly_connected_components,
@@ -120,7 +121,7 @@ def classes_feasible(instance: Instance, coloring: tuple[int, ...], q: int) -> b
             continue
         idx = np.array(members)
         local_terms = {i for i, v in enumerate(members) if v in terminals}
-        if not is_s_acyclic(Digraph(t.adj[np.ix_(idx, idx)]), local_terms):
+        if not is_s_acyclic(Tournament(t.adj[np.ix_(idx, idx)]), local_terms):
             return False
     return True
 

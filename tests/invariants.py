@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from sfast.graphs import Instance, has_s_triangle, vertex_in_any_triangle
+from sfast.graphs import Instance, has_s_triangle
 from sfast.kernel import (
     STATUS_NOT_APPLICABLE,
     class_decomposition,
@@ -41,7 +41,7 @@ def assert_kernel_exhausted(kernel: Instance) -> None:
         assert outcome.status == STATUS_NOT_APPLICABLE, (rule.__name__, outcome.status)
 
     for s in terminals:
-        assert vertex_in_any_triangle(t, s)
+        assert has_s_triangle(t, {s}) is not None
     assert len(terminals) <= max((k + 1) ** 2 - 1, 0)
     assert len(terminals) <= 4 * k
 

@@ -1,5 +1,8 @@
 """Independent reimplementations, small and slow, to cross-check the solver.
 
+`s_triangles_through_arc` lists the terminal triangles through one arc, the
+brute-force count that rule 3's matrix products must reproduce.
+
 The dynamic program claims to minimize the terminal-relevant backward arc
 count over all vertex orders that keep each color's condensed nodes in
 sequence. At a handful of nodes that minimum is checkable by enumerating
@@ -9,6 +12,21 @@ every legal interleaving directly on the contraction.
 from __future__ import annotations
 
 import numpy as np
+
+from sfast.graphs import InvalidArcError
+
+
+def s_triangles_through_arc(t, terminals, arc) -> list[int]:
+    """Vertices w completing arc (u, v) to a terminal triangle u->v->w->u."""
+    u, v = arc
+    if not (0 <= u < t.n and 0 <= v < t.n) or not t.adj[u, v]:
+        raise InvalidArcError(f"arc ({u}, {v}) not present")
+    completing = t.adj[v] & t.adj[:, u]
+    if u not in terminals and v not in terminals:
+        mask = np.zeros(t.n, dtype=bool)
+        mask[sorted(terminals)] = True
+        completing = completing & mask
+    return [int(w) for w in np.flatnonzero(completing)]
 
 
 def interleavings(sequences):

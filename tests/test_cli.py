@@ -6,9 +6,11 @@ from click.testing import CliRunner
 
 import families
 from families import rule6_instance, stubborn_instance
+import sfast.solver
 from sfast.cli import (
     EXIT_INVALID,
     EXIT_NO_SOLUTION,
+    EXIT_SCALE,
     EXIT_TRIVIAL_NO,
     EXIT_TRIVIAL_YES,
     main,
@@ -128,6 +130,18 @@ class TestSolveCommand:
         assert blob["certified"] is True
         assert len(blob["arcs"]) == 1
         assert blob["seconds"] >= 0
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_scale_limit_exits_fifty(self, runner, tmp_instance_file, monkeypatch, command):
+        # The triangle's kernel is the triangle itself, so a trial reaches
+        # the prefix DP, whose lattice now exceeds the cap.
+        monkeypatch.setattr(sfast.solver, "_LATTICE_CAP", 1)
+        path = tmp_instance_file(triangle_instance())
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == EXIT_SCALE
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"{path}: beyond the solver's scale limit: ")
 
     def test_json_on_refuted_instance(self, runner, tmp_instance_file):
         path = tmp_instance_file(triangle_instance(k=0))

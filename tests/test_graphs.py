@@ -4,10 +4,10 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from families import all_tournaments, random_tournament
+from families import all_tournaments, random_tournament, transitive
 from sfast.graphs import (
     Digraph,
     Instance,
@@ -17,12 +17,59 @@ from sfast.graphs import (
     is_s_acyclic,
     reverse_arcs,
     s_backward_arcs,
-    s_topological_ordering,
-    s_triangles_through_arc,
     strongly_connected_components,
     verify_solution,
-    vertex_in_any_triangle,
 )
+from reference import s_triangles_through_arc
+
+# Sizes just past 256, where any 8-bit vertex or path count wraps, up to
+# 600 vertices.
+LARGE_SIZES = (257, 258, 300, 600)
+KINDS = ("random", "transitive", "one-reversed")
+
+
+def to_networkx(adj):
+    g = nx.DiGraph()
+    g.add_nodes_from(range(adj.shape[0]))
+    g.add_edges_from(zip(*np.nonzero(adj)))
+    return g
+
+
+def networkx_s_acyclic(adj, terminals):
+    """The definition: no terminal shares a strong component with another vertex."""
+    return all(
+        len(comp) == 1 or not comp & terminals
+        for comp in nx.strongly_connected_components(to_networkx(adj))
+    )
+
+
+def sample_tournament(kind, n, seed):
+    """A random tournament, a transitive one, or (from n = 3) a transitive
+    one with the seeded arc (u, v), v >= u + 2, reversed so that u..v close
+    a cycle."""
+    if kind == "random":
+        return random_tournament(n, seed)
+    adj = transitive(n)
+    if kind == "one-reversed" and n >= 3:
+        rng = random.Random(seed)
+        u = rng.randrange(n - 2)
+        v = rng.randrange(u + 2, n)
+        adj[u, v], adj[v, u] = False, True
+    return Tournament(adj)
+
+
+def sample_terminals(n, rng):
+    """About half the vertices when n is small, about five when it is large."""
+    share = min(0.5, 5 / n)
+    return frozenset(v for v in range(n) if rng.random() < share)
+
+
+def at_large_sizes(test):
+    """Add every kind of tournament at every size in LARGE_SIZES as examples."""
+    for n in LARGE_SIZES:
+        for kind in KINDS:
+            test = example(n=n, seed=n, kind=kind)(test)
+    return test
 
 
 def subsets(items):
@@ -78,10 +125,6 @@ class TestTournamentBasics:
         relabeled = Tournament(t.adj.copy(), labels=[7, 8, 9, 10])
         assert t != relabeled
 
-    def test_out_degrees_sum_to_arc_count(self):
-        t = random_tournament(7, seed=1)
-        assert int(t.out_degrees().sum()) == t.arc_count()
-
     def test_instance_rejects_foreign_terminals(self):
         t = random_tournament(3, seed=0)
         with pytest.raises(ValueError):
@@ -105,60 +148,45 @@ def test_reverse_arcs_rejects_missing_arc():
 
 def test_triangle_detection_matches_acyclicity_exhaustively():
     # Every tournament on up to 4 vertices, every terminal set: a terminal
-    # lies on a cycle exactly when some terminal lies on a triangle.
+    # lies on a cycle (a nontrivial strong component) exactly when some
+    # terminal lies on a triangle.
     for n in range(1, 5):
         for t in all_tournaments(n):
             for terms in subsets(range(n)):
                 terminals = frozenset(terms)
                 tri = has_s_triangle(t, terminals)
-                assert (tri is None) == is_s_acyclic(t, terminals)
+                expected = networkx_s_acyclic(t.adj, terminals)
+                assert (tri is None) == expected
+                assert is_s_acyclic(t, terminals) == expected
                 if tri is not None:
                     s, a, b = tri
                     assert s in terminals
                     assert t.adj[s, a] and t.adj[a, b] and t.adj[b, s]
 
 
-@given(n=st.integers(3, 8), seed=st.integers(0, 10**6))
+@at_large_sizes
+@given(n=st.integers(3, 8), seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS))
 @settings(max_examples=60, deadline=None)
-def test_triangle_detection_matches_acyclicity_sampled(n, seed):
-    t = random_tournament(n, seed)
-    rng = random.Random(seed)
-    terminals = frozenset(v for v in range(n) if rng.random() < 0.5)
-    assert (has_s_triangle(t, terminals) is None) == is_s_acyclic(t, terminals)
+def test_triangle_detection_matches_acyclicity_sampled(n, seed, kind):
+    t = sample_tournament(kind, n, seed)
+    terminals = sample_terminals(n, random.Random(seed))
+    expected = networkx_s_acyclic(t.adj, terminals)
+    assert (has_s_triangle(t, terminals) is None) == expected
+    assert is_s_acyclic(t, terminals) == expected
 
 
-@given(n=st.integers(2, 9), seed=st.integers(0, 10**6))
+@at_large_sizes
+@given(n=st.integers(2, 9), seed=st.integers(0, 10**6), kind=st.sampled_from(KINDS))
 @settings(max_examples=80, deadline=None)
-def test_acyclicity_agrees_with_component_sizes(n, seed):
-    # On digraphs with deleted arcs (where the triangle shortcut is wrong),
-    # the reachability answer must match the component-based definition.
+def test_acyclicity_agrees_with_component_sizes(n, seed, kind):
+    # On digraphs with deleted arcs, where the triangle shortcut is wrong,
+    # the answer must match the component-based definition.
     rng = random.Random(seed)
-    t = random_tournament(n, seed)
+    t = sample_tournament(kind, n, seed)
     doomed = [arc for arc in t.arcs() if rng.random() < 0.3]
     g = Digraph.minus(t, doomed)
-    terminals = frozenset(v for v in range(n) if rng.random() < 0.5)
-    by_components = all(
-        len(comp) == 1 or not any(v in terminals for v in comp)
-        for comp in strongly_connected_components(g)
-    )
-    assert is_s_acyclic(g, terminals) == by_components
-
-
-def test_ordering_exists_exactly_without_triangles():
-    for t in all_tournaments(4):
-        for terms in subsets(range(4)):
-            terminals = frozenset(terms)
-            ordering = s_topological_ordering(t, terminals)
-            if has_s_triangle(t, terminals) is not None:
-                assert ordering is None
-                continue
-            assert ordering is not None
-            order = ordering.flatten()
-            assert sorted(order) == list(range(4))
-            assert s_backward_arcs(t, terminals, order) == frozenset()
-            for part in ordering.parts:
-                if len(part) > 1:
-                    assert not terminals & set(part)
+    terminals = sample_terminals(n, rng)
+    assert is_s_acyclic(g, terminals) == networkx_s_acyclic(g.adj, terminals)
 
 
 def naive_backward(t, terminals, order):
@@ -205,18 +233,11 @@ def test_reversing_backward_arcs_clears_terminal_cycles():
 
 
 class TestStronglyConnectedComponents:
-    @staticmethod
-    def to_networkx(adj):
-        g = nx.DiGraph()
-        g.add_nodes_from(range(adj.shape[0]))
-        g.add_edges_from(zip(*np.nonzero(adj)))
-        return g
-
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_networkx_on_tournaments(self, seed):
         t = random_tournament(9, seed)
         ours = strongly_connected_components(t)
-        theirs = {frozenset(c) for c in nx.strongly_connected_components(self.to_networkx(t.adj))}
+        theirs = {frozenset(c) for c in nx.strongly_connected_components(to_networkx(t.adj))}
         assert {frozenset(c) for c in ours} == theirs
 
     @pytest.mark.parametrize("seed", range(25))
@@ -226,7 +247,7 @@ class TestStronglyConnectedComponents:
         gone = [a for a in t.arcs() if rng.random() < 0.3]
         g = Digraph.minus(t, gone)
         ours = strongly_connected_components(g)
-        theirs = {frozenset(c) for c in nx.strongly_connected_components(self.to_networkx(g.adj))}
+        theirs = {frozenset(c) for c in nx.strongly_connected_components(to_networkx(g.adj))}
         assert {frozenset(c) for c in ours} == theirs
 
     @pytest.mark.parametrize("seed", range(10))
@@ -245,6 +266,7 @@ class TestStronglyConnectedComponents:
 
 
 def test_vertex_in_any_triangle_matches_brute_force():
+    # Rule 2's test: a one-terminal triangle search.
     for seed in range(30):
         t = random_tournament(6, seed)
         for v in range(6):
@@ -253,7 +275,7 @@ def test_vertex_in_any_triangle_matches_brute_force():
                 for a in range(6)
                 for b in range(6)
             )
-            assert vertex_in_any_triangle(t, v) == brute
+            assert (has_s_triangle(t, {v}) is not None) == brute
 
 
 def test_triangles_through_arc_match_brute_force():

@@ -29,7 +29,7 @@ def test_parse_sample_with_comments_and_blanks():
     assert instance.n == 3
     assert instance.k == 1
     assert instance.terminals == frozenset({0})
-    assert instance.tournament.has_arc(2, 0)
+    assert instance.tournament.adj[2, 0]
 
 
 @given(n=st.integers(0, 8), seed=st.integers(0, 10**6), k=st.integers(-1, 5))

@@ -351,6 +351,13 @@ class TestSolveReport:
         assert report.certified
         assert verify_solution(instance, report.solution, "reversal")
 
+    def test_planted_instance_past_256_vertices(self):
+        instance, _ = generate_planted(GeneratorSpec(300, 10, 0, planted_k=3))
+        report = solve_report(instance)
+        assert report.size is not None and report.size <= 3
+        assert verify_solution(instance, report.solution, "reversal")
+        assert verify_solution(instance, report.solution, "deletion")
+
     def test_negative_budget_is_a_certified_no(self):
         instance = Instance(Tournament(transitive(4)), frozenset({0}), -1)
         report = solve_report(instance)
