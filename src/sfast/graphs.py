@@ -278,13 +278,20 @@ def has_s_triangle(
     smallest for that s.
     """
     adj = t.adj
-    for s in sorted(terminals):
+    candidates = sorted(terminals)
+    if len(candidates) > 1:
+        # One product counts, for every terminal s, the walks s -> a -> b
+        # closed by the arc b -> s (exact in float64 while n < 2**26); only
+        # the smallest terminal on a triangle is left to search.
+        dense = adj.astype(np.float64)
+        closed = ((dense[candidates] @ dense) * dense[:, candidates].T).sum(axis=1) > 0
+        candidates = [candidates[i] for i in np.flatnonzero(closed)[:1]]
+    for s in candidates:
         outs = np.flatnonzero(adj[s])
         ins = np.flatnonzero(adj[:, s])
         if outs.size == 0 or ins.size == 0:
             continue
-        sub = adj[np.ix_(outs, ins)]
-        hits = np.argwhere(sub)
+        hits = np.argwhere(adj[np.ix_(outs, ins)])
         if hits.size:
             a, b = hits[0]
             return (s, int(outs[a]), int(ins[b]))

@@ -193,6 +193,15 @@ def _axis_shape(q: int, axis: int, length: int) -> tuple[int, ...]:
     return tuple(shape)
 
 
+# Transition kinds stored per prefix state; a kind >= 0 is a terminal step
+# on that color.
+_BASE = -2
+_PACK = -1
+# Pack candidates are evaluated in chunks of about this many elements, which
+# bounds the per-layer scratch memory.
+_CHUNK = 1 << 16
+
+
 def solve_contracted(ct: ContractedTournament) -> tuple[int, list[int]]:
     """Exact minimum over orders interleaving the per-color node sequences.
 
@@ -202,134 +211,114 @@ def solve_contracted(ct: ContractedTournament) -> tuple[int, list[int]]:
     with a terminal-free pack of per-color node suffixes (charged all its
     arcs into the remaining prefix, each of which crosses the prefix's last
     terminal). Returns the optimum and one witness node order.
+
+    Every transition lowers the coordinate sum, so the lattice is filled one
+    coordinate-sum layer at a time, each layer in numpy: the terminal-free
+    prefixes are one mask, terminal steps are gathers at a shifted flat
+    index, and packs are evaluated in chunks of runs along one color. Per
+    state the DP keeps the optimum ``sfas``, ``g = sfas - w`` (``w`` = arcs
+    inside the prefix, so a pack from base p to state a costs
+    ``g[p] + arcs(a -> p)``), and an int8 transition kind: ``_BASE``,
+    ``_PACK``, or the color of a terminal step. Ties go to the pack, then to
+    the first color in order; a later color wins only on a strict
+    improvement.
     """
     q = len(ct.color_nodes)
     m = [len(ids) for ids in ct.color_nodes]
     shape = tuple(x + 1 for x in m)
-    states = int(np.prod([x + 1 for x in m], dtype=np.int64))
+    states = math.prod(shape)
     if states > _LATTICE_CAP:
         raise SolverScaleError(f"{states} prefix vectors exceed the supported size")
     big = np.iinfo(np.int64).max // 4
+    span = max(m, default=0) + 1
+    dims = np.array(shape, dtype=np.int64).reshape(q, 1)
+    strides = np.array([math.prod(shape[i + 1 :]) for i in range(q)], dtype=np.int64)
 
-    # cin4[i][j][s, t] = arcs from the first s nodes of color i
-    # into the first t nodes of color j.
-    cin4: list[list[np.ndarray]] = []
+    # node_into[i, j, s, t] = arcs from the s-th node of color i (1-based)
+    # into the first t nodes of color j; cin[i, j, s, t] = arcs from the
+    # first s nodes of color i into the first t nodes of color j.
+    node_into = np.zeros((q, q, span, span), dtype=np.int64)
     for i in range(q):
-        row = []
         for j in range(q):
             block = ct.mult[np.ix_(ct.color_nodes[i], ct.color_nodes[j])]
-            cum = np.zeros((m[i] + 1, m[j] + 1), dtype=np.int64)
             if block.size:
-                cum[1:, 1:] = block.cumsum(axis=0).cumsum(axis=1)
-            row.append(cum)
-        cin4.append(row)
+                node_into[i, j, 1 : m[i] + 1, 1 : m[j] + 1] = block.cumsum(axis=1)
+    cin = node_into.cumsum(axis=2)
+    # by_count[i][s] = cin[i, :, s, :], gathered per state into the arcs from
+    # a whole prefix into the first t nodes of each color.
+    by_count = [np.ascontiguousarray(cin[i].transpose(1, 0, 2)) for i in range(q)]
 
-    mmax = max(m, default=0)
-    cin4p = np.zeros((q, q, mmax + 1, mmax + 1), dtype=np.int64)
+    # last[i, a] = largest index <= a holding a terminal node of color i.
+    last = np.zeros((q, span), dtype=np.int64)
     for i in range(q):
-        for j in range(q):
-            cin4p[i, j, : m[i] + 1, : m[j] + 1] = cin4[i][j]
-
-    w = np.zeros(shape, dtype=np.int64)
-    for i in range(q):
-        for j in range(q):
-            if i == j:
-                w += np.diagonal(cin4[i][i]).reshape(_axis_shape(q, i, m[i] + 1))
-            elif i < j:
-                view = [1] * q
-                view[i], view[j] = m[i] + 1, m[j] + 1
-                w += cin4[i][j].reshape(view)
-            else:
-                view = [1] * q
-                view[j], view[i] = m[j] + 1, m[i] + 1
-                w += cin4[i][j].T.reshape(view)
-
-    # last_s[i][a] = largest index <= a holding a terminal node of color i.
-    last_s = []
-    for i in range(q):
-        arr = np.zeros(m[i] + 1, dtype=np.int64)
         for pos, node_id in enumerate(ct.color_nodes[i], start=1):
-            arr[pos] = pos if node_id in ct.terminal_nodes else arr[pos - 1]
-        last_s.append(arr)
+            last[i, pos] = pos if node_id in ct.terminal_nodes else last[i, pos - 1]
+    colors = np.arange(q).reshape(q, 1)
 
-    cout = {}
-    for node_id in ct.terminal_nodes:
-        rows = np.zeros((q, mmax + 1), dtype=np.int64)
-        for j in range(q):
-            if m[j]:
-                rows[j, 1 : m[j] + 1] = np.cumsum(ct.mult[node_id, list(ct.color_nodes[j])])
-        cout[node_id] = rows
+    level = np.zeros(shape, dtype=np.min_scalar_type(sum(m)))
+    for i in range(q):
+        level += np.arange(m[i] + 1, dtype=level.dtype).reshape(_axis_shape(q, i, m[i] + 1))
+    level = level.ravel()
+    by_level = np.argsort(level, kind="stable")
+    sizes = np.bincount(level, minlength=sum(m) + 1)
+    del level
 
-    sfas = np.full(shape, big, dtype=np.int64)
-    g = np.full(shape, big, dtype=np.int64)
-    choice: dict[tuple[int, ...], tuple] = {}
-    arange_q = np.arange(q)
+    sfas = np.full(states, big, dtype=np.int64)
+    g = np.full(states, big, dtype=np.int64)
+    kind = np.empty(states, dtype=np.int8 if q < 128 else np.int16)
 
-    for state in np.ndindex(*shape):
-        lo = tuple(int(last_s[i][state[i]]) for i in range(q))
-        if not any(lo):
-            sfas[state] = 0
-            g[state] = -w[state]
-            choice[state] = ("base",)
-            continue
-        best = big
-        pick: tuple = ()
+    for end, size in zip(np.cumsum(sizes).tolist(), sizes.tolist()):
+        flat = by_level[end - size : end]
+        a = flat // strides.reshape(q, 1) % dims
+        lo = last[colors, a]
+        w = np.zeros(flat.size, dtype=np.int64)
+        for i in range(q):
+            for j in range(q):
+                w += cin[i, j, a[i], a[j]]
+        best = np.full(flat.size, big, dtype=np.int64)
+        pick = np.full(flat.size, _PACK, dtype=kind.dtype)
 
-        box = g[tuple(slice(lo[i], state[i] + 1) for i in range(q))]
-        if box.size > 1:
-            avec = np.array(state)
-            cinp = cin4p[arange_q, :, avec, :].sum(axis=0)
-            cand = box + cinp[0, lo[0] : state[0] + 1].reshape(
-                _axis_shape(q, 0, state[0] - lo[0] + 1)
-            )
-            for j in range(1, q):
-                cand = cand + cinp[j, lo[j] : state[j] + 1].reshape(
-                    _axis_shape(q, j, state[j] - lo[j] + 1)
-                )
-            cand[tuple(state[i] - lo[i] for i in range(q))] = big
-            flat = int(np.argmin(cand))
-            value = int(cand.flat[flat])
-            if value < best:
-                best = value
-                prev = np.unravel_index(flat, cand.shape)
-                pick = ("a", tuple(lo[i] + int(prev[i]) for i in range(q)))
+        held = (lo > 0).any(axis=0)
+        packed = np.flatnonzero(held & (a > lo).any(axis=0))
+        if packed.size:
+            best[packed] = _pack_minima(g, by_count, strides, a[:, packed], lo[:, packed], big)
 
         for i in range(q):
-            a_i = state[i]
-            if a_i == 0 or lo[i] != a_i:
-                continue
-            node_id = ct.color_nodes[i][a_i - 1]
-            prev_state = state[:i] + (a_i - 1,) + state[i + 1 :]
-            value = int(sfas[prev_state])
+            step = np.flatnonzero((a[i] > 0) & (lo[i] == a[i]))
+            value = sfas[flat[step] - strides[i]]
             for j in range(q):
                 if j != i:
-                    value += int(cout[node_id][j, state[j]])
-            if value < best:
-                best = value
-                pick = ("b", i)
+                    value = value + node_into[i, j, a[i, step], a[j, step]]
+            better = value < best[step]
+            best[step[better]] = value[better]
+            pick[step[better]] = i
 
-        if best >= big:
+        best[~held] = 0
+        pick[~held] = _BASE
+        if bool((best >= big).any()):
             raise InternalInvariantError("prefix state with no transition")
-        sfas[state] = best
-        g[state] = best - w[state]
-        choice[state] = pick
+        sfas[flat] = best
+        g[flat] = best - w
+        kind[flat] = pick
 
-    full = tuple(m)
+    # Pack bases are not stored, which would take q ints per state: the at
+    # most n states of the witness path search their whole box again, which
+    # yields the lexicographically first cheapest base, as before pruning.
     segments: list[list[int]] = []
-    state = full
+    state = tuple(m)
+    index = states - 1
     while True:
-        pick = choice[state]
-        if pick[0] == "base":
+        if kind[index] == _BASE:
             segments.append(
                 [ct.color_nodes[i][s] for i in range(q) for s in range(state[i])]
             )
             break
-        if pick[0] == "b":
-            i = pick[1]
+        if kind[index] >= 0:
+            i = int(kind[index])
             segments.append([ct.color_nodes[i][state[i] - 1]])
-            state = state[:i] + (state[i] - 1,) + state[i + 1 :]
+            prev = state[:i] + (state[i] - 1,) + state[i + 1 :]
         else:
-            prev = pick[1]
+            prev = _pack_base(g.reshape(shape), cin, last, state, int(sfas[index]), big)
             segments.append(
                 [
                     ct.color_nodes[i][s]
@@ -337,9 +326,134 @@ def solve_contracted(ct: ContractedTournament) -> tuple[int, list[int]]:
                     for s in range(prev[i], state[i])
                 ]
             )
-            state = prev
+        state = prev
+        index = int(np.dot(state, strides))
     order = [node for seg in reversed(segments) for node in seg]
-    return int(sfas[full]), order
+    return int(sfas[-1]), order
+
+
+def _pack_minima(
+    g: np.ndarray,
+    by_count: list[np.ndarray],
+    strides: np.ndarray,
+    a: np.ndarray,
+    lo: np.ndarray,
+    big: int,
+) -> np.ndarray:
+    """Cheapest pack into each of the given states of one layer (q x S).
+
+    A pack into state a starts from a base p in the box lo <= p <= a, p != a,
+    and costs g[p] + arcs(a -> p). Only the slabs p_i = lo_i (colors i with
+    lo_i > 0) are searched. Why that is exact: every p in the box holds the
+    same last terminals as a, so p is not terminal-free. If the
+    lexicographically first cheapest base p had itself been reached by a
+    pack from p', then p' lies in the same box, is lexicographically
+    smaller, and costs no more, since
+    arcs(a - p' -> p') <= arcs(p - p' -> p') + arcs(a - p -> p). So that base
+    was reached by a terminal step on some color i, which puts it at
+    p_i = lo_i: the search finds the same value and the same first base. A
+    slab whose color has lo_i = a_i is the whole box.
+
+    Each (state, slab) pair is walked as runs along its longest free color.
+    Pairs with runs of one length are evaluated together, in chunks of about
+    _CHUNK elements. The base p = a is never excluded explicitly: its layer
+    is not yet written, so g[a] is still big.
+    """
+    q = a.shape[0]
+    span = by_count[0].shape[0]
+    extent = a - lo + 1
+    slab = lo > 0
+    whole = slab & (extent == 1)
+    slab = np.where(whole.any(axis=0), whole & (np.cumsum(whole, axis=0) == 1), slab)
+    owner, pinned = np.nonzero(slab.T)
+    ext = extent.T[owner]
+    pairs = np.arange(owner.size)
+    ext[pairs, pinned] = 1
+    free = ext.argmax(axis=1)
+    length = ext[pairs, free]
+    ext[pairs, free] = 1
+    runs = ext.prod(axis=1)
+
+    by_length = np.argsort(length, kind="stable")
+    weight = runs[by_length] * length[by_length] + q * span
+    part = (np.cumsum(weight) - weight) // _CHUNK
+    cuts = np.flatnonzero((np.diff(part) > 0) | (np.diff(length[by_length]) > 0)) + 1
+    best = np.full(a.shape[1], big, dtype=np.int64)
+    for sel in np.split(by_length, cuts):
+        own = owner[sel]
+        found = _slab_minima(
+            g, by_count, strides, a[:, own], lo[:, own],
+            ext[sel].T, free[sel], runs[sel], int(length[sel[0]]),
+        )
+        np.minimum.at(best, own, found)
+    return best
+
+
+def _slab_minima(
+    g: np.ndarray,
+    by_count: list[np.ndarray],
+    strides: np.ndarray,
+    a: np.ndarray,
+    lo: np.ndarray,
+    width: np.ndarray,
+    color: np.ndarray,
+    runs: np.ndarray,
+    size: int,
+) -> np.ndarray:
+    """Cheapest base of each (state, slab) pair; every run has `size` elements.
+
+    width[j] is the number of values p_j takes outside the run (1 on the
+    pinned and the run color); runs is the product of the widths.
+    """
+    q, count = a.shape
+    span = by_count[0].shape[0]
+    # reach[(s * q + j) * span + t] = arcs from the prefix of pair s into
+    # the first t nodes of color j; at_lo[j, s] indexes t = lo_j.
+    reach = by_count[0][a[0]]
+    for i in range(1, q):
+        reach += by_count[i][a[i]]
+    reach = reach.ravel()
+    at_lo = (np.arange(count) * q + np.arange(q).reshape(q, 1)) * span + lo
+    head = at_lo[color, np.arange(count)]
+    steps = np.arange(size).reshape(size, 1)
+    along = reach[head + steps]
+    varies = width.max(axis=1) > 1
+    rest = reach[at_lo[~varies]].sum(axis=0) - reach[head]
+
+    row = np.repeat(np.arange(count), runs)
+    starts = np.cumsum(runs) - runs
+    at = (strides.reshape(q, 1) * lo).sum(axis=0)[row]
+    rest = rest[row]
+    # int32 halves the cost of the division; a lattice has < 2**31 states.
+    local = (np.arange(row.size) - starts[row]).astype(np.int32)
+    width = width.astype(np.int32)
+    for j in np.flatnonzero(varies).tolist():
+        local, d = np.divmod(local, width[j][row])
+        at += d * strides[j]
+        rest += reach[at_lo[j][row] + d]
+    cand = g[at + strides[color][row] * steps]
+    cand += np.take(along, row, axis=1)
+    return np.minimum.reduceat(cand.min(axis=0) + rest, starts)
+
+
+def _pack_base(
+    g: np.ndarray, cin: np.ndarray, last: np.ndarray, state: tuple[int, ...], value: int, big: int
+) -> tuple[int, ...]:
+    """The lexicographically first cheapest pack base of one state, searched
+    over the whole box; only the witness path needs it."""
+    q = len(state)
+    lo = tuple(int(last[i, state[i]]) for i in range(q))
+    box = g[tuple(slice(lo[i], state[i] + 1) for i in range(q))]
+    cinp = cin[np.arange(q), :, np.array(state), :].sum(axis=0)
+    cand = box.copy()
+    for j in range(q):
+        cand += cinp[j, lo[j] : state[j] + 1].reshape(_axis_shape(q, j, state[j] - lo[j] + 1))
+    cand[tuple(state[i] - lo[i] for i in range(q))] = big
+    flat = int(np.argmin(cand))
+    if int(cand.flat[flat]) != value:
+        raise InternalInvariantError("pack base disagrees with the optimum")
+    prev = np.unravel_index(flat, cand.shape)
+    return tuple(lo[i] + int(prev[i]) for i in range(q))
 
 
 def expand_order(ct: ContractedTournament, node_order: list[int]) -> list[int]:

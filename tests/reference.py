@@ -2,18 +2,24 @@
 
 `s_triangles_through_arc` lists the terminal triangles through one arc, the
 brute-force count that rule 3's matrix products must reproduce.
+`reference_has_s_triangle` tries the terminals one at a time, the search that
+`has_s_triangle` answers with one matrix product.
 
 The dynamic program claims to minimize the terminal-relevant backward arc
 count over all vertex orders that keep each color's condensed nodes in
 sequence. At a handful of nodes that minimum is checkable by enumerating
 every legal interleaving directly on the contraction.
+`reference_solve_contracted` is the state-at-a-time prefix DP with a full
+pack-base search per state and a dict of backpointers, which the layered DP
+must match in value and in witness order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sfast.graphs import InvalidArcError
+from sfast.graphs import InternalInvariantError, InvalidArcError
+from sfast.solver import _LATTICE_CAP, SolverScaleError
 
 
 def s_triangles_through_arc(t, terminals, arc) -> list[int]:
@@ -27,6 +33,23 @@ def s_triangles_through_arc(t, terminals, arc) -> list[int]:
         mask[sorted(terminals)] = True
         completing = completing & mask
     return [int(w) for w in np.flatnonzero(completing)]
+
+
+def reference_has_s_triangle(t, terminals):
+    """The terminal-by-terminal search `has_s_triangle` batches: the smallest
+    terminal on a triangle, with the lexicographically smallest (a, b)."""
+    adj = t.adj
+    for s in sorted(terminals):
+        outs = np.flatnonzero(adj[s])
+        ins = np.flatnonzero(adj[:, s])
+        if outs.size == 0 or ins.size == 0:
+            continue
+        sub = adj[np.ix_(outs, ins)]
+        hits = np.argwhere(sub)
+        if hits.size:
+            a, b = hits[0]
+            return (s, int(outs[a]), int(ins[b]))
+    return None
 
 
 def interleavings(sequences):
@@ -87,3 +110,158 @@ def node_order_cost(ct, order) -> int:
             if relevant:
                 total += int(ct.mult[x, y])
     return total
+
+
+def _axis_shape(q: int, axis: int, length: int) -> tuple[int, ...]:
+    shape = [1] * q
+    shape[axis] = length
+    return tuple(shape)
+
+
+def reference_solve_contracted(ct) -> tuple[int, list[int]]:
+    """Exact minimum over orders interleaving the per-color node sequences.
+
+    State: per color, how many of its nodes sit in the prefix. A prefix
+    costs nothing while terminal-free; otherwise it ends either with one
+    terminal node (charged all its arcs into the rest of the prefix) or
+    with a terminal-free pack of per-color node suffixes (charged all its
+    arcs into the remaining prefix, each of which crosses the prefix's last
+    terminal). Returns the optimum and one witness node order.
+    """
+    q = len(ct.color_nodes)
+    m = [len(ids) for ids in ct.color_nodes]
+    shape = tuple(x + 1 for x in m)
+    states = int(np.prod([x + 1 for x in m], dtype=np.int64))
+    if states > _LATTICE_CAP:
+        raise SolverScaleError(f"{states} prefix vectors exceed the supported size")
+    big = np.iinfo(np.int64).max // 4
+
+    # cin4[i][j][s, t] = arcs from the first s nodes of color i
+    # into the first t nodes of color j.
+    cin4: list[list[np.ndarray]] = []
+    for i in range(q):
+        row = []
+        for j in range(q):
+            block = ct.mult[np.ix_(ct.color_nodes[i], ct.color_nodes[j])]
+            cum = np.zeros((m[i] + 1, m[j] + 1), dtype=np.int64)
+            if block.size:
+                cum[1:, 1:] = block.cumsum(axis=0).cumsum(axis=1)
+            row.append(cum)
+        cin4.append(row)
+
+    mmax = max(m, default=0)
+    cin4p = np.zeros((q, q, mmax + 1, mmax + 1), dtype=np.int64)
+    for i in range(q):
+        for j in range(q):
+            cin4p[i, j, : m[i] + 1, : m[j] + 1] = cin4[i][j]
+
+    w = np.zeros(shape, dtype=np.int64)
+    for i in range(q):
+        for j in range(q):
+            if i == j:
+                w += np.diagonal(cin4[i][i]).reshape(_axis_shape(q, i, m[i] + 1))
+            elif i < j:
+                view = [1] * q
+                view[i], view[j] = m[i] + 1, m[j] + 1
+                w += cin4[i][j].reshape(view)
+            else:
+                view = [1] * q
+                view[j], view[i] = m[j] + 1, m[i] + 1
+                w += cin4[i][j].T.reshape(view)
+
+    # last_s[i][a] = largest index <= a holding a terminal node of color i.
+    last_s = []
+    for i in range(q):
+        arr = np.zeros(m[i] + 1, dtype=np.int64)
+        for pos, node_id in enumerate(ct.color_nodes[i], start=1):
+            arr[pos] = pos if node_id in ct.terminal_nodes else arr[pos - 1]
+        last_s.append(arr)
+
+    cout = {}
+    for node_id in ct.terminal_nodes:
+        rows = np.zeros((q, mmax + 1), dtype=np.int64)
+        for j in range(q):
+            if m[j]:
+                rows[j, 1 : m[j] + 1] = np.cumsum(ct.mult[node_id, list(ct.color_nodes[j])])
+        cout[node_id] = rows
+
+    sfas = np.full(shape, big, dtype=np.int64)
+    g = np.full(shape, big, dtype=np.int64)
+    choice: dict[tuple[int, ...], tuple] = {}
+    arange_q = np.arange(q)
+
+    for state in np.ndindex(*shape):
+        lo = tuple(int(last_s[i][state[i]]) for i in range(q))
+        if not any(lo):
+            sfas[state] = 0
+            g[state] = -w[state]
+            choice[state] = ("base",)
+            continue
+        best = big
+        pick: tuple = ()
+
+        box = g[tuple(slice(lo[i], state[i] + 1) for i in range(q))]
+        if box.size > 1:
+            avec = np.array(state)
+            cinp = cin4p[arange_q, :, avec, :].sum(axis=0)
+            cand = box + cinp[0, lo[0] : state[0] + 1].reshape(
+                _axis_shape(q, 0, state[0] - lo[0] + 1)
+            )
+            for j in range(1, q):
+                cand = cand + cinp[j, lo[j] : state[j] + 1].reshape(
+                    _axis_shape(q, j, state[j] - lo[j] + 1)
+                )
+            cand[tuple(state[i] - lo[i] for i in range(q))] = big
+            flat = int(np.argmin(cand))
+            value = int(cand.flat[flat])
+            if value < best:
+                best = value
+                prev = np.unravel_index(flat, cand.shape)
+                pick = ("a", tuple(lo[i] + int(prev[i]) for i in range(q)))
+
+        for i in range(q):
+            a_i = state[i]
+            if a_i == 0 or lo[i] != a_i:
+                continue
+            node_id = ct.color_nodes[i][a_i - 1]
+            prev_state = state[:i] + (a_i - 1,) + state[i + 1 :]
+            value = int(sfas[prev_state])
+            for j in range(q):
+                if j != i:
+                    value += int(cout[node_id][j, state[j]])
+            if value < best:
+                best = value
+                pick = ("b", i)
+
+        if best >= big:
+            raise InternalInvariantError("prefix state with no transition")
+        sfas[state] = best
+        g[state] = best - w[state]
+        choice[state] = pick
+
+    full = tuple(m)
+    segments: list[list[int]] = []
+    state = full
+    while True:
+        pick = choice[state]
+        if pick[0] == "base":
+            segments.append(
+                [ct.color_nodes[i][s] for i in range(q) for s in range(state[i])]
+            )
+            break
+        if pick[0] == "b":
+            i = pick[1]
+            segments.append([ct.color_nodes[i][state[i] - 1]])
+            state = state[:i] + (state[i] - 1,) + state[i + 1 :]
+        else:
+            prev = pick[1]
+            segments.append(
+                [
+                    ct.color_nodes[i][s]
+                    for i in range(q)
+                    for s in range(prev[i], state[i])
+                ]
+            )
+            state = prev
+    order = [node for seg in reversed(segments) for node in seg]
+    return int(sfas[full]), order

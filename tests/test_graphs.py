@@ -20,7 +20,7 @@ from sfast.graphs import (
     strongly_connected_components,
     verify_solution,
 )
-from reference import s_triangles_through_arc
+from reference import reference_has_s_triangle, s_triangles_through_arc
 
 # Sizes just past 256, where any 8-bit vertex or path count wraps, up to
 # 600 vertices.
@@ -162,6 +162,23 @@ def test_triangle_detection_matches_acyclicity_exhaustively():
                     s, a, b = tri
                     assert s in terminals
                     assert t.adj[s, a] and t.adj[a, b] and t.adj[b, s]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [50, 150, 600])
+def test_triangle_search_matches_the_terminal_loop(n, kind):
+    # The batched search returns the same triangle as trying the terminals
+    # one at a time: the smallest terminal, then the smallest (a, b).
+    for seed in range(2):
+        t = sample_tournament(kind, n, seed)
+        rng = random.Random(seed)
+        for terminals in (
+            frozenset(),
+            sample_terminals(n, rng),
+            frozenset(rng.sample(range(n), n // 3)),
+            frozenset(range(n)),
+        ):
+            assert has_s_triangle(t, terminals) == reference_has_s_triangle(t, terminals)
 
 
 @at_large_sizes

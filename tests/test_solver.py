@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from families import random_tournament, rule6_instance, stubborn_instance, transitive
-from reference import interleaving_count, interleavings, node_order_cost, reference_minimum
+from reference import (
+    interleaving_count,
+    interleavings,
+    node_order_cost,
+    reference_minimum,
+    reference_solve_contracted,
+)
 from sfast.graphs import (
     Instance,
     InternalInvariantError,
@@ -16,6 +23,7 @@ from sfast.graphs import (
     s_backward_arcs,
     verify_solution,
 )
+from sfast.kernel import kernelize
 from sfast.oracle import GeneratorSpec, generate_planted, oracle_min_deletion
 from sfast.solver import (
     ContractedTournament,
@@ -49,6 +57,50 @@ def feasible_coloring(instance, q, seed):
         if classes_feasible(instance, coloring, q):
             return coloring
     return None
+
+
+def synthetic_lattice(layout, seed):
+    """A contraction laid out by one string per color: '.' is a node and 'T'
+    a terminal node. Nonterminal nodes hold one or two vertices; arcs inside
+    a color point forward, arcs between colors are split at random."""
+    rng = random.Random(seed)
+    sizes, node_color, color_nodes, terminals = [], [], [], set()
+    for color, pattern in enumerate(layout):
+        ids = []
+        for mark in pattern:
+            node = len(sizes)
+            if mark == "T":
+                terminals.add(node)
+            sizes.append(1 if mark == "T" else rng.choice((1, 2)))
+            node_color.append(color)
+            ids.append(node)
+        color_nodes.append(tuple(ids))
+    total = len(sizes)
+    mult = np.zeros((total, total), dtype=np.int64)
+    for x in range(total):
+        for y in range(x + 1, total):
+            arcs = sizes[x] * sizes[y]
+            forward = arcs if node_color[x] == node_color[y] else rng.randint(0, arcs)
+            mult[x, y], mult[y, x] = forward, arcs - forward
+    starts = np.cumsum([0] + sizes)
+    return ContractedTournament(
+        nodes=tuple(tuple(range(starts[i], starts[i + 1])) for i in range(total)),
+        node_color=tuple(node_color),
+        color_nodes=tuple(color_nodes),
+        terminal_nodes=frozenset(terminals),
+        mult=mult,
+    )
+
+
+LAYOUTS = {
+    "two terminals in one color": (".T..T.", "....", "..."),
+    "terminal first and last": ("T...", "...T", ".."),
+    "terminal in every color": (".T.", "T..", "..T", ".T"),
+    "no terminal": ("....", "...", "....."),
+    "color with one node": ("T", "..T.", "..."),
+    "color with zero nodes": ("", ".T..", "T..."),
+    "wide boxes": ("..T...", ".T....", "....T.", "......"),
+}
 
 
 class TestParameters:
@@ -238,6 +290,36 @@ class TestSolveContracted:
         assert value == 0
         assert order == list(ct.color_nodes[0])
 
+    def test_matches_the_reference_dp_on_planted_kernels(self):
+        # The first feasible coloring of each planted kernel, as a solve
+        # would contract it; the value and the witness order must both match.
+        checked = 0
+        for seed in range(40):
+            instance, _ = generate_planted(GeneratorSpec(50, 6, seed, planted_k=3))
+            kernel = kernelize(instance).kernel
+            if kernel is None:
+                continue
+            q = color_count(kernel.k)
+            coloring = feasible_coloring(kernel, q, seed)
+            assert coloring is not None
+            ct = contract(kernel, coloring, q)
+            if math.prod(len(ids) + 1 for ids in ct.color_nodes) > 20_000:
+                continue
+            assert solve_contracted(ct) == reference_solve_contracted(ct), seed
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("layout", LAYOUTS.values(), ids=LAYOUTS.keys())
+    def test_matches_the_reference_dp_on_synthetic_layouts(self, layout):
+        # Nodes of one or two vertices keep arc weights small and ties
+        # common, which pins the tie order: packs first, then terminal steps
+        # by color, each only on a strict gain.
+        for seed in range(5):
+            ct = synthetic_lattice(layout, seed)
+            value, order = solve_contracted(ct)
+            assert (value, order) == reference_solve_contracted(ct), seed
+            assert node_order_cost(ct, order) == value
+
     def test_single_vertex(self):
         instance = Instance(Tournament.from_arcs(1, []), frozenset({0}), 1)
         ct = contract(instance, (0,), 3)
@@ -260,6 +342,33 @@ class TestScaleGuard:
         )
         with pytest.raises(SolverScaleError, match="prefix vectors"):
             solve_contracted(ct)
+
+    def test_dp_memory_is_linear_in_the_lattice(self):
+        # 12**5 prefix vectors: 5 colors of 11 single-vertex terminal nodes
+        # over a seeded random tournament.
+        colors, per = 5, 11
+        total = colors * per
+        t = random_tournament(total, 12)
+        adj = np.array(t.adj)
+        for c in range(colors):
+            block = slice(c * per, (c + 1) * per)
+            adj[block, block] = transitive(per)
+        ct = ContractedTournament(
+            nodes=tuple((i,) for i in range(total)),
+            node_color=tuple(i // per for i in range(total)),
+            color_nodes=tuple(tuple(range(c * per, (c + 1) * per)) for c in range(colors)),
+            terminal_nodes=frozenset(range(total)),
+            mult=adj.astype(np.int64),
+        )
+        states = (per + 1) ** colors
+        tracemalloc.start()
+        try:
+            value, order = solve_contracted(ct)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * states + 16 * 2**20
+        assert node_order_cost(ct, order) == value
 
 
 class TestKernelSolutionFromColoring:
