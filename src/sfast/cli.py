@@ -113,13 +113,12 @@ def kernelize_cmd(ctx, input_file: str, output: Optional[str], trace_path: Optio
 @click.option("-o", "--output", type=click.Path(dir_okay=False), help="Write the solution here.")
 @click.option("--seed", default=0, show_default=True, help="Base seed for the coloring trials.")
 @click.option("--trials", type=int, default=None, help="Trial budget (default scales with k).")
-@click.option("--workers", default=1, show_default=True, help="Parallel trial processes.")
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON report instead of prose.")
 @click.pass_context
-def solve_cmd(ctx, input_file: str, output: Optional[str], seed: int, trials: Optional[int], workers: int, as_json: bool) -> None:
+def solve_cmd(ctx, input_file: str, output: Optional[str], seed: int, trials: Optional[int], as_json: bool) -> None:
     """Solve INPUT_FILE; exit 0 solved, 20 trivial no, 30 nothing found, 50 too large."""
     instance = _load_instance(input_file)
-    config = SolverConfig(seed=seed, max_trials=trials, parallel_trials=workers)
+    config = SolverConfig(seed=seed, max_trials=trials)
     report = _solve_report(ctx, input_file, instance, config)
     if report.solution is not None and output:
         Path(output).write_text(serialize_solution(report.solution))

@@ -44,27 +44,46 @@ def _freeze(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-class Tournament:
-    """A complete orientation of K_n.
+class Digraph:
+    """Plain directed graph on 0..n-1, used for deletion-semantics checks.
 
-    ``adj[u, v]`` is True exactly when the arc (u, v) is present; for every
-    pair u != v exactly one direction is present.
+    ``adj[u, v]`` is True exactly when the arc (u, v) is present.
     """
 
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, adj: np.ndarray, labels: Optional[Sequence[int]] = None):
+    def __init__(self, adj: np.ndarray):
         adj = np.asarray(adj, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency matrix must be square")
-        n = adj.shape[0]
         if bool(np.diagonal(adj).any()):
             raise ValueError("self-loops are not allowed")
-        off_diagonal = ~np.eye(n, dtype=bool)
-        if not np.array_equal(adj ^ adj.T, off_diagonal):
-            raise ValueError("matrix is not a tournament orientation")
-        self.n = n
+        self.n = adj.shape[0]
         self.adj = _freeze(adj)
+
+    @staticmethod
+    def minus(t: "Tournament", arcs: Iterable[Arc]) -> "Digraph":
+        """The digraph obtained by deleting ``arcs`` from a tournament."""
+        adj = np.array(t.adj)
+        for u, v in _checked_arcs(t, arcs):
+            adj[u, v] = False
+        return Digraph(adj)
+
+
+class Tournament(Digraph):
+    """A complete orientation of K_n.
+
+    For every pair u != v exactly one of ``adj[u, v]`` and ``adj[v, u]`` is
+    True.
+    """
+
+    __slots__ = ("labels",)
+
+    def __init__(self, adj: np.ndarray, labels: Optional[Sequence[int]] = None):
+        super().__init__(adj)
+        n = self.n
+        if not np.array_equal(self.adj ^ self.adj.T, ~np.eye(n, dtype=bool)):
+            raise ValueError("matrix is not a tournament orientation")
         self.labels = tuple(labels) if labels is not None else tuple(range(n))
         if len(self.labels) != n:
             raise ValueError("label count does not match vertex count")
@@ -114,29 +133,17 @@ class Tournament:
         return f"Tournament(n={self.n})"
 
 
-class Digraph:
-    """Plain directed graph on 0..n-1, used for deletion-semantics checks."""
-
-    __slots__ = ("n", "adj")
-
-    def __init__(self, adj: np.ndarray):
-        adj = np.asarray(adj, dtype=bool)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValueError("adjacency matrix must be square")
-        if adj.trace() != 0:
-            raise ValueError("self-loops are not allowed")
-        self.n = adj.shape[0]
-        self.adj = _freeze(adj)
-
-    @classmethod
-    def minus(cls, t: Tournament, arcs: Iterable[Arc]) -> "Digraph":
-        """The digraph obtained by deleting ``arcs`` from a tournament."""
-        adj = np.array(t.adj)
-        for u, v in arcs:
-            if not adj[u, v]:
-                raise InvalidArcError(f"arc ({u}, {v}) not present")
-            adj[u, v] = False
-        return cls(adj)
+def _checked_arcs(g: Digraph, arcs: Iterable[Arc]) -> list[Arc]:
+    """The arcs as int pairs, in order; each must be present in g and listed once."""
+    checked: dict[Arc, None] = {}
+    for u, v in arcs:
+        a = (int(u), int(v))
+        if a in checked:
+            raise InvalidArcError(f"arc ({u}, {v}) listed twice")
+        if not (0 <= a[0] < g.n and 0 <= a[1] < g.n) or not g.adj[a]:
+            raise InvalidArcError(f"arc ({u}, {v}) not present")
+        checked[a] = None
+    return list(checked)
 
 
 @dataclass(frozen=True)
@@ -160,15 +167,7 @@ class Instance:
 def reverse_arcs(t: Tournament, arcs: Iterable[Arc]) -> Tournament:
     """Reverse the given arcs; every arc must currently be present."""
     adj = np.array(t.adj)
-    seen: set[Arc] = set()
-    for u, v in arcs:
-        a = (int(u), int(v))
-        if a in seen:
-            raise InvalidArcError(f"arc ({u}, {v}) listed twice")
-        seen.add(a)
-        if not (0 <= u < t.n and 0 <= v < t.n) or not t.adj[u, v]:
-            raise InvalidArcError(f"arc ({u}, {v}) not present")
-    for u, v in seen:
+    for u, v in _checked_arcs(t, arcs):
         adj[u, v] = False
         adj[v, u] = True
     return Tournament(adj, t.labels)
@@ -228,7 +227,7 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def strongly_connected_components(g: Tournament | Digraph) -> tuple[tuple[int, ...], ...]:
+def strongly_connected_components(g: Digraph) -> tuple[tuple[int, ...], ...]:
     """All SCCs, in a topological order of the condensation.
 
     Ties between incomparable components are broken by smallest contained
@@ -268,6 +267,16 @@ def strongly_connected_components(g: Tournament | Digraph) -> tuple[tuple[int, .
     return tuple(order)
 
 
+def _on_triangle(adj: np.ndarray, terminals: Sequence[int]) -> np.ndarray:
+    """For each of the given terminals, whether it lies on a directed triangle.
+
+    One product counts, for every terminal s, the walks s -> a -> b closed by
+    the arc b -> s (exact in float64 while n < 2**26).
+    """
+    dense = adj.astype(np.float64)
+    return ((dense[terminals] @ dense) * dense[:, terminals].T).sum(axis=1) > 0
+
+
 def has_s_triangle(
     t: Tournament, terminals: frozenset[int] | set[int]
 ) -> Optional[tuple[int, int, int]]:
@@ -277,28 +286,20 @@ def has_s_triangle(
     smallest terminal on any triangle and (a, b) is lexicographically
     smallest for that s.
     """
-    adj = t.adj
+    if not terminals:
+        return None
     candidates = sorted(terminals)
-    if len(candidates) > 1:
-        # One product counts, for every terminal s, the walks s -> a -> b
-        # closed by the arc b -> s (exact in float64 while n < 2**26); only
-        # the smallest terminal on a triangle is left to search.
-        dense = adj.astype(np.float64)
-        closed = ((dense[candidates] @ dense) * dense[:, candidates].T).sum(axis=1) > 0
-        candidates = [candidates[i] for i in np.flatnonzero(closed)[:1]]
-    for s in candidates:
-        outs = np.flatnonzero(adj[s])
-        ins = np.flatnonzero(adj[:, s])
-        if outs.size == 0 or ins.size == 0:
-            continue
-        hits = np.argwhere(adj[np.ix_(outs, ins)])
-        if hits.size:
-            a, b = hits[0]
-            return (s, int(outs[a]), int(ins[b]))
-    return None
+    hit = np.flatnonzero(_on_triangle(t.adj, candidates))
+    if hit.size == 0:
+        return None
+    s = candidates[hit[0]]
+    outs = np.flatnonzero(t.adj[s])
+    ins = np.flatnonzero(t.adj[:, s])
+    a, b = np.argwhere(t.adj[np.ix_(outs, ins)])[0]
+    return (s, int(outs[a]), int(ins[b]))
 
 
-def is_s_acyclic(g: Tournament | Digraph, terminals: frozenset[int] | set[int]) -> bool:
+def is_s_acyclic(g: Digraph, terminals: frozenset[int] | set[int]) -> bool:
     """True when no cycle passes through a terminal.
 
     In a tournament a vertex on a cycle lies in a strong subtournament, and
@@ -358,11 +359,8 @@ def verify_solution(
     Arcs absent from the tournament raise InvalidArcError; a structurally
     valid candidate that exceeds k or leaves a terminal cycle returns False.
     """
-    arcs = list(dict.fromkeys((int(u), int(v)) for u, v in solution))
     t = instance.tournament
-    for u, v in arcs:
-        if not (0 <= u < t.n and 0 <= v < t.n) or not t.adj[u, v]:
-            raise InvalidArcError(f"arc ({u}, {v}) not present")
+    arcs = _checked_arcs(t, dict.fromkeys((int(u), int(v)) for u, v in solution))
     if len(arcs) > instance.k:
         return False
     if mode == "reversal":

@@ -25,6 +25,7 @@ from .graphs import (
     reverse_arcs,
     s_backward_arcs,
     verify_solution,
+    _on_triangle,
 )
 
 __all__ = [
@@ -206,18 +207,19 @@ def rr1_sanity(instance: Instance) -> RuleOutcome:
 def rr2_triangle_free_terminal(instance: Instance) -> RuleOutcome:
     """Delete the smallest terminal lying on no triangle at all."""
     t = instance.tournament
-    for s in sorted(instance.terminals):
-        if has_s_triangle(t, {s}) is None:
-            nxt = _delete_vertex(instance, s)
-            return _outcome(
-                "rr2",
-                STATUS_APPLIED,
-                instance,
-                nxt,
-                note="terminal on no triangle",
-                deleted=[t.labels[s]],
-            )
-    return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
+    terminals = sorted(instance.terminals)
+    free = np.flatnonzero(~_on_triangle(t.adj, terminals))
+    if free.size == 0:
+        return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
+    s = terminals[free[0]]
+    return _outcome(
+        "rr2",
+        STATUS_APPLIED,
+        instance,
+        _delete_vertex(instance, s),
+        note="terminal on no triangle",
+        deleted=[t.labels[s]],
+    )
 
 
 def rr3_many_triangles(instance: Instance) -> RuleOutcome:

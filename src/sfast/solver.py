@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -65,13 +64,10 @@ class SolverScaleError(ValueError):
 class SolverConfig:
     seed: int = 0
     max_trials: Optional[int] = None
-    parallel_trials: int = 1
 
     def __post_init__(self) -> None:
         if self.max_trials is not None and self.max_trials < 1:
             raise ValueError("max_trials must be positive")
-        if self.parallel_trials < 1:
-            raise ValueError("parallel_trials must be positive")
 
 
 @dataclass(frozen=True)
@@ -478,29 +474,6 @@ def kernel_solution_from_coloring(
     return value, frozenset((labels[u], labels[v]) for u, v in arcs)
 
 
-def _run_trial(
-    kernel: Instance, q: int, seed: int, trial: int
-) -> tuple[int, Optional[tuple[int, frozenset[Arc]]]]:
-    rng = random.Random(seed * _SEED_STRIDE + trial)
-    coloring = draw_coloring(kernel.n, q, rng)
-    return trial, kernel_solution_from_coloring(kernel, coloring, q)
-
-
-def _trial_results(
-    kernel: Instance, q: int, seed: int, max_trials: int, workers: int
-) -> Iterator[tuple[int, Optional[tuple[int, frozenset[Arc]]]]]:
-    if workers <= 1:
-        for trial in range(max_trials):
-            yield _run_trial(kernel, q, seed, trial)
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, max_trials, workers):
-            wave = range(start, min(start + workers, max_trials))
-            futures = [pool.submit(_run_trial, kernel, q, seed, t) for t in wave]
-            for future in futures:
-                yield future.result()
-
-
 def solve(instance: Instance, config: Optional[SolverConfig] = None) -> Optional[frozenset[Arc]]:
     """Minimum set of arcs to reverse, or None when no small-enough set
     exists (certified when the kernelization decides, otherwise with failure
@@ -540,12 +513,12 @@ def solve_report(instance: Instance, config: Optional[SolverConfig] = None) -> S
 
     best: Optional[frozenset[Arc]] = None
     floor = lower
-    checked_below: Optional[int] = None
-    trials = 0
-    for trial, result in _trial_results(
-        kernel, q, config.seed, max_trials, config.parallel_trials
-    ):
-        trials = trial + 1
+    # The bounded oracle runs at most once: it either certifies `best` or
+    # raises the floor to the optimum.
+    oracle_tried = False
+    for trial in range(max_trials):
+        rng = random.Random(config.seed * _SEED_STRIDE + trial)
+        result = kernel_solution_from_coloring(kernel, draw_coloring(kernel.n, q, rng), q)
         if result is None:
             continue
         _, labeled = result
@@ -553,19 +526,15 @@ def solve_report(instance: Instance, config: Optional[SolverConfig] = None) -> S
         if best is None or len(lifted) < len(best):
             best = lifted
         if len(best) <= floor:
-            return report(best, trials, kr, True)
+            return report(best, trial + 1, kr, True)
         bound = len(best) - 1
-        if bound <= _CERTIFICATE_CAP and (checked_below is None or bound < checked_below):
-            checked_below = bound
+        if bound <= _CERTIFICATE_CAP and not oracle_tried:
+            oracle_tried = True
             try:
-                exact = oracle_min_deletion(
-                    instance.tournament, instance.terminals, bound
-                )
+                exact = oracle_min_deletion(instance.tournament, instance.terminals, bound)
             except OracleScaleError:
-                checked_below = -1
-            else:
-                if exact is None:
-                    return report(best, trials, kr, True)
-                floor = max(floor, exact)
-                checked_below = -1
-    return report(best, trials, kr, best is not None and len(best) <= floor)
+                continue
+            if exact is None:
+                return report(best, trial + 1, kr, True)
+            floor = max(floor, exact)
+    return report(best, max_trials, kr, best is not None and len(best) <= floor)

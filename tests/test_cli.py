@@ -1,6 +1,8 @@
 import json
+import re
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -300,3 +302,27 @@ class TestErrorPaths:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "0.1.0" in result.output
+
+
+def readme_usage():
+    """(command, option flags) for each `sfast <command>` line of README's ## CLI block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```text\n", 1)[1].split("```", 1)[0]
+    usage = []
+    for line in block.splitlines():
+        words = line.split()
+        if len(words) >= 2 and words[0] == "sfast":
+            usage.append((words[1], set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", line))))
+    return usage
+
+
+def test_readme_usage_matches_the_commands():
+    usage = readme_usage()
+    assert {name for name, _ in usage} == set(main.commands)
+    for name, flags in usage:
+        options = [p for p in main.commands[name].params if isinstance(p, click.Option)]
+        known = {flag for p in options for flag in p.opts + p.secondary_opts}
+        assert flags <= known, f"README names unknown options of {name}: {flags - known}"
+        for p in options:
+            assert flags & set(p.opts), f"README omits {p.opts} of {name}"

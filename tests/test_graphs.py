@@ -131,6 +131,29 @@ class TestTournamentBasics:
             Instance(t, frozenset({3}), 1)
 
 
+class TestDigraphBasics:
+    def test_rejects_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            Digraph(np.zeros((2, 3), dtype=bool))
+
+    def test_rejects_self_loops(self):
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[1, 1] = True
+        with pytest.raises(ValueError, match="self-loops"):
+            Digraph(adj)
+
+    def test_a_tournament_is_a_digraph(self):
+        t = random_tournament(4, seed=3)
+        assert isinstance(t, Digraph)
+        assert not t.adj.flags.writeable
+
+    @pytest.mark.parametrize("arc", [(-1, 0), (3, 0), (0, 2)])
+    def test_minus_rejects_arcs_outside_the_tournament(self, arc):
+        t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(InvalidArcError, match="not present"):
+            Digraph.minus(t, [arc])
+
+
 @given(n=st.integers(2, 8), seed=st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_reverse_arcs_is_an_involution(n, seed):

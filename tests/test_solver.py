@@ -430,15 +430,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_trials=0)
 
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            SolverConfig(parallel_trials=0)
-
     def test_defaults(self):
         config = SolverConfig()
         assert config.seed == 0
         assert config.max_trials is None
-        assert config.parallel_trials == 1
 
 
 class TestSolveReport:
@@ -522,14 +517,6 @@ class TestSolveReport:
         second = solve_report(instance, SolverConfig(seed=7))
         assert first.solution == second.solution
         assert first.trials == second.trials
-
-    def test_parallel_trials_match_serial(self):
-        spec = GeneratorSpec(n=9, s_count=3, seed=5, planted_k=2)
-        instance, _ = generate_planted(spec)
-        serial = solve_report(instance, SolverConfig(seed=2))
-        parallel = solve_report(instance, SolverConfig(seed=2, parallel_trials=2))
-        assert serial.solution == parallel.solution
-        assert serial.trials == parallel.trials
 
     def test_solve_is_the_report_solution(self):
         spec = GeneratorSpec(n=8, s_count=3, seed=11, planted_k=2)
