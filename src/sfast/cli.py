@@ -3,7 +3,8 @@
 Verdict-style exit codes leave 0 for "work produced", 1 for usage and format
 errors, and distinct codes for the interesting outcomes so scripts can
 branch without scraping output: kernelize exits 10/20 on trivial yes/no,
-solve exits 20 when the kernelization already refutes the instance and 30
+solve exits 20 when the kernelization or the triangle-packing lower bound
+refutes the instance before any trial and 30
 when the trial budget finds nothing, verify exits 40 on an invalid solution,
 and solve and bench exit 50 when an input is beyond the solver's scale limit
 (its prefix-vector lattice would not fit in memory).
@@ -112,11 +113,11 @@ def kernelize_cmd(ctx, input_file: str, output: Optional[str], trace_path: Optio
 @click.argument("input_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("-o", "--output", type=click.Path(dir_okay=False), help="Write the solution here.")
 @click.option("--seed", default=0, show_default=True, help="Base seed for the coloring trials.")
-@click.option("--trials", type=int, default=None, help="Trial budget (default scales with k).")
+@click.option("--trials", type=click.IntRange(min=1), default=None, help="Trial budget (default scales with k).")
 @click.option("--json", "as_json", is_flag=True, help="Print a JSON report instead of prose.")
 @click.pass_context
 def solve_cmd(ctx, input_file: str, output: Optional[str], seed: int, trials: Optional[int], as_json: bool) -> None:
-    """Solve INPUT_FILE; exit 0 solved, 20 trivial no, 30 nothing found, 50 too large."""
+    """Solve INPUT_FILE; exit 0 solved, 20 refuted, 30 nothing found, 50 too large."""
     instance = _load_instance(input_file)
     config = SolverConfig(seed=seed, max_trials=trials)
     report = _solve_report(ctx, input_file, instance, config)
@@ -137,8 +138,11 @@ def solve_cmd(ctx, input_file: str, output: Optional[str], seed: int, trials: Op
         for u, v in sorted(report.solution):
             click.echo(f"r {u} {v}")
     if report.solution is None:
-        if report.kernel.status == "trivial-no":
-            click.echo("no solution: refuted during kernelization")
+        if report.certified:
+            if report.kernel.status == "trivial-no":
+                click.echo("no solution: refuted during kernelization")
+            else:
+                click.echo(f"no solution: refuted by a triangle-packing bound above the budget {instance.k}")
             ctx.exit(EXIT_TRIVIAL_NO)
         click.echo(f"no solution found in {report.trials} trials")
         ctx.exit(EXIT_NO_SOLUTION)
@@ -221,7 +225,7 @@ def gen(n: int, s_count: int, seed: int, k: Optional[int], planted: Optional[int
 @main.command()
 @click.argument("inputs", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--seed", default=0, show_default=True)
-@click.option("--trials", type=int, default=None)
+@click.option("--trials", type=click.IntRange(min=1), default=None)
 @click.option("--csv", "csv_path", type=click.Path(dir_okay=False), help="Also write the table as CSV.")
 @click.pass_context
 def bench(ctx, inputs: tuple[str, ...], seed: int, trials: Optional[int], csv_path: Optional[str]) -> None:

@@ -2,11 +2,19 @@
 
 Vertices are 0..n-1. A tournament carries a stable external label per vertex
 so that vertex deletions (which compact the range) stay traceable.
+
+Every cycle question here has one answer: a terminal is on a cycle exactly
+when its strong component has more than one vertex. In a tournament such a
+vertex lies on cycles of every length from 3 up (Moon), so it is also on a
+directed triangle; and sorting the vertices by score (out-degree) lists the
+strong components as consecutive runs, sources first, each run ending where
+the top scores reach their largest possible sum (Landau). So a tournament's
+components cost one sort and one prefix sum, while a `Digraph`, a
+tournament with arcs deleted, still needs Tarjan's search.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
@@ -227,54 +235,36 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
-def strongly_connected_components(g: Digraph) -> tuple[tuple[int, ...], ...]:
-    """All SCCs, in a topological order of the condensation.
+def _landau(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A tournament's strong components, read off its scores.
 
-    Ties between incomparable components are broken by smallest contained
-    vertex, which makes the output order deterministic. Each component is an
-    ascending vertex tuple.
+    Returns the vertices by descending score, whether a component ends at
+    each position of that order, and whether each vertex lies on a cycle.
+    The top i scores sum to C(i, 2) + i(n - i) exactly when those i vertices
+    beat all the others; a vertex is alone in its component when that cut
+    holds on both sides of its position.
     """
-    n = g.n
-    succ = _successor_lists(g.adj)
-    comps = [sorted(comp) for comp in _tarjan(succ)]
-    comp_of = [-1] * n
-    for c, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = c
-
-    m = len(comps)
-    out_edges: list[set[int]] = [set() for _ in range(m)]
-    indegree = [0] * m
-    for u in range(n):
-        cu = comp_of[u]
-        for v in succ[u]:
-            cv = comp_of[v]
-            if cu != cv and cv not in out_edges[cu]:
-                out_edges[cu].add(cv)
-                indegree[cv] += 1
-    heap = [(comps[c][0], c) for c in range(m) if indegree[c] == 0]
-    heapq.heapify(heap)
-    order: list[tuple[int, ...]] = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        order.append(tuple(comps[c]))
-        for d in out_edges[c]:
-            indegree[d] -= 1
-            if indegree[d] == 0:
-                heapq.heappush(heap, (comps[d][0], d))
-    if len(order) != m:
-        raise InternalInvariantError("condensation was not acyclic")
-    return tuple(order)
+    scores = adj.sum(axis=1)
+    order = np.argsort(-scores, kind="stable")
+    n = scores.size
+    i = np.arange(1, n + 1)
+    ends = np.cumsum(scores[order]) == i * (2 * n - 1 - i) // 2
+    alone = ends.copy()
+    alone[1:] &= ends[:-1]
+    on_cycle = np.empty(n, dtype=bool)
+    on_cycle[order] = ~alone
+    return order, ends, on_cycle
 
 
-def _on_triangle(adj: np.ndarray, terminals: Sequence[int]) -> np.ndarray:
-    """For each of the given terminals, whether it lies on a directed triangle.
+def strongly_connected_components(t: Tournament) -> tuple[tuple[int, ...], ...]:
+    """All strong components, sources first; each an ascending vertex tuple.
 
-    One product counts, for every terminal s, the walks s -> a -> b closed by
-    the arc b -> s (exact in float64 while n < 2**26).
+    A tournament's condensation is transitive, so this order is its only
+    topological order.
     """
-    dense = adj.astype(np.float64)
-    return ((dense[terminals] @ dense) * dense[:, terminals].T).sum(axis=1) > 0
+    order, ends, _ = _landau(t.adj)
+    runs = np.split(order, np.flatnonzero(ends[:-1]) + 1)
+    return tuple(tuple(sorted(run.tolist())) for run in runs if run.size)
 
 
 def has_s_triangle(
@@ -283,13 +273,13 @@ def has_s_triangle(
     """Some directed triangle through a terminal, or None.
 
     Returns (s, a, b) with arcs (s, a), (a, b), (b, s), where s is the
-    smallest terminal on any triangle and (a, b) is lexicographically
-    smallest for that s.
+    smallest terminal on any cycle (by Moon's theorem, on a triangle) and
+    (a, b) is lexicographically smallest for that s.
     """
     if not terminals:
         return None
     candidates = sorted(terminals)
-    hit = np.flatnonzero(_on_triangle(t.adj, candidates))
+    hit = np.flatnonzero(_landau(t.adj)[2][candidates])
     if hit.size == 0:
         return None
     s = candidates[hit[0]]
@@ -300,18 +290,20 @@ def has_s_triangle(
 
 
 def is_s_acyclic(g: Digraph, terminals: frozenset[int] | set[int]) -> bool:
-    """True when no cycle passes through a terminal.
+    """True when no cycle passes through a terminal, that is, when no
+    terminal shares its strong component with another vertex.
 
-    In a tournament a vertex on a cycle lies in a strong subtournament, and
-    by Moon's theorem every vertex of a strong tournament lies on cycles of
-    every length from 3 up, so a terminal is on a cycle exactly when it is
-    on a directed triangle: `has_s_triangle` decides tournaments. A
-    `Digraph` (a tournament with arcs deleted) can have long cycles and no
-    triangle, so there a terminal is on a cycle exactly when its strongly
-    connected component has more than one vertex.
+    On a `Tournament` the components come from the scores: by Landau's
+    cuts a vertex is alone in its component exactly when the top scores
+    reach their largest sum just before and just after it, and by Moon's
+    theorem every other vertex lies on a triangle. A `Digraph` (a tournament
+    with arcs deleted) can have long cycles and no triangle and no such
+    score structure, so there Tarjan's search finds the components.
     """
+    if not terminals:
+        return True
     if isinstance(g, Tournament):
-        return has_s_triangle(g, terminals) is None
+        return not _landau(g.adj)[2][list(terminals)].any()
     return not any(
         len(comp) > 1 and any(v in terminals for v in comp)
         for comp in _tarjan(_successor_lists(g.adj))

@@ -25,7 +25,7 @@ from .graphs import (
     reverse_arcs,
     s_backward_arcs,
     verify_solution,
-    _on_triangle,
+    _landau,
 )
 
 __all__ = [
@@ -205,10 +205,10 @@ def rr1_sanity(instance: Instance) -> RuleOutcome:
 
 
 def rr2_triangle_free_terminal(instance: Instance) -> RuleOutcome:
-    """Delete the smallest terminal lying on no triangle at all."""
+    """Delete the smallest terminal lying on no cycle (so on no triangle)."""
     t = instance.tournament
     terminals = sorted(instance.terminals)
-    free = np.flatnonzero(~_on_triangle(t.adj, terminals))
+    free = np.flatnonzero(~_landau(t.adj)[2][terminals])
     if free.size == 0:
         return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
     s = terminals[free[0]]
@@ -323,7 +323,7 @@ def packing_ordering(
     keep = [v for v in range(t.n) if v not in packing.covered]
     residual = t.drop(packing.covered)
     residual_terms = {i for i, v in enumerate(keep) if v in terminals}
-    if has_s_triangle(residual, residual_terms) is not None:
+    if not is_s_acyclic(residual, residual_terms):
         raise InternalInvariantError("packing is not maximal: residual terminal triangle")
 
     indeg = {s: sum(1 for r in s1 if t.adj[r, s]) for s in s1}
@@ -810,20 +810,20 @@ def kernelize(instance: Instance) -> KernelResult:
             key=min,
         )
         decided = None
+        decs = []
         for members in big:
             dec = class_decomposition(cur, members)
             out = rr7_wrong_arcs(cur, dec)
             if out.status == STATUS_TRIVIAL_NO:
                 decided = out
                 break
+            decs.append(dec)
         if decided is not None:
             return done(decided.status, decided, None)
 
-        deletable = [vs for vs in big if len(vs) >= deletion_class_size(cur.k)]
+        deletable = [dec for dec in decs if len(dec.z) >= deletion_class_size(cur.k)]
         if deletable:
-            members = deletable[0]
-            dec = class_decomposition(cur, members)
-            cur, dec, swaps = arc_swap_normalize(cur, dec)
+            cur, dec, swaps = arc_swap_normalize(cur, deletable[0])
             trace.extend(swaps)
             out = rr8_irrelevant_vertex(cur, dec)
             if out.status != STATUS_APPLIED:

@@ -8,7 +8,8 @@ prefix-vector dynamic program over the per-color contractions recovers a
 minimum solution. `solve` repeats trials, lifts kernel solutions back to the
 input through the kernelization trace, and stops early whenever a packing
 bound or a bounded exhaustive search certifies that the best solution found
-is optimal.
+is optimal. A packing bound above the budget refutes the instance before
+the first trial.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .graphs import (
     Arc,
-    Digraph,
     Instance,
     InternalInvariantError,
     Tournament,
@@ -151,7 +151,7 @@ def contract(instance: Instance, coloring: tuple[int, ...], q: int) -> Contracte
         ids = []
         if members:
             idx = np.array(members)
-            for comp in strongly_connected_components(Digraph(t.adj[np.ix_(idx, idx)])):
+            for comp in strongly_connected_components(Tournament(t.adj[np.ix_(idx, idx)])):
                 vertices = tuple(members[i] for i in comp)
                 node_id = len(nodes)
                 if any(v in terminals for v in vertices):
@@ -510,6 +510,8 @@ def solve_report(instance: Instance, config: Optional[SolverConfig] = None) -> S
         offset
         + len(conflict_packing(kernel.tournament, kernel.terminals).triangles),
     )
+    if lower > instance.k:
+        return report(None, 0, kr, True)
 
     best: Optional[frozenset[Arc]] = None
     floor = lower

@@ -177,8 +177,8 @@ def stubborn_instance() -> Instance:
 
     Two arc-disjoint triangles through the lone terminal need two arcs while
     k = 1, but every arc lies on one triangle and the class sizes are tiny,
-    so kernelization returns a reduced instance and the solver must report
-    failure on its own.
+    so kernelization returns a reduced instance; the solver's packing lower
+    bound refutes it before the first trial.
     """
     t = Tournament.from_arcs(
         5,
@@ -189,3 +189,15 @@ def stubborn_instance() -> Instance:
         ],
     )
     return Instance(t, frozenset({0}), 1)
+
+
+def unrefuted_no_instance() -> Instance:
+    """A no-instance that neither the kernel nor the packing bound refutes.
+
+    The regular tournament on five vertices (i beats i+1 and i+2 mod 5)
+    with terminals {0, 1} needs three reversals (the oracle's optimum),
+    while k = 2, no rule fires and a packing holds only two arc-disjoint
+    terminal triangles, so the solver can only exhaust its trials.
+    """
+    t = Tournament.from_arcs(5, [(i, (i + d) % 5) for i in range(5) for d in (1, 2)])
+    return Instance(t, frozenset({0, 1}), 2)

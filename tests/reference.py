@@ -3,7 +3,7 @@
 `s_triangles_through_arc` lists the terminal triangles through one arc, the
 brute-force count that rule 3's matrix products must reproduce.
 `reference_has_s_triangle` tries the terminals one at a time, the search that
-`has_s_triangle` answers with one matrix product.
+`has_s_triangle` answers from the tournament's scores.
 
 The dynamic program claims to minimize the terminal-relevant backward arc
 count over all vertex orders that keep each color's condensed nodes in
@@ -36,7 +36,7 @@ def s_triangles_through_arc(t, terminals, arc) -> list[int]:
 
 
 def reference_has_s_triangle(t, terminals):
-    """The terminal-by-terminal search `has_s_triangle` batches: the smallest
+    """The terminal-by-terminal search `has_s_triangle` replaces: the smallest
     terminal on a triangle, with the lexicographically smallest (a, b)."""
     adj = t.adj
     for s in sorted(terminals):

@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 import families
-from families import rule6_instance, stubborn_instance
+from families import rule6_instance, stubborn_instance, unrefuted_no_instance
+import sfast.cli
 import sfast.solver
 from sfast.cli import (
     EXIT_INVALID,
@@ -111,17 +112,33 @@ class TestSolveCommand:
         assert result.exit_code == EXIT_TRIVIAL_NO
         assert "refuted during kernelization" in result.output
 
-    def test_exhausted_trials_exit_thirty(self, runner, tmp_instance_file):
+    def test_packing_refutation_exits_twenty(self, runner, tmp_instance_file):
         path = tmp_instance_file(stubborn_instance())
         result = runner.invoke(main, ["solve", path])
+        assert result.exit_code == EXIT_TRIVIAL_NO
+        assert "refuted by a triangle-packing bound above the budget 1" in result.output
+
+    def test_exhausted_trials_exit_thirty(self, runner, tmp_instance_file):
+        path = tmp_instance_file(unrefuted_no_instance())
+        result = runner.invoke(main, ["solve", path])
         assert result.exit_code == EXIT_NO_SOLUTION
-        assert "no solution found in 37 trials" in result.output
+        assert "no solution found in 47 trials" in result.output
 
     def test_trials_option_caps_the_search(self, runner, tmp_instance_file):
-        path = tmp_instance_file(stubborn_instance())
+        path = tmp_instance_file(unrefuted_no_instance())
         result = runner.invoke(main, ["solve", path, "--trials", "3"])
         assert result.exit_code == EXIT_NO_SOLUTION
         assert "no solution found in 3 trials" in result.output
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_trial_budget_below_one_is_a_usage_error(self, runner, tmp_instance_file, command, trials):
+        path = tmp_instance_file(triangle_instance())
+        result = runner.invoke(main, [command, path, "--trials", trials])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in combined(result)
+        assert "--trials" in result.stderr
 
     def test_json_report(self, runner, tmp_instance_file):
         path = tmp_instance_file(triangle_instance())
@@ -326,3 +343,16 @@ def test_readme_usage_matches_the_commands():
         assert flags <= known, f"README names unknown options of {name}: {flags - known}"
         for p in options:
             assert flags & set(p.opts), f"README omits {p.opts} of {name}"
+
+
+def readme_exit_codes():
+    """The codes in the first column of README.md's exit-code table, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\nExit codes:\n\n", 1)[1].split("\n\n", 1)[0]
+    return [int(line.split("|")[1]) for line in table.splitlines()[2:]]
+
+
+def test_readme_exit_codes_match_the_cli():
+    # 0 is success, 1 a ClickException, 2 a click usage error.
+    constants = [value for name, value in vars(sfast.cli).items() if name.startswith("EXIT_")]
+    assert sorted(readme_exit_codes()) == sorted([0, 1, 2] + constants)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from families import all_tournaments, random_tournament, transitive
+from families import all_tournaments, random_tournament, relabel, transitive
 from sfast.graphs import (
     Digraph,
     Instance,
@@ -21,6 +21,7 @@ from sfast.graphs import (
     verify_solution,
 )
 from reference import reference_has_s_triangle, s_triangles_through_arc
+from sfast.kernel import rr2_triangle_free_terminal
 
 # Sizes just past 256, where any 8-bit vertex or path count wraps, up to
 # 600 vertices.
@@ -190,8 +191,9 @@ def test_triangle_detection_matches_acyclicity_exhaustively():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [50, 150, 600])
 def test_triangle_search_matches_the_terminal_loop(n, kind):
-    # The batched search returns the same triangle as trying the terminals
-    # one at a time: the smallest terminal, then the smallest (a, b).
+    # The score-based search returns the same triangle as trying the terminals
+    # one at a time: the smallest terminal, then the smallest (a, b). Rule 2
+    # deletes the first terminal the one-at-a-time search finds on no triangle.
     for seed in range(2):
         t = sample_tournament(kind, n, seed)
         rng = random.Random(seed)
@@ -202,6 +204,9 @@ def test_triangle_search_matches_the_terminal_loop(n, kind):
             frozenset(range(n)),
         ):
             assert has_s_triangle(t, terminals) == reference_has_s_triangle(t, terminals)
+            free = [s for s in sorted(terminals) if reference_has_s_triangle(t, {s}) is None]
+            out = rr2_triangle_free_terminal(Instance(t, terminals, 1))
+            assert out.detail.get("deleted", []) == free[:1]
 
 
 @at_large_sizes
@@ -272,6 +277,17 @@ def test_reversing_backward_arcs_clears_terminal_cycles():
         assert is_s_acyclic(reverse_arcs(t, arcs), terminals)
 
 
+def assert_sources_first(t, comps):
+    """Every vertex in one component, and every arc points to the same or a
+    later component."""
+    assert sorted(v for comp in comps for v in comp) == list(range(t.n))
+    comp_of = np.empty(t.n, dtype=int)
+    for i, comp in enumerate(comps):
+        comp_of[list(comp)] = i
+    tails, heads = np.nonzero(t.adj)
+    assert (comp_of[tails] <= comp_of[heads]).all()
+
+
 class TestStronglyConnectedComponents:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_networkx_on_tournaments(self, seed):
@@ -280,25 +296,30 @@ class TestStronglyConnectedComponents:
         theirs = {frozenset(c) for c in nx.strongly_connected_components(to_networkx(t.adj))}
         assert {frozenset(c) for c in ours} == theirs
 
-    @pytest.mark.parametrize("seed", range(25))
-    def test_matches_networkx_after_deletions(self, seed):
-        t = random_tournament(8, seed)
-        rng = random.Random(seed)
-        gone = [a for a in t.arcs() if rng.random() < 0.3]
-        g = Digraph.minus(t, gone)
-        ours = strongly_connected_components(g)
-        theirs = {frozenset(c) for c in nx.strongly_connected_components(to_networkx(g.adj))}
-        assert {frozenset(c) for c in ours} == theirs
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [9, 257, 600])
+    def test_matches_networkx_sources_first(self, n, kind, seed):
+        t = sample_tournament(kind, n, seed)
+        comps = strongly_connected_components(t)
+        theirs = {frozenset(c) for c in nx.strongly_connected_components(to_networkx(t.adj))}
+        assert {frozenset(c) for c in comps} == theirs
+        assert all(list(comp) == sorted(comp) for comp in comps)
+        assert_sources_first(t, comps)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_condensation_order_is_topological(self, seed):
-        t = random_tournament(8, seed + 100)
+        # Four small random blocks, each beating the later ones, shuffled.
         rng = random.Random(seed)
-        g = Digraph.minus(t, [a for a in t.arcs() if rng.random() < 0.25])
-        comps = strongly_connected_components(g)
-        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-        for u, v in zip(*np.nonzero(g.adj)):
-            assert comp_of[int(u)] <= comp_of[int(v)]
+        sizes = [rng.randrange(1, 4) for _ in range(4)]
+        adj = transitive(sum(sizes))
+        start = 0
+        for size in sizes:
+            block = random_tournament(size, seed + start).adj
+            adj[start : start + size, start : start + size] = block
+            start += size
+        t = relabel(Instance(Tournament(adj), frozenset(), 0), seed)[0].tournament
+        assert_sources_first(t, strongly_connected_components(t))
 
     def test_components_listed_ascending(self):
         t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -306,7 +327,7 @@ class TestStronglyConnectedComponents:
 
 
 def test_vertex_in_any_triangle_matches_brute_force():
-    # Rule 2's test: a one-terminal triangle search.
+    # A one-terminal triangle search against the definition.
     for seed in range(30):
         t = random_tournament(6, seed)
         for v in range(6):

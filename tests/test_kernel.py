@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import families
+import sfast.kernel
 from families import (
     all_tournaments,
     random_tournament,
@@ -48,7 +49,7 @@ from sfast.kernel import (
     rr9_vertex_bound,
     vertex_bound,
 )
-from sfast.oracle import oracle_min_deletion
+from sfast.oracle import GeneratorSpec, generate_planted, oracle_min_deletion
 
 
 def triangle_instance(k=1, terminals=frozenset({0})):
@@ -465,6 +466,27 @@ class TestKernelizeDriver:
             rec.next.k for rec in result.trace if rec.status == "applied"
         ]
         assert all(a >= b for a, b in zip(budgets, budgets[1:]))
+
+    @pytest.mark.parametrize(
+        "builder",
+        [rule8_instance, lambda: generate_planted(GeneratorSpec(60, 10, 0, planted_k=3))[0]],
+        ids=["rule8", "planted-60"],
+    )
+    def test_each_class_is_decomposed_once_per_instance(self, builder, monkeypatch):
+        # Rule 7 decomposes every big class; rule 8 and the arc swaps reuse
+        # that decomposition instead of computing it again.
+        seen = []
+        decompose = sfast.kernel.class_decomposition
+
+        def recording(instance, members):
+            seen.append((instance, tuple(sorted(members))))
+            return decompose(instance, members)
+
+        monkeypatch.setattr(sfast.kernel, "class_decomposition", recording)
+        kernelize(builder())
+        keys = [(id(instance), members) for instance, members in seen]
+        assert keys
+        assert len(keys) == len(set(keys))
 
     def test_stubborn_instance_is_reduced_untouched(self):
         instance = stubborn_instance()

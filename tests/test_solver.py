@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from families import random_tournament, rule6_instance, stubborn_instance, transitive
+from families import (
+    random_tournament,
+    rule6_instance,
+    stubborn_instance,
+    transitive,
+    unrefuted_no_instance,
+)
 from reference import (
     interleaving_count,
     interleavings,
@@ -23,8 +29,8 @@ from sfast.graphs import (
     s_backward_arcs,
     verify_solution,
 )
-from sfast.kernel import kernelize
-from sfast.oracle import GeneratorSpec, generate_planted, oracle_min_deletion
+from sfast.kernel import conflict_packing, kernelize
+from sfast.oracle import GeneratorSpec, generate_planted, generate_random, oracle_min_deletion
 from sfast.solver import (
     ContractedTournament,
     SolverConfig,
@@ -477,8 +483,28 @@ class TestSolveReport:
         assert report.certified
         assert report.kernel.status == "trivial-no"
 
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            stubborn_instance(),
+            generate_random(GeneratorSpec(40, 5, 1, k=50)),
+            generate_random(GeneratorSpec(60, 60, 1, k=30)),
+        ],
+        ids=["stubborn", "random-40", "random-60"],
+    )
+    def test_packing_bound_refutes_without_trials(self, instance):
+        # Each holds more than k arc-disjoint terminal triangles; the last
+        # two used to end past the scale limit and after 531 trials.
+        report = solve_report(instance)
+        assert report.solution is None
+        assert report.trials == 0
+        assert report.certified
+        assert report.kernel.status == "reduced"
+        assert len(conflict_packing(instance.tournament, instance.terminals).triangles) > instance.k
+
     def test_exhausting_trials_is_not_a_certificate(self):
-        instance = stubborn_instance()
+        instance = unrefuted_no_instance()
+        assert oracle_min_deletion(instance.tournament, instance.terminals, instance.k) is None
         report = solve_report(instance)
         assert report.solution is None
         assert report.size is None
@@ -487,7 +513,7 @@ class TestSolveReport:
         assert report.kernel.status == "reduced"
 
     def test_trial_cap_is_honored(self):
-        report = solve_report(stubborn_instance(), SolverConfig(max_trials=5))
+        report = solve_report(unrefuted_no_instance(), SolverConfig(max_trials=5))
         assert report.trials == 5
         assert report.solution is None
 
