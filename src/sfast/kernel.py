@@ -161,10 +161,9 @@ def _delete_vertex(instance: Instance, v: int) -> Instance:
     return Instance(t2, terms, instance.k)
 
 
-def _term_mask(instance: Instance) -> np.ndarray:
-    mask = np.zeros(instance.n, dtype=bool)
-    for s in instance.terminals:
-        mask[s] = True
+def _term_mask(n: int, terminals: Iterable[int]) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[list(terminals)] = True
     return mask
 
 
@@ -228,14 +227,18 @@ def rr3_many_triangles(instance: Instance) -> RuleOutcome:
     n = t.n
     if n < 3:
         return _outcome("rr3", STATUS_NOT_APPLICABLE, instance)
-    ai = t.adj.astype(np.int64)
-    term = _term_mask(instance)
-    # completions[v, u] = number of w with v -> w -> u
-    completions_all = ai @ ai
-    completions_term = (ai * term[None, :]) @ ai
-    endpoint_term = term[:, None] | term[None, :]
-    counts = np.where(endpoint_term, completions_all.T, completions_term.T)
-    eligible = t.adj & (counts >= k + 1)
+    a = t.adj.astype(np.float64)
+    s = np.flatnonzero(_term_mask(n, instance.terminals))
+    # counts[u, v] = number of w with v -> w -> u, the triangles through arc
+    # (u, v): every such w when u or v is a terminal, else the terminal w
+    # only. The products are in float64 so that they run on BLAS; they are
+    # exact, because every count is below n. Capping the threshold at n
+    # changes no comparison for the same reason, and keeps a budget beyond
+    # float range (k = 10**400) from overflowing the comparison.
+    counts = (a[:, s] @ a[s, :]).T
+    counts[s, :] = (a @ a[:, s]).T
+    counts[:, s] = (a[s, :] @ a).T
+    eligible = t.adj & (counts >= min(k + 1, n))
     hits = np.argwhere(eligible)
     if hits.size == 0:
         return _outcome("rr3", STATUS_NOT_APPLICABLE, instance)
@@ -271,9 +274,7 @@ def conflict_packing(t: Tournament, terminals: frozenset[int] | set[int]) -> Con
     availability, so the result is deterministic and maximal.
     """
     avail = np.array(t.adj)
-    term = np.zeros(t.n, dtype=bool)
-    for s in terminals:
-        term[s] = True
+    term = _term_mask(t.n, terminals)
     triangles: list[tuple[int, int, int]] = []
     a = 0
     b_from = 0
@@ -510,14 +511,16 @@ def equivalence_classes(
     t: Tournament, terminals: frozenset[int] | set[int]
 ) -> dict[frozenset[int], tuple[int, ...]]:
     """Non-terminal vertices grouped by their terminal in-neighbourhood."""
-    term_sorted = sorted(terminals)
-    classes: dict[frozenset[int], list[int]] = {}
-    for v in range(t.n):
-        if v in terminals:
-            continue
-        key = frozenset(s for s in term_sorted if t.adj[s, v])
-        classes.setdefault(key, []).append(v)
-    return {key: tuple(sorted(vs)) for key, vs in classes.items()}
+    term = _term_mask(t.n, terminals)
+    s, rest = np.flatnonzero(term), np.flatnonzero(~term)
+    # Each vertex is keyed by its terminal in-column, packed into bytes.
+    packed = np.packbits(t.adj[np.ix_(s, rest)], axis=0).T.copy()
+    groups: dict[bytes, list[int]] = {}
+    for v, col in zip(rest.tolist(), packed):
+        groups.setdefault(col.tobytes(), []).append(v)
+    return {
+        frozenset(s[t.adj[s, vs[0]]].tolist()): tuple(vs) for vs in groups.values()
+    }
 
 
 def rr6_many_types(instance: Instance) -> RuleOutcome:
@@ -573,36 +576,30 @@ def class_decomposition(instance: Instance, members: Sequence[int]) -> ClassDeco
     z_minus = [z_list[i] for i in np.flatnonzero(minus_mask)]
     z_plus = [z_list[i] for i in np.flatnonzero(plus_mask)]
 
-    z_set = set(z_list)
-    rest = [v for v in range(t.n) if v not in terminals and v not in z_set]
+    rest_mask = ~_term_mask(t.n, terminals)
+    rest_mask[z_arr] = False
+    rest = np.flatnonzero(rest_mask)
     zp_arr = np.array(z_prime, dtype=int)
-    r_less: list[int] = []
-    r_greater: list[int] = []
-    r_less_tilde: list[int] = []
-    r_greater_tilde: list[int] = []
-    for v in rest:
-        into = int(t.adj[zp_arr, v].sum()) if zp_arr.size else 0
-        out = int(t.adj[v, zp_arr].sum()) if zp_arr.size else 0
-        if into >= k + 1 and out >= k + 1:
-            raise InternalInvariantError("outside vertex with high degree both ways")
-        if into <= k and out <= k:
-            raise InternalInvariantError("outside vertex with low degree both ways")
-        if into <= k:
-            r_less.append(v)
-            if into >= 1:
-                r_less_tilde.append(v)
-        else:
-            r_greater.append(v)
-            if out >= 1:
-                r_greater_tilde.append(v)
+    into = t.adj[np.ix_(zp_arr, rest)].sum(axis=0)
+    out = t.adj[np.ix_(rest, zp_arr)].sum(axis=1)
+    high_in = into >= k + 1
+    high_out = out >= k + 1
+    if (high_in & high_out).any():
+        raise InternalInvariantError("outside vertex with high degree both ways")
+    if (~high_in & ~high_out).any():
+        raise InternalInvariantError("outside vertex with low degree both ways")
+    r_less = rest[~high_in].tolist()
+    r_greater = rest[high_in].tolist()
+    r_less_tilde = rest[~high_in & (into >= 1)].tolist()
+    r_greater_tilde = rest[high_in & (out >= 1)].tolist()
 
     relevant = np.zeros(len(z_prime), dtype=bool)
-    sinks = sorted(set(z_minus) | set(r_less))
-    sources = sorted(set(z_plus) | set(r_greater))
+    sinks = sorted(z_minus + r_less)
+    sources = sorted(z_plus + r_greater)
     if zp_arr.size and sinks:
-        relevant |= t.adj[np.ix_(zp_arr, np.array(sinks))].any(axis=1)
+        relevant |= t.adj[np.ix_(zp_arr, sinks)].any(axis=1)
     if zp_arr.size and sources:
-        relevant |= t.adj[np.ix_(np.array(sources), zp_arr)].any(axis=0)
+        relevant |= t.adj[np.ix_(sources, zp_arr)].any(axis=0)
     z_relevant = [z_prime[i] for i in np.flatnonzero(relevant)]
     z_irrelevant = [z_prime[i] for i in np.flatnonzero(~relevant)]
 
@@ -650,7 +647,7 @@ def _find_swap(
     zp = sorted(dec.z_prime)
 
     if zp and sinks:
-        side1 = [z for z in zp if any(t.adj[z, v] for v in sinks)]
+        side1 = [zp[i] for i in np.flatnonzero(t.adj[np.ix_(zp, sinks)].any(axis=1))]
         anchors = side1[: k + 1]
         far = set(side1[k + 1 :])
         if far:
@@ -665,7 +662,7 @@ def _find_swap(
                 return ((u, v), (v, outs[0]), v)
 
     if zp and sources:
-        side2 = [z for z in zp if any(t.adj[v, z] for v in sources)]
+        side2 = [zp[i] for i in np.flatnonzero(t.adj[np.ix_(sources, zp)].any(axis=0))]
         anchors = side2[: k + 1]
         far = set(side2[k + 1 :])
         if far:

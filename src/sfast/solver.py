@@ -57,7 +57,8 @@ _SEED_STRIDE = 1_000_003
 
 
 class SolverScaleError(ValueError):
-    """The prefix-vector lattice would not fit in memory."""
+    """The prefix-vector lattice would not fit in memory, or the budget's
+    default trial count cannot be represented."""
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,16 @@ def color_count(k: int) -> int:
 
 
 def default_max_trials(k: int) -> int:
-    """Enough trials to push the per-run failure odds below e**-20."""
-    rate = (2 * math.e) ** -math.sqrt(k / 8)
-    return math.ceil(20 / rate)
+    """Enough trials to push the per-run failure odds below e**-20.
+
+    A trial succeeds with probability at least (2e)**-sqrt(k/8), so
+    20 * (2e)**sqrt(k/8) trials suffice. Past about k = 1.4 million that
+    count overflows a float, which is reported as a scale limit.
+    """
+    try:
+        return math.ceil(20 * (2 * math.e) ** math.sqrt(k / 8))
+    except OverflowError:
+        raise SolverScaleError("the default trial count for this budget exceeds a float") from None
 
 
 def draw_coloring(n: int, q: int, rng: random.Random) -> tuple[int, ...]:

@@ -4,6 +4,10 @@
 brute-force count that rule 3's matrix products must reproduce.
 `reference_has_s_triangle` tries the terminals one at a time, the search that
 `has_s_triangle` answers from the tournament's scores.
+`reference_equivalence_classes` keys one vertex at a time by its terminal
+in-neighbourhood, and `reference_outside_split` sorts the outside vertices
+of a class decomposition into the four r-sets one at a time; the kernel
+computes both with whole-array passes and must agree with these loops.
 
 The dynamic program claims to minimize the terminal-relevant backward arc
 count over all vertex orders that keep each color's condensed nodes in
@@ -50,6 +54,47 @@ def reference_has_s_triangle(t, terminals):
             a, b = hits[0]
             return (s, int(outs[a]), int(ins[b]))
     return None
+
+
+def reference_equivalence_classes(t, terminals):
+    """Non-terminal vertices grouped by their terminal in-neighbourhood."""
+    term_sorted = sorted(terminals)
+    classes: dict[frozenset[int], list[int]] = {}
+    for v in range(t.n):
+        if v in terminals:
+            continue
+        key = frozenset(s for s in term_sorted if t.adj[s, v])
+        classes.setdefault(key, []).append(v)
+    return {key: tuple(sorted(vs)) for key, vs in classes.items()}
+
+
+def reference_outside_split(instance, z_list, z_prime):
+    """(r_less, r_greater, r_less_tilde, r_greater_tilde) of the class z_list
+    with core z_prime, each a list in ascending order."""
+    t, terminals, k = instance.tournament, instance.terminals, instance.k
+    z_set = set(z_list)
+    rest = [v for v in range(t.n) if v not in terminals and v not in z_set]
+    zp_arr = np.array(z_prime, dtype=int)
+    r_less: list[int] = []
+    r_greater: list[int] = []
+    r_less_tilde: list[int] = []
+    r_greater_tilde: list[int] = []
+    for v in rest:
+        into = int(t.adj[zp_arr, v].sum()) if zp_arr.size else 0
+        out = int(t.adj[v, zp_arr].sum()) if zp_arr.size else 0
+        if into >= k + 1 and out >= k + 1:
+            raise InternalInvariantError("outside vertex with high degree both ways")
+        if into <= k and out <= k:
+            raise InternalInvariantError("outside vertex with low degree both ways")
+        if into <= k:
+            r_less.append(v)
+            if into >= 1:
+                r_less_tilde.append(v)
+        else:
+            r_greater.append(v)
+            if out >= 1:
+                r_greater_tilde.append(v)
+    return r_less, r_greater, r_less_tilde, r_greater_tilde
 
 
 def interleavings(sequences):

@@ -162,6 +162,16 @@ class TestSolveCommand:
         (line,) = result.stderr.splitlines()
         assert line.startswith(f"{path}: beyond the solver's scale limit: ")
 
+    def test_budget_past_the_trial_count_exits_fifty(self, runner, tmp_instance_file):
+        # The default trial count for k = 10**20 overflows a float.
+        t = families.random_tournament(30, seed=0)
+        path = tmp_instance_file(Instance(t, frozenset(range(5)), 10**20))
+        result = runner.invoke(main, ["solve", path])
+        assert result.exit_code == EXIT_SCALE
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        (line,) = result.stderr.splitlines()
+        assert line.startswith(f"{path}: beyond the solver's scale limit: ")
+
     def test_json_on_refuted_instance(self, runner, tmp_instance_file):
         path = tmp_instance_file(triangle_instance(k=0))
         result = runner.invoke(main, ["solve", path, "--json"])

@@ -17,7 +17,11 @@ from families import (
     stubborn_instance,
 )
 from invariants import assert_kernel_exhausted
-from reference import s_triangles_through_arc
+from reference import (
+    reference_equivalence_classes,
+    reference_outside_split,
+    s_triangles_through_arc,
+)
 from sfast.graphs import (
     Instance,
     InternalInvariantError,
@@ -136,6 +140,32 @@ class TestRule3:
         assert out.detail["reversed"] == [[0, 4]]
         relaxed = Instance(self.overloaded().tournament, frozenset({0}), 4)
         assert rr3_many_triangles(relaxed).status == "not-applicable"
+
+    @pytest.mark.parametrize("n", [12, 40, 150])
+    @pytest.mark.parametrize("kind", ["none", "one", "few", "all"])
+    def test_first_eligible_arc_matches_brute_force(self, n, kind):
+        t = random_tournament(n, seed=n)
+        terminals = frozenset(
+            {"none": [], "one": [n // 2], "few": [1, n // 3, n - 2], "all": range(n)}[kind]
+        )
+        counts = [(arc, len(s_triangles_through_arc(t, terminals, arc))) for arc in t.arcs()]
+        for k in range(4):
+            eligible = [list(arc) for arc, count in counts if count >= k + 1]
+            out = rr3_many_triangles(Instance(t, terminals, k))
+            if eligible:
+                assert out.status == "applied"
+                assert out.detail["reversed"] == [eligible[0]]
+            else:
+                assert out.status == "not-applicable"
+
+    def test_budget_beyond_float_range(self):
+        # The counts are compared as floats; a threshold of k + 1 = 10**400
+        # would not convert.
+        instance = Instance(random_tournament(40, seed=1), frozenset(range(5)), 10**400)
+        assert rr3_many_triangles(instance).status == "not-applicable"
+        result = kernelize(instance)
+        assert result.status == "reduced"
+        assert result.kernel.k == 10**400
 
 
 class TestRule4:
@@ -487,6 +517,34 @@ class TestKernelizeDriver:
         keys = [(id(instance), members) for instance, members in seen]
         assert keys
         assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_classes_and_decompositions_match_the_vertex_loops(self, seed, monkeypatch):
+        classified, decomposed = [], []
+        classify = sfast.kernel.equivalence_classes
+        decompose = sfast.kernel.class_decomposition
+
+        def recording_classify(t, terminals):
+            classes = classify(t, terminals)
+            classified.append((t, terminals, classes))
+            return classes
+
+        def recording_decompose(instance, members):
+            dec = decompose(instance, members)
+            decomposed.append((instance, dec))
+            return dec
+
+        monkeypatch.setattr(sfast.kernel, "equivalence_classes", recording_classify)
+        monkeypatch.setattr(sfast.kernel, "class_decomposition", recording_decompose)
+        kernelize(generate_planted(GeneratorSpec(150, 10, seed, planted_k=3))[0])
+        assert classified and decomposed
+        for t, terminals, classes in classified:
+            expected = reference_equivalence_classes(t, terminals)
+            assert list(classes.items()) == list(expected.items())
+        for instance, dec in decomposed:
+            expected = reference_outside_split(instance, sorted(dec.z), sorted(dec.z_prime))
+            split = (dec.r_less, dec.r_greater, dec.r_less_tilde, dec.r_greater_tilde)
+            assert split == tuple(frozenset(vs) for vs in expected)
 
     def test_stubborn_instance_is_reduced_untouched(self):
         instance = stubborn_instance()

@@ -130,6 +130,14 @@ class TestParameters:
     def test_default_trials_values(self, k, expected):
         assert default_max_trials(k) == expected
 
+    def test_default_trials_past_float_range_is_a_scale_limit(self):
+        # 20 * (2e)**sqrt(k/8) is about 1.9e261 at k = 10**6 and overflows
+        # a float from about k = 1.41 million.
+        assert 10**261 < default_max_trials(10**6) < 10**262
+        for k in (1_500_000, 10**20, 10**400):
+            with pytest.raises(SolverScaleError):
+                default_max_trials(k)
+
     def test_default_trials_monotone(self):
         counts = [default_max_trials(k) for k in range(1, 41)]
         assert counts == sorted(counts)
@@ -467,6 +475,13 @@ class TestSolveReport:
         assert report.size is not None and report.size <= 3
         assert verify_solution(instance, report.solution, "reversal")
         assert verify_solution(instance, report.solution, "deletion")
+
+    def test_planted_instance_at_600_vertices(self):
+        instance, _ = generate_planted(GeneratorSpec(600, 10, 0, planted_k=3))
+        report = solve_report(instance)
+        assert report.size is not None and report.size <= 3
+        assert report.certified
+        assert verify_solution(instance, report.solution, "reversal")
 
     def test_negative_budget_is_a_certified_no(self):
         instance = Instance(Tournament(transitive(4)), frozenset({0}), -1)
