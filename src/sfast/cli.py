@@ -137,15 +137,14 @@ def solve_cmd(ctx, input_file: str, output: Optional[str], seed: int, trials: Op
         click.echo(f"{tag} solution: {report.size} arcs after {report.trials} trials")
         for u, v in sorted(report.solution):
             click.echo(f"r {u} {v}")
-    if report.solution is None:
-        if report.certified:
-            if report.kernel.status == "trivial-no":
-                click.echo("no solution: refuted during kernelization")
-            else:
-                click.echo(f"no solution: refuted by a triangle-packing bound above the budget {instance.k}")
-            ctx.exit(EXIT_TRIVIAL_NO)
+    elif not report.certified:
         click.echo(f"no solution found in {report.trials} trials")
-        ctx.exit(EXIT_NO_SOLUTION)
+    elif report.kernel.status == "trivial-no":
+        click.echo("no solution: refuted during kernelization")
+    else:
+        click.echo(f"no solution: refuted by a triangle-packing bound above the budget {instance.k}")
+    if report.solution is None:
+        ctx.exit(EXIT_TRIVIAL_NO if report.certified else EXIT_NO_SOLUTION)
 
 
 @main.command()

@@ -1,10 +1,12 @@
 """Kernelization for subset feedback arc set in tournaments.
 
-Nine reduction rules drive every instance down to O(k^2) vertices. The driver
-applies the first applicable rule in a fixed order and restarts after every
-mutation, so each rule may assume all earlier ones are exhausted. Applied
-rules leave trace records (in original vertex labels) that `lift_solution`
-walks backward to translate kernel solutions into solutions of the input.
+Nine reduction rules drive every instance down to O(k^2) vertices. One
+driver step (`_step`) applies the first applicable rule in a fixed order, and
+`kernelize` restarts after every mutation, so each rule may assume all
+earlier ones are exhausted. The acceptance suite checks that same step, one
+step at a time, against a brute-force oracle. Applied rules leave trace
+records (in original vertex labels) that `lift_solution` walks backward to
+translate kernel solutions into solutions of the input.
 """
 
 from __future__ import annotations
@@ -523,9 +525,13 @@ def equivalence_classes(
     }
 
 
-def rr6_many_types(instance: Instance) -> RuleOutcome:
-    """More than 5k+1 distinct classes certify a no-instance."""
-    classes = equivalence_classes(instance.tournament, instance.terminals)
+def rr6_many_types(
+    instance: Instance, classes: dict[frozenset[int], tuple[int, ...]]
+) -> RuleOutcome:
+    """More than 5k+1 distinct classes certify a no-instance.
+
+    ``classes`` is the instance's `equivalence_classes`.
+    """
     if len(classes) > 5 * instance.k + 1:
         return _outcome(
             "rr6",
@@ -754,6 +760,53 @@ def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
 # -- Driver ------------------------------------------------------------------
 
 
+def _step(instance: Instance) -> tuple[RuleOutcome, ...]:
+    """One driver step: the records of the first rule, in the fixed order,
+    whose status is not not-applicable, or () when no rule acts.
+
+    Rules 6 to 8 share one classification; their step returns the arc swaps
+    followed by the rule-8 deletion.
+    """
+    for rule in (
+        rr1_sanity,
+        rr2_triangle_free_terminal,
+        rr3_many_triangles,
+        rr4_bounded_terminal,
+        rr5_safe_partition,
+    ):
+        out = rule(instance)
+        if out.status != STATUS_NOT_APPLICABLE:
+            return (out,)
+
+    k = instance.k
+    classes = equivalence_classes(instance.tournament, instance.terminals)
+    out = rr6_many_types(instance, classes)
+    if out.status != STATUS_NOT_APPLICABLE:
+        return (out,)
+
+    big = sorted(
+        (vs for vs in classes.values() if len(vs) >= decomposition_class_size(k)), key=min
+    )
+    decs = []
+    for members in big:
+        dec = class_decomposition(instance, members)
+        out = rr7_wrong_arcs(instance, dec)
+        if out.status != STATUS_NOT_APPLICABLE:
+            return (out,)
+        decs.append(dec)
+
+    deletable = [dec for dec in decs if len(dec.z) >= deletion_class_size(k)]
+    if deletable:
+        swapped, dec, swaps = arc_swap_normalize(instance, deletable[0])
+        out = rr8_irrelevant_vertex(swapped, dec)
+        if out.status != STATUS_APPLIED:
+            raise InternalInvariantError("deletable class but rule 8 balked")
+        return swaps + (out,)
+
+    out = rr9_vertex_bound(instance)
+    return () if out.status == STATUS_NOT_APPLICABLE else (out,)
+
+
 def kernelize(instance: Instance) -> KernelResult:
     """Apply the reduction rules to exhaustion.
 
@@ -763,78 +816,15 @@ def kernelize(instance: Instance) -> KernelResult:
     """
     trace: list[RuleOutcome] = []
     cur = instance
-
-    def done(status: str, rec: RuleOutcome, kernel: Optional[Instance]) -> KernelResult:
-        trace.append(rec)
-        return KernelResult(status, kernel, tuple(trace))
-
     cap = instance.n + max(instance.k, 0) + 8
     for _ in range(cap):
-        out = rr1_sanity(cur)
-        if out.status in (STATUS_TRIVIAL_YES, STATUS_TRIVIAL_NO):
-            return done(out.status, out, None)
-
-        advanced = False
-        for rule in (rr2_triangle_free_terminal, rr3_many_triangles):
-            out = rule(cur)
-            if out.status == STATUS_APPLIED:
-                trace.append(out)
-                cur = out.next
-                advanced = True
-                break
-        if advanced:
-            continue
-
-        out = rr4_bounded_terminal(cur)
-        if out.status == STATUS_TRIVIAL_NO:
-            return done(out.status, out, None)
-
-        out = rr5_safe_partition(cur)
-        if out.status == STATUS_TRIVIAL_NO:
-            return done(out.status, out, None)
-        if out.status == STATUS_APPLIED:
-            trace.append(out)
-            cur = out.next
-            continue
-
-        out = rr6_many_types(cur)
-        if out.status == STATUS_TRIVIAL_NO:
-            return done(out.status, out, None)
-
-        classes = equivalence_classes(cur.tournament, cur.terminals)
-        big = sorted(
-            (vs for vs in classes.values() if len(vs) >= decomposition_class_size(cur.k)),
-            key=min,
-        )
-        decided = None
-        decs = []
-        for members in big:
-            dec = class_decomposition(cur, members)
-            out = rr7_wrong_arcs(cur, dec)
-            if out.status == STATUS_TRIVIAL_NO:
-                decided = out
-                break
-            decs.append(dec)
-        if decided is not None:
-            return done(decided.status, decided, None)
-
-        deletable = [dec for dec in decs if len(dec.z) >= deletion_class_size(cur.k)]
-        if deletable:
-            cur, dec, swaps = arc_swap_normalize(cur, deletable[0])
-            trace.extend(swaps)
-            out = rr8_irrelevant_vertex(cur, dec)
-            if out.status != STATUS_APPLIED:
-                raise InternalInvariantError("deletable class but rule 8 balked")
-            trace.append(out)
-            cur = out.next
-            continue
-
-        out = rr9_vertex_bound(cur)
-        if out.status == STATUS_TRIVIAL_NO:
-            return done(out.status, out, None)
-
-        return KernelResult("reduced", cur, tuple(trace))
-
+        records = _step(cur)
+        trace.extend(records)
+        if not records:
+            return KernelResult("reduced", cur, tuple(trace))
+        if records[-1].status != STATUS_APPLIED:
+            return KernelResult(records[-1].status, None, tuple(trace))
+        cur = records[-1].next
     raise InternalInvariantError("kernelization failed to settle within its cap")
 
 
@@ -898,23 +888,15 @@ def lift_solution(
             current = minimalize_solution(child, current)
         elif rec.rule == "rr8":
             pass
-        elif rec.rule in ("rr3", "rr5"):
+        elif rec.rule in ("rr3", "rr5", "arc-swap"):
+            if rec.rule == "arc-swap":
+                current = minimalize_solution(child, current)
             pair = {tuple(a) for a in rec.detail["reversed"]}
             cancelled = {arc for arc in pair if (arc[1], arc[0]) in current}
-            current = (
-                current - {(v, u) for u, v in cancelled} | (pair - cancelled)
-            )
-        elif rec.rule == "arc-swap":
-            current = minimalize_solution(child, current)
-            pair = {tuple(a) for a in rec.detail["reversed"]}
-            cancelled = {arc for arc in pair if (arc[1], arc[0]) in current}
-            if len(cancelled) == 2:
-                current = current - {(v, u) for u, v in cancelled}
-            elif len(cancelled) == 1:
-                gone = next(iter(cancelled))
-                (other,) = pair - cancelled
-                current = (current - {(gone[1], gone[0])}) | {other}
-            # with no cancellation the child solution already works upstairs
+            # a minimal solution that cancels neither swapped arc already
+            # works upstairs as it is
+            if cancelled or rec.rule != "arc-swap":
+                current = current - {(v, u) for u, v in cancelled} | (pair - cancelled)
         else:
             raise InternalInvariantError(f"unliftable trace rule {rec.rule!r}")
         _check(parent, current, rec.rule)

@@ -34,7 +34,6 @@ def assert_kernel_exhausted(kernel: Instance) -> None:
         rr3_many_triangles,
         rr4_bounded_terminal,
         rr5_safe_partition,
-        rr6_many_types,
         rr9_vertex_bound,
     ):
         outcome = rule(kernel)
@@ -46,6 +45,7 @@ def assert_kernel_exhausted(kernel: Instance) -> None:
     assert len(terminals) <= 4 * k
 
     classes = equivalence_classes(t, terminals)
+    assert rr6_many_types(kernel, classes).status == STATUS_NOT_APPLICABLE
     assert len(classes) <= 5 * k + 1
     for members in classes.values():
         assert len(members) < deletion_class_size(k)

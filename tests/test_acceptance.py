@@ -24,24 +24,7 @@ from families import (
 from invariants import assert_kernel_exhausted
 from reference import interleaving_count, reference_minimum
 from sfast.graphs import Instance, Tournament, s_backward_arcs, verify_solution
-from sfast.kernel import (
-    arc_swap_normalize,
-    class_decomposition,
-    decomposition_class_size,
-    deletion_class_size,
-    equivalence_classes,
-    kernelize,
-    rr1_sanity,
-    rr2_triangle_free_terminal,
-    rr3_many_triangles,
-    rr4_bounded_terminal,
-    rr5_safe_partition,
-    rr6_many_types,
-    rr7_wrong_arcs,
-    rr8_irrelevant_vertex,
-    rr9_vertex_bound,
-    vertex_bound,
-)
+from sfast.kernel import _step, decomposition_class_size, equivalence_classes, kernelize
 from sfast.oracle import (
     GeneratorSpec,
     generate_planted,
@@ -89,75 +72,22 @@ def small_instances(max_n, budgets):
 
 
 def cascade_check(instance, tally):
-    """Run one round of rules in driver precedence, checking whichever rule
-    fires against the oracle. Returns the firing rule's name, or None when
-    the instance is already exhausted.
+    """Take one driver step, checking every record it returns against the
+    oracle. Returns the deciding rule's name (rr8 for a step of arc swaps
+    and a deletion), or None when the instance is already exhausted.
     """
-    out = rr1_sanity(instance)
-    if out.status in ("trivial-yes", "trivial-no"):
-        assert (out.status == "trivial-yes") == solvable(instance)
-        tally["rr1"] += 1
-        return "rr1"
-
-    for name, rule in (("rr2", rr2_triangle_free_terminal), ("rr3", rr3_many_triangles)):
-        out = rule(instance)
-        if out.status == "applied":
-            assert solvable(out.next) == solvable(instance)
-            tally[name] += 1
-            return name
-
-    out = rr4_bounded_terminal(instance)
-    if out.status == "trivial-no":
-        assert not solvable(instance)
-        tally["rr4"] += 1
-        return "rr4"
-
-    out = rr5_safe_partition(instance)
-    if out.status == "trivial-no":
-        assert not solvable(instance)
-        tally["rr5"] += 1
-        return "rr5"
-    if out.status == "applied":
-        assert solvable(out.next) == solvable(instance)
-        tally["rr5"] += 1
-        return "rr5"
-
-    out = rr6_many_types(instance)
-    if out.status == "trivial-no":
-        assert not solvable(instance)
-        tally["rr6"] += 1
-        return "rr6"
-
-    classes = equivalence_classes(instance.tournament, instance.terminals)
-    big = sorted(
-        (vs for vs in classes.values() if len(vs) >= decomposition_class_size(instance.k)),
-        key=min,
-    )
-    for members in big:
-        dec = class_decomposition(instance, members)
-        out = rr7_wrong_arcs(instance, dec)
-        if out.status == "trivial-no":
-            assert not solvable(instance)
-            tally["rr7"] += 1
-            return "rr7"
-
-    deletable = [vs for vs in big if len(vs) >= deletion_class_size(instance.k)]
-    if deletable:
-        base = solvable(instance)
-        dec = class_decomposition(instance, deletable[0])
-        swapped, dec, records = arc_swap_normalize(instance, dec)
-        for rec in records:
+    records = _step(instance)
+    if not records:
+        return None
+    base = solvable(instance)
+    for rec in records:
+        if rec.status == "applied":
             assert solvable(rec.next) == base
-        out = rr8_irrelevant_vertex(swapped, dec)
-        assert out.status == "applied"
-        assert solvable(out.next) == base
-        tally["rr8"] += 1
-        return "rr8"
-
-    # Reachable only if the class bounds above failed to cap the vertex
-    # count, which the other rules' exhaustion rules out.
-    assert rr9_vertex_bound(instance).status == "not-applicable"
-    return None
+        else:
+            assert (rec.status == "trivial-yes") == base
+    name = records[-1].rule
+    tally[name] += 1
+    return name
 
 
 def spread_triangle_tournament():
@@ -290,6 +220,9 @@ def test_c2_reduction_rules_match_oracle_verdicts():
         shuffled, _ = relabel(rule6_instance(), 102_000 + draw)
         assert cascade_check(shuffled, randomized) == "rr6"
     assert randomized["rr5"] >= 500 and randomized["rr6"] >= 500
+    # Rule 9 could only act if the class bounds failed to cap the vertex
+    # count, which the other rules' exhaustion rules out.
+    assert exhaustive["rr9"] == randomized["rr9"] == variant_tally["rr9"] == 0
 
     # Driver-level verdicts on the four-vertex slice: composing the verified
     # steps must land on the oracle's answer.

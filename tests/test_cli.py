@@ -180,6 +180,22 @@ class TestSolveCommand:
         assert blob["size"] is None
         assert blob["arcs"] is None
 
+    @pytest.mark.parametrize(
+        "builder, code",
+        [
+            (rule6_instance, EXIT_TRIVIAL_NO),
+            (stubborn_instance, EXIT_TRIVIAL_NO),
+            (unrefuted_no_instance, EXIT_NO_SOLUTION),
+        ],
+        ids=["kernel-refuted", "packing-refuted", "trials-exhausted"],
+    )
+    def test_json_without_a_solution_is_one_document(self, runner, tmp_instance_file, builder, code):
+        path = tmp_instance_file(builder())
+        result = runner.invoke(main, ["solve", path, "--json"])
+        assert result.exit_code == code
+        blob = json.loads(result.output)
+        assert blob["arcs"] is None
+
 
 class TestVerifyCommand:
     def test_empty_solution_on_a_triangle_is_invalid(self, runner, tmp_instance_file, tmp_path):

@@ -32,6 +32,7 @@ from sfast.graphs import (
 )
 from sfast.kernel import (
     BipartiteConflictGraph,
+    RuleOutcome,
     build_conflict_bipartite,
     class_decomposition,
     conflict_packing,
@@ -322,7 +323,7 @@ class TestRule6:
         instance = rule6_instance()
         classes = equivalence_classes(instance.tournament, instance.terminals)
         assert len(classes) == 12 > 5 * instance.k + 1
-        out = rr6_many_types(instance)
+        out = rr6_many_types(instance, classes)
         assert out.status == "trivial-no"
 
     def test_witness_is_decided_by_rule6_alone(self):
@@ -458,6 +459,14 @@ def replay(instance, trace):
     return cur
 
 
+# Instances whose kernelization reaches rules 6 to 8, arc swaps included.
+driver_witnesses = pytest.mark.parametrize(
+    "builder",
+    [rule8_instance, lambda: generate_planted(GeneratorSpec(60, 10, 0, planted_k=3))[0]],
+    ids=["rule8", "planted-60"],
+)
+
+
 class TestKernelizeDriver:
     @pytest.mark.parametrize(
         "builder",
@@ -497,11 +506,7 @@ class TestKernelizeDriver:
         ]
         assert all(a >= b for a, b in zip(budgets, budgets[1:]))
 
-    @pytest.mark.parametrize(
-        "builder",
-        [rule8_instance, lambda: generate_planted(GeneratorSpec(60, 10, 0, planted_k=3))[0]],
-        ids=["rule8", "planted-60"],
-    )
+    @driver_witnesses
     def test_each_class_is_decomposed_once_per_instance(self, builder, monkeypatch):
         # Rule 7 decomposes every big class; rule 8 and the arc swaps reuse
         # that decomposition instead of computing it again.
@@ -517,6 +522,27 @@ class TestKernelizeDriver:
         keys = [(id(instance), members) for instance, members in seen]
         assert keys
         assert len(keys) == len(set(keys))
+
+    @driver_witnesses
+    def test_each_step_classifies_once(self, builder, monkeypatch):
+        # Rules 6 to 8 share the classification of the step that reaches them.
+        classified, reached = [], []
+        classify = sfast.kernel.equivalence_classes
+        rule6 = sfast.kernel.rr6_many_types
+
+        def recording_classify(t, terminals):
+            classified.append(t)
+            return classify(t, terminals)
+
+        def recording_rule6(instance, *args):
+            reached.append(instance.tournament)
+            return rule6(instance, *args)
+
+        monkeypatch.setattr(sfast.kernel, "equivalence_classes", recording_classify)
+        monkeypatch.setattr(sfast.kernel, "rr6_many_types", recording_rule6)
+        kernelize(builder())
+        assert reached
+        assert list(map(id, classified)) == list(map(id, reached))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_classes_and_decompositions_match_the_vertex_loops(self, seed, monkeypatch):
@@ -609,6 +635,27 @@ class TestLifting:
         assert [rec.rule for rec in result.trace] == ["rr2"]
         lifted = lift_solution(instance, result.trace, [])
         assert lifted == frozenset()
+
+    @pytest.mark.parametrize(
+        "terminals, kernel_solution, expected",
+        [
+            (range(5), [(2, 0), (4, 2)], set()),
+            ({1}, [(2, 0)], {(2, 4)}),
+            ({1}, [(0, 1)], {(0, 1)}),
+        ],
+        ids=["both-cancelled", "one-cancelled", "none-cancelled"],
+    )
+    def test_lift_through_a_hand_built_arc_swap(self, terminals, kernel_solution, expected):
+        # Swapping (0, 2) and (2, 4) of a transitive tournament puts 0, 1, 2
+        # and 2, 3, 4 on triangles; a kernel solution that cancels a swapped
+        # arc trades it for the other one, one that cancels neither stays.
+        parent = transitive_instance(5, terminals, 2)
+        swapped = [(0, 2), (2, 4)]
+        child = Instance(reverse_arcs(parent.tournament, swapped), parent.terminals, 2)
+        swap = RuleOutcome("arc-swap", "applied", child, detail={"reversed": swapped})
+        lifted = lift_solution(parent, [swap], kernel_solution)
+        assert lifted == expected
+        assert verify_solution(parent, lifted, mode="reversal")
 
     def test_zero_budget_acyclic_yes_through_the_driver(self):
         instance = transitive_instance(5, {0, 2}, 0)
