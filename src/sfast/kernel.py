@@ -273,34 +273,30 @@ def conflict_packing(t: Tournament, terminals: frozenset[int] | set[int]) -> Con
 
     Triangles are taken in ascending (a, b, c) order where a is the smallest
     vertex of the triangle and a -> b -> c -> a. Greedy over shrinking arc
-    availability, so the result is deterministic and maximal.
+    availability, so the result is deterministic and maximal. For each
+    anchor a, one boolean pass over the rows b > a with a -> b still
+    available finds the first (b, c); after a triangle is taken the pass
+    runs again from row b + 1.
     """
     avail = np.array(t.adj)
     term = _term_mask(t.n, terminals)
     triangles: list[tuple[int, int, int]] = []
-    a = 0
-    b_from = 0
-    while a < t.n:
-        packed_here = False
-        for b in range(max(a + 1, b_from), t.n):
-            if not avail[a, b]:
-                continue
-            cands = avail[b] & avail[:, a]
-            cands[: a + 1] = False
-            if not (term[a] or term[b]):
-                cands = cands & term
-            hits = np.flatnonzero(cands)
-            if hits.size == 0:
-                continue
-            c = int(hits[0])
+    for a in range(t.n):
+        b_from = a + 1
+        while True:
+            rows = np.flatnonzero(avail[a, b_from:]) + b_from
+            cands = avail[rows] & avail[:, a]
+            cands[:, : a + 1] = False
+            if not term[a]:
+                cands[~term[rows]] &= term
+            hit = cands.any(axis=1)
+            if not hit.any():
+                break
+            i = int(hit.argmax())
+            b, c = int(rows[i]), int(cands[i].argmax())
             triangles.append((a, b, c))
             avail[a, b] = avail[b, c] = avail[c, a] = False
             b_from = b + 1
-            packed_here = True
-            break
-        if not packed_here:
-            a += 1
-            b_from = 0
     packed_arcs = frozenset(
         arc for (x, y, z) in triangles for arc in ((x, y), (y, z), (z, x))
     )

@@ -1,5 +1,13 @@
 """Randomized solver for kernelized instances.
 
+A packing bound above the budget refutes the instance before anything else
+runs. Next comes a deterministic upper bound: the S-backward arcs of the
+kernel's vertices by descending score, improved by single-vertex insertion
+moves. When that count fits the kernel's budget it is lifted to a verified
+solution of the input, and when it meets the packing bound it is returned,
+certified, after 0 trials. Otherwise it seeds the best solution and the
+randomized trials below run as before.
+
 Each trial colors the vertices uniformly at random with about sqrt(8k)
 colors. When every color class happens to induce a terminal-acyclic
 subtournament (and some minimum solution is cut by the coloring, which a
@@ -8,8 +16,7 @@ prefix-vector dynamic program over the per-color contractions recovers a
 minimum solution. `solve` repeats trials, lifts kernel solutions back to the
 input through the kernelization trace, and stops early whenever a packing
 bound or a bounded exhaustive search certifies that the best solution found
-is optimal. A packing bound above the budget refutes the instance before
-the first trial.
+is optimal.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +37,7 @@ from .graphs import (
     is_s_acyclic,
     s_backward_arcs,
     strongly_connected_components,
+    _landau,
 )
 from .kernel import KernelResult, conflict_packing, kernelize, lift_solution
 from .oracle import OracleScaleError, oracle_min_deletion
@@ -472,14 +480,94 @@ def kernel_solution_from_coloring(
         return None
     ct = contract(instance, coloring, q)
     value, node_order = solve_contracted(ct)
-    vertex_order = expand_order(ct, node_order)
-    arcs = s_backward_arcs(instance.tournament, instance.terminals, vertex_order)
-    if len(arcs) != value:
-        raise InternalInvariantError("witness order disagrees with the optimum")
+    labeled = _labeled_backward_arcs(instance, expand_order(ct, node_order), value)
     if value > instance.k:
         return None
+    return value, labeled
+
+
+def _labeled_backward_arcs(
+    instance: Instance, order: Sequence[int], count: int
+) -> frozenset[Arc]:
+    """The S-backward arcs of an order, in vertex labels; there must be
+    ``count`` of them."""
+    arcs = s_backward_arcs(instance.tournament, instance.terminals, order)
+    if len(arcs) != count:
+        raise InternalInvariantError("witness order disagrees with its count")
     labels = instance.tournament.labels
-    return value, frozenset((labels[u], labels[v]) for u, v in arcs)
+    return frozenset((labels[u], labels[v]) for u, v in arcs)
+
+
+def _insertion_costs(adj: np.ndarray, term: np.ndarray, rest: np.ndarray, v: int) -> np.ndarray:
+    """For each slot j of ``rest``, the S-backward arcs that change with v's
+    place when v is inserted before ``rest[j]`` (j = len(rest): at the end).
+
+    An arc between v and w counts when it points backward and v or w is a
+    terminal or a terminal sits between them. For a terminal v, the pairs
+    of non-terminals in one terminal-free block of ``rest`` that v would
+    split count too; they are read off a prefix sum of row minus column
+    sums of that block's backward-pair matrix.
+    """
+    out = adj[v, rest]
+    inn = ~out
+    tr = term[rest]
+
+    def before(x: np.ndarray) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(x)))
+
+    if term[v]:
+        sub = adj[np.ix_(rest, rest)]
+        block = before(tr)[:-1]
+        pairs = np.triu(sub.T, 1)
+        pairs &= (block[:, None] == block) & ~tr[:, None] & ~tr
+        split = before(pairs.sum(axis=1) - pairs.sum(axis=0))
+        return before(out) + inn.sum() - before(inn) + split
+    slot_block = before(tr)
+    nt_block = slot_block[:-1][~tr]
+    blocks = int(slot_block[-1]) + 1
+    below = before(np.bincount(nt_block[out[~tr]], minlength=blocks))
+    above = np.bincount(nt_block[inn[~tr]], minlength=blocks)[::-1].cumsum()[::-1]
+    above = np.concatenate((above[1:], [0]))
+    return (
+        before(out & tr)
+        + (inn & tr).sum()
+        - before(inn & tr)
+        + below[slot_block]
+        + above[slot_block]
+    )
+
+
+def _ordering_bound(instance: Instance, target: int) -> tuple[int, np.ndarray]:
+    """A vertex order and its count of S-backward arcs, an upper bound.
+
+    The order starts from the vertices by descending score, a
+    constant-factor ranking for FAST (Coppersmith, Fleischer and Rudra,
+    SODA 2006). Sweeps of single-vertex insertion moves improve it: each
+    vertex in turn goes to the slot that lowers the count most, the earliest
+    such slot on ties, when one lowers it at all. Every move lowers the
+    count, so the sweeps end, either after one that moves nothing or once
+    the count is at most ``target``.
+    """
+    t = instance.tournament
+    order = _landau(t.adj)[0]
+    term = np.zeros(t.n, dtype=bool)
+    term[list(instance.terminals)] = True
+    count = len(s_backward_arcs(t, instance.terminals, order))
+    moved = True
+    while moved and count > target:
+        moved = False
+        for v in order.tolist():
+            here = int(np.flatnonzero(order == v)[0])
+            rest = np.delete(order, here)
+            costs = _insertion_costs(t.adj, term, rest, v)
+            slot = int(np.argmin(costs))
+            if costs[slot] < costs[here]:
+                count -= int(costs[here] - costs[slot])
+                order = np.insert(rest, slot, v)
+                moved = True
+                if count <= target:
+                    break
+    return count, order
 
 
 def solve(instance: Instance, config: Optional[SolverConfig] = None) -> Optional[frozenset[Arc]]:
@@ -522,6 +610,11 @@ def solve_report(instance: Instance, config: Optional[SolverConfig] = None) -> S
         return report(None, 0, kr, True)
 
     best: Optional[frozenset[Arc]] = None
+    count, order = _ordering_bound(kernel, lower - offset)
+    if count <= kernel.k:
+        best = lift_solution(instance, kr.trace, _labeled_backward_arcs(kernel, order, count))
+        if len(best) <= lower:
+            return report(best, 0, kr, True)
     floor = lower
     # The bounded oracle runs at most once: it either certifies `best` or
     # raises the floor to the optimum.

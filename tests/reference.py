@@ -6,8 +6,10 @@ brute-force count that rule 3's matrix products must reproduce.
 `has_s_triangle` answers from the tournament's scores.
 `reference_equivalence_classes` keys one vertex at a time by its terminal
 in-neighbourhood, and `reference_outside_split` sorts the outside vertices
-of a class decomposition into the four r-sets one at a time; the kernel
-computes both with whole-array passes and must agree with these loops.
+of a class decomposition into the four r-sets one at a time, and
+`reference_conflict_packing` looks for each greedy packing triangle one row
+at a time; the kernel computes all three with whole-array passes and must
+agree with these loops.
 
 The dynamic program claims to minimize the terminal-relevant backward arc
 count over all vertex orders that keep each color's condensed nodes in
@@ -96,6 +98,38 @@ def reference_outside_split(instance, z_list, z_prime):
                 r_greater_tilde.append(v)
     return r_less, r_greater, r_less_tilde, r_greater_tilde
 
+
+
+def reference_conflict_packing(t, terminals) -> tuple[tuple[int, int, int], ...]:
+    """The greedy packing's triangles, found one row b at a time."""
+    avail = np.array(t.adj)
+    term = np.zeros(t.n, dtype=bool)
+    term[sorted(terminals)] = True
+    triangles: list[tuple[int, int, int]] = []
+    a = 0
+    b_from = 0
+    while a < t.n:
+        packed_here = False
+        for b in range(max(a + 1, b_from), t.n):
+            if not avail[a, b]:
+                continue
+            cands = avail[b] & avail[:, a]
+            cands[: a + 1] = False
+            if not (term[a] or term[b]):
+                cands = cands & term
+            hits = np.flatnonzero(cands)
+            if hits.size == 0:
+                continue
+            c = int(hits[0])
+            triangles.append((a, b, c))
+            avail[a, b] = avail[b, c] = avail[c, a] = False
+            b_from = b + 1
+            packed_here = True
+            break
+        if not packed_here:
+            a += 1
+            b_from = 0
+    return tuple(triangles)
 
 def interleavings(sequences):
     """Every merge of the given sequences that keeps each one in order."""

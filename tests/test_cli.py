@@ -152,10 +152,10 @@ class TestSolveCommand:
 
     @pytest.mark.parametrize("command", ["solve", "bench"])
     def test_scale_limit_exits_fifty(self, runner, tmp_instance_file, monkeypatch, command):
-        # The triangle's kernel is the triangle itself, so a trial reaches
-        # the prefix DP, whose lattice now exceeds the cap.
+        # No rule fires on this instance and its ordering bound exceeds k,
+        # so a trial reaches the prefix DP, whose lattice now exceeds the cap.
         monkeypatch.setattr(sfast.solver, "_LATTICE_CAP", 1)
-        path = tmp_instance_file(triangle_instance())
+        path = tmp_instance_file(unrefuted_no_instance())
         result = runner.invoke(main, [command, path])
         assert result.exit_code == EXIT_SCALE
         assert result.exception is None or isinstance(result.exception, SystemExit)

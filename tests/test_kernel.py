@@ -18,6 +18,7 @@ from families import (
 )
 from invariants import assert_kernel_exhausted
 from reference import (
+    reference_conflict_packing,
     reference_equivalence_classes,
     reference_outside_split,
     s_triangles_through_arc,
@@ -213,6 +214,32 @@ class TestConflictPacking:
         assert conflict_packing(t, frozenset(range(5))) == conflict_packing(
             t, frozenset(range(5))
         )
+
+    @pytest.mark.parametrize("n", [12, 40, 150])
+    @pytest.mark.parametrize("kind", ["none", "one", "few", "half", "all"])
+    def test_triangles_match_the_row_loop_on_random_tournaments(self, n, kind):
+        t = random_tournament(n, seed=n + 1)
+        terminals = frozenset(
+            {
+                "none": [],
+                "one": [n // 2],
+                "few": [1, n // 3, n - 2],
+                "half": range(0, n, 2),
+                "all": range(n),
+            }[kind]
+        )
+        assert conflict_packing(t, terminals).triangles == reference_conflict_packing(t, terminals)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_triangles_match_the_row_loop_on_planted_instances(self, seed):
+        for spec in (GeneratorSpec(50, 6, seed, planted_k=3), GeneratorSpec(150, 10, seed, planted_k=3)):
+            instance, _ = generate_planted(spec)
+            kernel = kernelize(instance).kernel
+            for inst in [instance] + ([kernel] if kernel is not None else []):
+                t, terminals = inst.tournament, inst.terminals
+                assert conflict_packing(t, terminals).triangles == reference_conflict_packing(
+                    t, terminals
+                )
 
 
 class TestPackingOrdering:

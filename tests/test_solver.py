@@ -45,6 +45,7 @@ from sfast.solver import (
     solve,
     solve_contracted,
     solve_report,
+    _ordering_bound,
 )
 
 
@@ -439,6 +440,35 @@ class TestKernelSolutionFromColoring:
         assert found <= {(1, 2), (2, 3), (3, 1)}
 
 
+class TestOrderingBound:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_count_is_the_orders_backward_arcs(self, seed):
+        instance = random_instance(14 + seed, 1 + seed, 3, seed)
+        for target in (-1, 2):
+            count, order = _ordering_bound(instance, target)
+            assert sorted(order.tolist()) == list(range(instance.n))
+            assert count == len(s_backward_arcs(instance.tournament, instance.terminals, order))
+
+    def test_sweeps_end_at_a_local_optimum_below_the_score_order(self):
+        gains = 0
+        for seed in range(8):
+            instance = random_instance(10, 3, 3, seed)
+            t, terminals = instance.tournament, instance.terminals
+            by_score = np.argsort(-t.adj.sum(axis=1), kind="stable")
+            start = len(s_backward_arcs(t, terminals, by_score))
+            count, order = _ordering_bound(instance, -1)
+            assert count <= start
+            gains += count < start
+            for i, v in enumerate(order.tolist()):
+                rest = np.delete(order, i)
+                for j in range(instance.n):
+                    moved = np.insert(rest, j, v)
+                    assert len(s_backward_arcs(t, terminals, moved)) >= count
+            # a target the score order already meets stops before any move
+            assert _ordering_bound(instance, start)[1].tolist() == by_score.tolist()
+        assert gains > 0
+
+
 class TestConfig:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -481,6 +511,35 @@ class TestSolveReport:
         report = solve_report(instance)
         assert report.size is not None and report.size <= 3
         assert report.certified
+        assert verify_solution(instance, report.solution, "reversal")
+
+    def test_planted_scale_instance_is_certified_by_the_ordering_bound(self):
+        # Its 137-vertex kernel at k' = 3 used to cost one 168 s DP call.
+        instance, _ = generate_planted(GeneratorSpec(300, 10, 1, planted_k=3))
+        report = solve_report(instance)
+        assert report.size is not None and report.size <= 3
+        assert report.certified
+        assert report.trials == 0
+        assert verify_solution(instance, report.solution, "reversal")
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 8, 50])
+    def test_running_time_follows_the_optimum_not_the_budget(self, k):
+        # Optimum 3 at every budget; the trials took 176 s at k = 5 and
+        # more than 15 minutes at k = 8.
+        planted, _ = generate_planted(GeneratorSpec(60, 10, 0, planted_k=3))
+        instance = Instance(planted.tournament, planted.terminals, k)
+        report = solve_report(instance)
+        assert report.size == 3
+        assert report.certified
+        assert report.trials == 0
+        assert verify_solution(instance, report.solution, "reversal")
+
+    def test_trials_run_when_the_ordering_bound_falls_short(self):
+        instance = generate_random(GeneratorSpec(12, 2, 8, k=6))
+        report = solve_report(instance)
+        assert report.trials >= 1
+        assert report.certified
+        assert report.size == oracle_min_deletion(instance.tournament, instance.terminals, instance.k)
         assert verify_solution(instance, report.solution, "reversal")
 
     def test_negative_budget_is_a_certified_no(self):
