@@ -123,11 +123,22 @@ class Tournament(Digraph):
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def drop(self, vertices: Iterable[int]) -> "Tournament":
-        """Delete vertices (by index); the copy is compacted, labels kept."""
-        gone = set(vertices)
-        keep = [v for v in range(self.n) if v not in gone]
-        sub = self.adj[np.ix_(keep, keep)]
-        return Tournament(sub, [self.labels[v] for v in keep])
+        """Delete vertices (by index); the copy is compacted, labels kept.
+
+        A principal submatrix of a tournament is a tournament and a subset of
+        distinct labels is distinct, so the copy skips the validation of
+        ``__init__``, which would cost as much as the copy itself.
+        """
+        gone = list(vertices)
+        if not all(0 <= v < self.n for v in gone):
+            raise ValueError("vertex index out of range")
+        keep = np.ones(self.n, dtype=bool)
+        keep[gone] = False
+        sub = object.__new__(Tournament)
+        sub.adj = _freeze(self.adj[keep][:, keep])
+        sub.n = sub.adj.shape[0]
+        sub.labels = tuple(self.labels[v] for v in np.flatnonzero(keep).tolist())
+        return sub
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tournament):

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from .graphs import Arc, Instance, Tournament
 
 __all__ = [
@@ -32,10 +34,9 @@ class InstanceFormatError(ValueError):
 
 def _tokens(text: str):
     for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield number, line.split()
+        fields = raw.split()
+        if fields and not fields[0].startswith("c"):
+            yield number, fields
 
 
 def _ints(number: int, fields: list[str]) -> list[int]:
@@ -48,54 +49,98 @@ def _ints(number: int, fields: list[str]) -> list[int]:
 def parse_instance(text: str) -> Instance:
     n = k = None
     terminals: frozenset[int] | None = None
-    pairs: dict[tuple[int, int], Arc] = {}
+    # The arc lines are checked together once the line loop ends, or when
+    # it stops at an error, so that an earlier arc line's error wins.
+    arc_lines: list[int] = []
+    arc_ends: list[str] = []
     last = 0
-    for number, fields in _tokens(text):
-        last = number
-        kind = fields[0]
-        if kind == "p":
-            if n is not None:
-                raise InstanceFormatError(number, "second problem line")
-            if len(fields) != 4 or fields[1] != "sfast":
-                raise InstanceFormatError(number, "problem line must read `p sfast <n> <k>`")
-            n, k = _ints(number, fields[2:])
-            if n < 0:
-                raise InstanceFormatError(number, "negative vertex count")
-        elif kind == "s":
-            if n is None:
-                raise InstanceFormatError(number, "terminal line before the problem line")
-            if terminals is not None:
-                raise InstanceFormatError(number, "second terminal line")
-            listed = _ints(number, fields[1:])
-            for v in listed:
-                if not 0 <= v < n:
-                    raise InstanceFormatError(number, f"terminal {v} out of range")
-            if len(set(listed)) != len(listed):
-                raise InstanceFormatError(number, "terminal listed twice")
-            terminals = frozenset(listed)
-        elif kind == "a":
-            if n is None:
-                raise InstanceFormatError(number, "arc line before the problem line")
-            if len(fields) != 3:
-                raise InstanceFormatError(number, "arc line must read `a <u> <v>`")
-            u, v = _ints(number, fields[1:])
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise InstanceFormatError(number, f"bad arc ({u}, {v})")
-            key = (min(u, v), max(u, v))
-            if key in pairs:
-                raise InstanceFormatError(number, f"pair {{{u}, {v}}} oriented twice")
-            pairs[key] = (u, v)
-        else:
-            raise InstanceFormatError(number, f"unknown line type {kind!r}")
-    if n is None:
-        raise InstanceFormatError(last + 1, "missing problem line")
-    if terminals is None:
-        raise InstanceFormatError(last + 1, "missing terminal line")
-    if len(pairs) != n * (n - 1) // 2:
+    try:
+        for number, fields in _tokens(text):
+            last = number
+            kind = fields[0]
+            if kind == "a":
+                if n is None:
+                    raise InstanceFormatError(number, "arc line before the problem line")
+                if len(fields) != 3:
+                    raise InstanceFormatError(number, "arc line must read `a <u> <v>`")
+                arc_lines.append(number)
+                arc_ends += fields[1:]
+            elif kind == "p":
+                if n is not None:
+                    raise InstanceFormatError(number, "second problem line")
+                if len(fields) != 4 or fields[1] != "sfast":
+                    raise InstanceFormatError(number, "problem line must read `p sfast <n> <k>`")
+                n, k = _ints(number, fields[2:])
+                if n < 0:
+                    raise InstanceFormatError(number, "negative vertex count")
+            elif kind == "s":
+                if n is None:
+                    raise InstanceFormatError(number, "terminal line before the problem line")
+                if terminals is not None:
+                    raise InstanceFormatError(number, "second terminal line")
+                listed = _ints(number, fields[1:])
+                for v in listed:
+                    if not 0 <= v < n:
+                        raise InstanceFormatError(number, f"terminal {v} out of range")
+                if len(set(listed)) != len(listed):
+                    raise InstanceFormatError(number, "terminal listed twice")
+                terminals = frozenset(listed)
+            else:
+                raise InstanceFormatError(number, f"unknown line type {kind!r}")
+        if n is None:
+            raise InstanceFormatError(last + 1, "missing problem line")
+        if terminals is None:
+            raise InstanceFormatError(last + 1, "missing terminal line")
+    except InstanceFormatError:
+        if arc_lines:
+            _arc_arrays(n, arc_lines, arc_ends)
+        raise
+    tails, heads = _arc_arrays(n, arc_lines, arc_ends)
+    if len(arc_lines) != n * (n - 1) // 2:
         raise InstanceFormatError(
-            last + 1, f"{len(pairs)} arcs given, a tournament on {n} vertices has {n * (n - 1) // 2}"
+            last + 1,
+            f"{len(arc_lines)} arcs given, a tournament on {n} vertices has {n * (n - 1) // 2}",
         )
-    return Instance(Tournament.from_arcs(n, pairs.values()), terminals, k)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[tails, heads] = True
+    return Instance(Tournament(adj), terminals, k)
+
+
+def _arc_arrays(n: int, lines: list[int], ends: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The tails and heads of the arc lines, whose fields ``ends`` holds
+    flat. Raises for the first line that is not two integers, names a bad
+    arc, or orients a pair a second time."""
+    values: list[int] = []
+    try:
+        values.extend(map(int, ends))
+    except ValueError:
+        pass
+    # `values` stops at the first field that is no integer; the lines before
+    # that one are checked as arrays.
+    good = len(values) // 2
+    ints = values[: 2 * good]
+    try:
+        pairs = np.array(ints, dtype=np.int64).reshape(good, 2)
+    except OverflowError:
+        pairs = np.array([x if 0 <= x < n else -1 for x in ints], dtype=np.int64)
+        pairs = pairs.reshape(good, 2)
+    tails, heads = pairs[:, 0], pairs[:, 1]
+    bad = (pairs < 0).any(axis=1) | (pairs >= n).any(axis=1) | (tails == heads)
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    order = np.lexsort((np.arange(good), hi, lo))
+    repeat = np.zeros(good, dtype=bool)
+    repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    failing = np.flatnonzero(bad | repeat)
+    first = int(failing[0]) if failing.size else good
+    if first == len(lines):
+        return tails, heads
+    number = lines[first]
+    if first == good:
+        _ints(number, ends[2 * first : 2 * first + 2])
+    u, v = ints[2 * first : 2 * first + 2]
+    if bad[first]:
+        raise InstanceFormatError(number, f"bad arc ({u}, {v})")
+    raise InstanceFormatError(number, f"pair {{{u}, {v}}} oriented twice")
 
 
 def serialize_instance(instance: Instance) -> str:

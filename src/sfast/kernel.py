@@ -1,18 +1,36 @@
 """Kernelization for subset feedback arc set in tournaments.
 
 Nine reduction rules drive every instance down to O(k^2) vertices. One
-driver step (`_step`) applies the first applicable rule in a fixed order, and
-`kernelize` restarts after every mutation, so each rule may assume all
-earlier ones are exhausted. The acceptance suite checks that same step, one
-step at a time, against a brute-force oracle. Applied rules leave trace
-records (in original vertex labels) that `lift_solution` walks backward to
-translate kernel solutions into solutions of the input.
+driver step (`_step`) applies the first applicable rule in a fixed order, so
+each rule may assume all earlier ones are exhausted. The acceptance suite
+checks that same step, one step at a time, against a brute-force oracle.
+Applied rules leave trace records (in original vertex labels) that
+`lift_solution` walks backward to translate kernel solutions into solutions
+of the input.
+
+`kernelize` threads a private state from one step to the next. It exists
+only after a rule-8 deletion of a vertex v that needed no arc swap, and
+holds the decompositions of the big classes with v removed. Deleting a
+non-terminal vertex keeps the next step's rules 3 to 6 inapplicable: k and
+the terminals are unchanged, each rule-3 triangle count only loses its
+third vertices through v, rules 4 and 5 read only |S| and k, and no other
+vertex changes its terminal in-neighbourhood, so the class count stays put.
+The next step therefore runs rules 1 and 2 and goes straight to rule 7. A
+big class without v keeps its in-class degrees, its core and its r-sets
+less v, and only its relevant core is redone. The class that lost v is
+decomposed afresh. Any other applied rule or arc swap drops the state, and
+the next step runs every rule.
+
+Rule 2 and the relevant cores are only guards. With rule 3 exhausted, each
+terminal triangle through v has a twin through another vertex of v's class,
+and if v were the only wrong-direction witness of another class's core
+vertex, some arc would lie on more than k terminal triangles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -554,7 +572,7 @@ def class_decomposition(instance: Instance, members: Sequence[int]) -> ClassDeco
     z_arr = np.array(z_list)
     term_sorted = sorted(terminals)
     if term_sorted:
-        type_cols = t.adj[np.ix_(term_sorted, z_arr)]
+        type_cols = t.adj[term_sorted][:, z_arr]
         if not (type_cols == type_cols[:, :1]).all():
             raise ValueError("members do not share a terminal in-neighbourhood")
         s1 = frozenset(s for i, s in enumerate(term_sorted) if type_cols[i, 0])
@@ -562,7 +580,7 @@ def class_decomposition(instance: Instance, members: Sequence[int]) -> ClassDeco
         s1 = frozenset()
     s2 = frozenset(terminals) - s1
 
-    inside = t.adj[np.ix_(z_arr, z_arr)]
+    inside = t.adj[z_arr][:, z_arr]
     indeg = inside.sum(axis=0)
     outdeg = inside.sum(axis=1)
     prime_mask = (indeg >= k + 1) & (outdeg >= k + 1)
@@ -582,8 +600,12 @@ def class_decomposition(instance: Instance, members: Sequence[int]) -> ClassDeco
     rest_mask[z_arr] = False
     rest = np.flatnonzero(rest_mask)
     zp_arr = np.array(z_prime, dtype=int)
-    into = t.adj[np.ix_(zp_arr, rest)].sum(axis=0)
-    out = t.adj[np.ix_(rest, zp_arr)].sum(axis=1)
+    # Submatrices are taken rows first, then columns: numpy gathers that
+    # way several times faster than through np.ix_. An outside vertex beats
+    # every core vertex that does not beat it, so its out-degree into the
+    # core is the core size less its in-degree.
+    into = t.adj[zp_arr].sum(axis=0)[rest]
+    out = zp_arr.size - into
     high_in = into >= k + 1
     high_out = out >= k + 1
     if (high_in & high_out).any():
@@ -595,16 +617,9 @@ def class_decomposition(instance: Instance, members: Sequence[int]) -> ClassDeco
     r_less_tilde = rest[~high_in & (into >= 1)].tolist()
     r_greater_tilde = rest[high_in & (out >= 1)].tolist()
 
-    relevant = np.zeros(len(z_prime), dtype=bool)
-    sinks = sorted(z_minus + r_less)
-    sources = sorted(z_plus + r_greater)
-    if zp_arr.size and sinks:
-        relevant |= t.adj[np.ix_(zp_arr, sinks)].any(axis=1)
-    if zp_arr.size and sources:
-        relevant |= t.adj[np.ix_(sources, zp_arr)].any(axis=0)
-    z_relevant = [z_prime[i] for i in np.flatnonzero(relevant)]
-    z_irrelevant = [z_prime[i] for i in np.flatnonzero(~relevant)]
-
+    z_relevant, z_irrelevant = _relevance_split(
+        t, zp_arr, z_minus + r_less, z_plus + r_greater
+    )
     return ClassDecomposition(
         z=frozenset(z_list),
         s1=s1,
@@ -616,9 +631,22 @@ def class_decomposition(instance: Instance, members: Sequence[int]) -> ClassDeco
         r_greater=frozenset(r_greater),
         r_less_tilde=frozenset(r_less_tilde),
         r_greater_tilde=frozenset(r_greater_tilde),
-        z_relevant=frozenset(z_relevant),
-        z_irrelevant=frozenset(z_irrelevant),
+        z_relevant=z_relevant,
+        z_irrelevant=z_irrelevant,
     )
+
+
+def _relevance_split(
+    t: Tournament, zp: np.ndarray, sinks: Sequence[int], sources: Sequence[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The core zp split into the vertices with an arc into a sink or from a
+    source, and the rest."""
+    relevant = np.zeros(zp.size, dtype=bool)
+    if zp.size and len(sinks):
+        relevant |= t.adj[zp][:, sinks].any(axis=1)
+    if zp.size and len(sources):
+        relevant |= t.adj[sources][:, zp].any(axis=0)
+    return frozenset(zp[relevant].tolist()), frozenset(zp[~relevant].tolist())
 
 
 def rr7_wrong_arcs(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
@@ -649,7 +677,7 @@ def _find_swap(
     zp = sorted(dec.z_prime)
 
     if zp and sinks:
-        side1 = [zp[i] for i in np.flatnonzero(t.adj[np.ix_(zp, sinks)].any(axis=1))]
+        side1 = [zp[i] for i in np.flatnonzero(t.adj[zp][:, sinks].any(axis=1))]
         anchors = side1[: k + 1]
         far = set(side1[k + 1 :])
         if far:
@@ -664,7 +692,7 @@ def _find_swap(
                 return ((u, v), (v, outs[0]), v)
 
     if zp and sources:
-        side2 = [zp[i] for i in np.flatnonzero(t.adj[np.ix_(sources, zp)].any(axis=0))]
+        side2 = [zp[i] for i in np.flatnonzero(t.adj[sources][:, zp].any(axis=0))]
         anchors = side2[: k + 1]
         far = set(side2[k + 1 :])
         if far:
@@ -755,40 +783,78 @@ def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
 
 # -- Driver ------------------------------------------------------------------
 
+# The state one step hands the next, for the instance left by a rule-8
+# deletion without arc swaps: that instance's big classes, ordered by their
+# smallest member. Each is a decomposition carried over, or the sorted
+# members of the class that lost the vertex, which still need one.
+_Carry = tuple[Union[ClassDecomposition, tuple[int, ...]], ...]
 
-def _step(instance: Instance) -> tuple[RuleOutcome, ...]:
+
+def _shift(vs: frozenset[int], v: int) -> frozenset[int]:
+    """The vertex set with v deleted and the indices above v moved down."""
+    return frozenset(x - (x > v) for x in vs if x != v)
+
+
+def _carry_past(
+    t: Tournament, decs: Sequence[ClassDecomposition], touched: ClassDecomposition, v: int
+) -> _Carry:
+    """The state for tournament t, obtained by deleting vertex v of the class
+    `touched` from the instance that `decs` decompose."""
+    items: list[Union[ClassDecomposition, tuple[int, ...]]] = []
+    for dec in decs:
+        if dec is touched:
+            items.append(tuple(sorted(_shift(dec.z, v))))
+            continue
+        moved = ClassDecomposition(*(_shift(getattr(dec, f.name), v) for f in fields(dec)))
+        z_relevant, z_irrelevant = _relevance_split(
+            t,
+            np.array(list(moved.z_prime), dtype=int),
+            list(moved.z_minus | moved.r_less),
+            list(moved.z_plus | moved.r_greater),
+        )
+        items.append(replace(moved, z_relevant=z_relevant, z_irrelevant=z_irrelevant))
+    return tuple(
+        sorted(items, key=lambda it: min(it.z) if isinstance(it, ClassDecomposition) else it[0])
+    )
+
+
+def _step(
+    instance: Instance, carry: Optional[_Carry] = None
+) -> tuple[tuple[RuleOutcome, ...], Optional[_Carry]]:
     """One driver step: the records of the first rule, in the fixed order,
-    whose status is not not-applicable, or () when no rule acts.
+    whose status is not not-applicable, or () when no rule acts; and the
+    state for the next step (see the module docstring).
 
     Rules 6 to 8 share one classification; their step returns the arc swaps
-    followed by the rule-8 deletion.
+    followed by the rule-8 deletion. With a carried state, rules 3 to 6 are
+    known not to apply and are skipped.
     """
-    for rule in (
-        rr1_sanity,
-        rr2_triangle_free_terminal,
-        rr3_many_triangles,
-        rr4_bounded_terminal,
-        rr5_safe_partition,
-    ):
+    rules = [rr1_sanity, rr2_triangle_free_terminal]
+    if carry is None:
+        rules += [rr3_many_triangles, rr4_bounded_terminal, rr5_safe_partition]
+    for rule in rules:
         out = rule(instance)
         if out.status != STATUS_NOT_APPLICABLE:
-            return (out,)
+            return (out,), None
 
     k = instance.k
-    classes = equivalence_classes(instance.tournament, instance.terminals)
-    out = rr6_many_types(instance, classes)
-    if out.status != STATUS_NOT_APPLICABLE:
-        return (out,)
-
-    big = sorted(
-        (vs for vs in classes.values() if len(vs) >= decomposition_class_size(k)), key=min
-    )
+    big: Sequence[Union[ClassDecomposition, tuple[int, ...]]]
+    if carry is None:
+        classes = equivalence_classes(instance.tournament, instance.terminals)
+        out = rr6_many_types(instance, classes)
+        if out.status != STATUS_NOT_APPLICABLE:
+            return (out,), None
+        big = sorted(
+            (vs for vs in classes.values() if len(vs) >= decomposition_class_size(k)), key=min
+        )
+    else:
+        big = carry
     decs = []
-    for members in big:
-        dec = class_decomposition(instance, members)
+    for item in big:
+        dec = item if isinstance(item, ClassDecomposition) else class_decomposition(instance, item)
         out = rr7_wrong_arcs(instance, dec)
         if out.status != STATUS_NOT_APPLICABLE:
-            return (out,)
+            return (out,), None
         decs.append(dec)
 
     deletable = [dec for dec in decs if len(dec.z) >= deletion_class_size(k)]
@@ -797,10 +863,13 @@ def _step(instance: Instance) -> tuple[RuleOutcome, ...]:
         out = rr8_irrelevant_vertex(swapped, dec)
         if out.status != STATUS_APPLIED:
             raise InternalInvariantError("deletable class but rule 8 balked")
-        return swaps + (out,)
+        if swaps:
+            return swaps + (out,), None
+        v = instance.tournament.labels.index(out.detail["deleted"][0])
+        return (out,), _carry_past(out.next.tournament, decs, deletable[0], v)
 
     out = rr9_vertex_bound(instance)
-    return () if out.status == STATUS_NOT_APPLICABLE else (out,)
+    return (() if out.status == STATUS_NOT_APPLICABLE else (out,)), None
 
 
 def kernelize(instance: Instance) -> KernelResult:
@@ -812,9 +881,10 @@ def kernelize(instance: Instance) -> KernelResult:
     """
     trace: list[RuleOutcome] = []
     cur = instance
+    carry: Optional[_Carry] = None
     cap = instance.n + max(instance.k, 0) + 8
     for _ in range(cap):
-        records = _step(cur)
+        records, carry = _step(cur, carry)
         trace.extend(records)
         if not records:
             return KernelResult("reduced", cur, tuple(trace))

@@ -598,8 +598,6 @@ def solve_report(instance: Instance, config: Optional[SolverConfig] = None) -> S
     if is_s_acyclic(kernel.tournament, kernel.terminals):
         return report(lift_solution(instance, kr.trace, ()), 0, kr, True)
 
-    q = color_count(kernel.k)
-    max_trials = config.max_trials or default_max_trials(kernel.k)
     offset = instance.k - kernel.k
     lower = max(
         len(conflict_packing(instance.tournament, instance.terminals).triangles),
@@ -619,6 +617,8 @@ def solve_report(instance: Instance, config: Optional[SolverConfig] = None) -> S
     # The bounded oracle runs at most once: it either certifies `best` or
     # raises the floor to the optimum.
     oracle_tried = False
+    q = color_count(kernel.k)
+    max_trials = config.max_trials or default_max_trials(kernel.k)
     for trial in range(max_trials):
         rng = random.Random(config.seed * _SEED_STRIDE + trial)
         result = kernel_solution_from_coloring(kernel, draw_coloring(kernel.n, q, rng), q)

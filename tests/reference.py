@@ -11,6 +11,10 @@ of a class decomposition into the four r-sets one at a time, and
 at a time; the kernel computes all three with whole-array passes and must
 agree with these loops.
 
+`reference_kernelize` is the driver loop without a carried rule state: every
+step runs every rule from rule 1, which the carried loop must reproduce
+record for record.
+
 The dynamic program claims to minimize the terminal-relevant backward arc
 count over all vertex orders that keep each color's condensed nodes in
 sequence. At a handful of nodes that minimum is checkable by enumerating
@@ -25,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from sfast.graphs import InternalInvariantError, InvalidArcError
+from sfast.kernel import STATUS_APPLIED, KernelResult, _step
 from sfast.solver import _LATTICE_CAP, SolverScaleError
 
 
@@ -98,6 +103,20 @@ def reference_outside_split(instance, z_list, z_prime):
                 r_greater_tilde.append(v)
     return r_less, r_greater, r_less_tilde, r_greater_tilde
 
+
+def reference_kernelize(instance) -> KernelResult:
+    """`kernelize` with every step run from scratch."""
+    trace = []
+    cur = instance
+    for _ in range(instance.n + max(instance.k, 0) + 8):
+        records, _ = _step(cur)
+        trace.extend(records)
+        if not records:
+            return KernelResult("reduced", cur, tuple(trace))
+        if records[-1].status != STATUS_APPLIED:
+            return KernelResult(records[-1].status, None, tuple(trace))
+        cur = records[-1].next
+    raise InternalInvariantError("kernelization failed to settle within its cap")
 
 
 def reference_conflict_packing(t, terminals) -> tuple[tuple[int, int, int], ...]:

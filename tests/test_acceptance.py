@@ -76,9 +76,16 @@ def cascade_check(instance, tally):
     oracle. Returns the deciding rule's name (rr8 for a step of arc swaps
     and a deletion), or None when the instance is already exhausted.
     """
-    records = _step(instance)
+    return checked_step(instance, tally)[0]
+
+
+def checked_step(instance, tally, carry=None):
+    """`cascade_check`'s step: the deciding rule's name (or None), the
+    instance the step leads to (None unless it applied a rule), and the
+    state it carries on."""
+    records, carry = _step(instance, carry)
     if not records:
-        return None
+        return None, None, None
     base = solvable(instance)
     for rec in records:
         if rec.status == "applied":
@@ -87,7 +94,18 @@ def cascade_check(instance, tally):
             assert (rec.status == "trivial-yes") == base
     name = records[-1].rule
     tally[name] += 1
-    return name
+    return name, records[-1].next, carry
+
+
+def cascade_walk(instance, tally):
+    """Kernelize with checked steps, carrying the rule state from step to
+    step as `kernelize` does. Returns how many steps ran with a state."""
+    carried = 0
+    carry = None
+    while instance is not None:
+        carried += carry is not None
+        _, instance, carry = checked_step(instance, tally, carry)
+    return carried
 
 
 def spread_triangle_tournament():
@@ -223,6 +241,23 @@ def test_c2_reduction_rules_match_oracle_verdicts():
     # Rule 9 could only act if the class bounds failed to cap the vertex
     # count, which the other rules' exhaustion rules out.
     assert exhaustive["rr9"] == randomized["rr9"] == variant_tally["rr9"] == 0
+
+    # Whole kernelizations, run as `kernelize` runs them: after a rule-8
+    # deletion without arc swaps the next step takes the carried rule
+    # state. Every record of every step is checked; the variants above add
+    # steps whose arc swaps drop the state.
+    walked = Counter()
+    carried = 0
+    for n in (20, 24, 28, 32):
+        for s_count in (1, 2, 3):
+            for k in (1, 2):
+                for seed in range(6):
+                    spec = GeneratorSpec(n=n, s_count=s_count, seed=seed, planted_k=k)
+                    carried += cascade_walk(generate_planted(spec)[0], walked)
+    for base in variants:
+        cascade_walk(base, walked)
+    assert carried >= 500
+    assert walked["rr9"] == 0
 
     # Driver-level verdicts on the four-vertex slice: composing the verified
     # steps must land on the oracle's answer.

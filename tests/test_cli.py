@@ -172,6 +172,19 @@ class TestSolveCommand:
         (line,) = result.stderr.splitlines()
         assert line.startswith(f"{path}: beyond the solver's scale limit: ")
 
+    @pytest.mark.parametrize("k", [2_000_000, 10**20])
+    def test_budget_past_the_trial_count_answered_by_the_bounds(self, runner, tmp_instance_file, k):
+        # The packing and ordering bounds meet at 1 before any trial, so the
+        # trial count, which overflows a float at these budgets, is never
+        # computed.
+        path = tmp_instance_file(triangle_instance(k=k))
+        result = runner.invoke(main, ["solve", path, "--json"])
+        assert result.exit_code == 0, result.output
+        blob = json.loads(result.output)
+        assert blob["size"] == 1
+        assert blob["certified"] is True
+        assert blob["trials"] == 0
+
     def test_json_on_refuted_instance(self, runner, tmp_instance_file):
         path = tmp_instance_file(triangle_instance(k=0))
         result = runner.invoke(main, ["solve", path, "--json"])

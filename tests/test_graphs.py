@@ -119,6 +119,16 @@ class TestTournamentBasics:
                 if i != j:
                     assert smaller.adj[i, j] == t.adj[u, v]
 
+    def test_drop_is_a_valid_tournament_and_rejects_bad_indices(self):
+        t = random_tournament(5, seed=2)
+        smaller = t.drop({4, 0})
+        assert smaller == Tournament(t.adj[1:4, 1:4], (1, 2, 3))
+        assert not smaller.adj.flags.writeable
+        with pytest.raises(ValueError):
+            t.drop([-1])
+        with pytest.raises(ValueError):
+            t.drop([5])
+
     def test_equality_includes_labels(self):
         t = random_tournament(4, seed=9)
         assert t == Tournament(t.adj.copy())

@@ -109,3 +109,25 @@ def test_solution_errors(text, fragment):
     with pytest.raises(InstanceFormatError) as info:
         parse_solution(text)
     assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, line, fragment",
+    [
+        ("p sfast 3 1\ns 0\na 0 5\nq 1 2\n", 3, "bad arc (0, 5)"),
+        ("p sfast 3 1\na 0 1\na 1 0\ns 0\ns 1\n", 3, "pair {1, 0} oriented twice"),
+        ("p sfast 3 1\ns 0\na 0 x\na 1 1\n", 3, "expected integers, got 0 x"),
+        ("p sfast 3 1\ns 0\na 1 1\na 0 x\n", 3, "bad arc (1, 1)"),
+        ("p sfast 3 1\na 2 2\n", 2, "bad arc (2, 2)"),
+        ("p sfast 3 1\ns 0\na 0 1\na 99999999999999999999 1\n", 4, "bad arc (99999999999999999999, 1)"),
+        ("p sfast 3 1\ns 0\na 0 1\na 1 0\na 0 99999999999999999999\n", 4, "oriented twice"),
+        ("p sfast 3 1\ns 0\na 0 1\na 1 2\na 0 2\np sfast 3 1\n", 6, "second problem line"),
+    ],
+)
+def test_the_first_offending_line_wins(text, line, fragment):
+    # Arc lines are checked together after the line loop; an arc error must
+    # still win over any error on a later line, and the reverse.
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(text)
+    assert info.value.line == line
+    assert fragment in str(info.value)

@@ -20,6 +20,7 @@ from invariants import assert_kernel_exhausted
 from reference import (
     reference_conflict_packing,
     reference_equivalence_classes,
+    reference_kernelize,
     reference_outside_split,
     s_triangles_through_arc,
 )
@@ -33,7 +34,10 @@ from sfast.graphs import (
 )
 from sfast.kernel import (
     BipartiteConflictGraph,
+    ClassDecomposition,
     RuleOutcome,
+    _carry_past,
+    _step,
     build_conflict_bipartite,
     class_decomposition,
     conflict_packing,
@@ -624,6 +628,106 @@ class TestKernelizeDriver:
                             kernel.tournament, kernel.terminals, 12
                         )
                         assert (opt <= k) == (sub <= kernel.k)
+
+
+def planted(n, s_count, seed, k=3):
+    return generate_planted(GeneratorSpec(n, s_count, seed, planted_k=k))[0]
+
+
+PLANTED_CORPORA = [(50, 6, seed) for seed in range(20)] + [(150, 10, seed) for seed in range(10)]
+
+
+class TestCarriedState:
+    """`kernelize` carries rule state from an rr8 step to the next one; the
+    result must equal the stateless driver's, record for record."""
+
+    @pytest.mark.parametrize("n, s_count, seed", PLANTED_CORPORA)
+    def test_planted_corpora_match_the_stateless_driver(self, n, s_count, seed):
+        instance = planted(n, s_count, seed)
+        assert kernelize(instance) == reference_kernelize(instance)
+
+    @pytest.mark.parametrize("n", [12, 40, 150])
+    def test_random_tournaments_match_the_stateless_driver(self, n):
+        for s_count in (1, 2, 4, n // 3):
+            for k in range(5):
+                t = random_tournament(n, 100 * n + 10 * s_count + k)
+                terminals = frozenset(random.Random(k).sample(range(n), s_count))
+                instance = Instance(t, terminals, k)
+                assert kernelize(instance) == reference_kernelize(instance)
+
+    @pytest.mark.parametrize(
+        "n, s_count, seed, swaps",
+        [(50, 6, 6, 1), (50, 6, 7, 1), (150, 10, 6, 1), (60, 10, 0, 0)],
+        ids=["dp6", "dp7", "kernel6", "planted-60"],
+    )
+    def test_every_carried_state_is_exact(self, n, s_count, seed, swaps):
+        # Walk the carried driver one step at a time. A step with arc swaps
+        # carries nothing. Whenever a state is carried, rules 3 to 6 must
+        # indeed be inapplicable, its classes must be the instance's big
+        # classes in order, and each decomposition it carries must equal a
+        # fresh one.
+        cur, carry = planted(n, s_count, seed), None
+        carried = swapped = 0
+        while True:
+            records, carry = _step(cur, carry)
+            if not records or records[-1].status != "applied":
+                break
+            cur = records[-1].next
+            if records[0].rule == "arc-swap":
+                swapped += 1
+                assert carry is None
+            if carry is None:
+                continue
+            carried += 1
+            assert [rec.rule for rec in records] == ["rr8"]
+            for rule in (rr3_many_triangles, rr4_bounded_terminal, rr5_safe_partition):
+                assert rule(cur).status == "not-applicable"
+            classes = equivalence_classes(cur.tournament, cur.terminals)
+            assert rr6_many_types(cur, classes).status == "not-applicable"
+            big = sorted(
+                (vs for vs in classes.values() if len(vs) >= decomposition_class_size(cur.k)),
+                key=min,
+            )
+            members = [
+                tuple(sorted(it.z)) if isinstance(it, ClassDecomposition) else it for it in carry
+            ]
+            assert members == big
+            for item in carry:
+                if isinstance(item, ClassDecomposition):
+                    assert item == class_decomposition(cur, item.z)
+        assert carried >= 10
+        assert swapped == swaps
+
+    def test_carry_redoes_the_relevant_core(self):
+        # Terminal 0 is beaten by the chain 1..13 and beats the chain
+        # 14..26; the first chain beats the second except that core vertex
+        # 20 beats 7. So 7 is 20's only wrong-direction witness, and
+        # deleting 7 leaves 20 in the irrelevant core. (Rule 3 is not
+        # exhausted here, so no driver step meets this case; the carry must
+        # still be exact.)
+        adj = np.zeros((27, 27), dtype=bool)
+        adj[1:14, 1:14] = families.transitive(13)
+        adj[14:27, 14:27] = families.transitive(13)
+        adj[1:14, 0] = adj[0, 14:27] = True
+        adj[1:14, 14:27] = True
+        adj[7, 20], adj[20, 7] = False, True
+        instance = Instance(Tournament(adj), frozenset({0}), 1)
+        decs = [class_decomposition(instance, range(1, 14)), class_decomposition(instance, range(14, 27))]
+        assert 20 in decs[1].z_relevant
+        after = Instance(instance.tournament.drop([7]), frozenset({0}), 1)
+        carry = _carry_past(after.tournament, decs, decs[0], 7)
+        assert carry[0] == tuple(range(1, 13))
+        assert carry[1] == class_decomposition(after, range(13, 26))
+        assert 19 in carry[1].z_irrelevant
+
+    def test_rules_1_and_2_run_under_a_carried_state(self):
+        # With any carried state, a step still starts at rules 1 and 2, and
+        # a step they decide carries nothing on.
+        t = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
+        records, carry = _step(Instance(t, frozenset({3}), 1), ())
+        assert [rec.rule for rec in records] == ["rr2"] and carry is None
+        records, carry = _step(Instance(t, frozenset({0}), 0), ())
+        assert [rec.rule for rec in records] == ["rr1"] and carry is None
 
 
 class TestLifting:

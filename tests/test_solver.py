@@ -513,6 +513,15 @@ class TestSolveReport:
         assert report.certified
         assert verify_solution(instance, report.solution, "reversal")
 
+    def test_planted_instance_at_1000_vertices(self):
+        # About 960 kernel steps, nearly all rule-8 deletions that carry the
+        # rule state on to the next step.
+        instance, _ = generate_planted(GeneratorSpec(1000, 10, 0, planted_k=3))
+        report = solve_report(instance)
+        assert report.size is not None and report.size <= 3
+        assert report.certified
+        assert verify_solution(instance, report.solution, "reversal")
+
     def test_planted_scale_instance_is_certified_by_the_ordering_bound(self):
         # Its 137-vertex kernel at k' = 3 used to cost one 168 s DP call.
         instance, _ = generate_planted(GeneratorSpec(300, 10, 1, planted_k=3))
