@@ -61,7 +61,8 @@ class Digraph:
     __slots__ = ("n", "adj")
 
     def __init__(self, adj: np.ndarray):
-        adj = np.asarray(adj, dtype=bool)
+        # A copy, so that freezing it leaves the caller's array writable.
+        adj = np.array(adj, dtype=bool)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency matrix must be square")
         if bool(np.diagonal(adj).any()):
@@ -122,23 +123,30 @@ class Tournament(Digraph):
         """Map external label -> current vertex index."""
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    def drop(self, vertices: Iterable[int]) -> "Tournament":
-        """Delete vertices (by index); the copy is compacted, labels kept.
+    @staticmethod
+    def _derived(adj: np.ndarray, labels: tuple[int, ...]) -> "Tournament":
+        """A tournament derived from a valid one, taking ownership of ``adj``.
 
-        A principal submatrix of a tournament is a tournament and a subset of
-        distinct labels is distinct, so the copy skips the validation of
-        ``__init__``, which would cost as much as the copy itself.
+        A principal submatrix or an arc reversal of a tournament is a
+        tournament, and a subset of distinct labels is distinct, so this skips
+        the validation of ``__init__``, which would cost as much as the copy
+        that derived ``adj``.
         """
+        t = object.__new__(Tournament)
+        t.adj = _freeze(adj)
+        t.n = t.adj.shape[0]
+        t.labels = labels
+        return t
+
+    def drop(self, vertices: Iterable[int]) -> "Tournament":
+        """Delete vertices (by index); the copy is compacted, labels kept."""
         gone = list(vertices)
         if not all(0 <= v < self.n for v in gone):
             raise ValueError("vertex index out of range")
         keep = np.ones(self.n, dtype=bool)
         keep[gone] = False
-        sub = object.__new__(Tournament)
-        sub.adj = _freeze(self.adj[keep][:, keep])
-        sub.n = sub.adj.shape[0]
-        sub.labels = tuple(self.labels[v] for v in np.flatnonzero(keep).tolist())
-        return sub
+        labels = tuple(self.labels[v] for v in np.flatnonzero(keep).tolist())
+        return Tournament._derived(self.adj[keep][:, keep], labels)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tournament):
@@ -189,7 +197,7 @@ def reverse_arcs(t: Tournament, arcs: Iterable[Arc]) -> Tournament:
     for u, v in _checked_arcs(t, arcs):
         adj[u, v] = False
         adj[v, u] = True
-    return Tournament(adj, t.labels)
+    return Tournament._derived(adj, t.labels)
 
 
 def _successor_lists(adj: np.ndarray) -> list[list[int]]:

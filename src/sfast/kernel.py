@@ -10,27 +10,42 @@ of the input.
 
 `kernelize` threads a private state from one step to the next. It exists
 only after a rule-8 deletion of a vertex v that needed no arc swap, and
-holds the decompositions of the big classes with v removed. Deleting a
-non-terminal vertex keeps the next step's rules 3 to 6 inapplicable: k and
-the terminals are unchanged, each rule-3 triangle count only loses its
-third vertices through v, rules 4 and 5 read only |S| and k, and no other
-vertex changes its terminal in-neighbourhood, so the class count stays put.
-The next step therefore runs rules 1 and 2 and goes straight to rule 7. A
-big class without v keeps its in-class degrees, its core and its r-sets
-less v, and only its relevant core is redone. The class that lost v is
-decomposed afresh. Any other applied rule or arc swap drops the state, and
-the next step runs every rule.
+holds the decompositions of the big classes with v removed. Deleting v, an
+irrelevant core vertex of its class Z, keeps the next step's rules 1 to 6
+inapplicable, so that step goes straight to rule 7:
 
-Rule 2 and the relevant cores are only guards. With rule 3 exhausted, each
-terminal triangle through v has a twin through another vertex of v's class,
-and if v were the only wrong-direction witness of another class's core
-vertex, some arc would lie on more than k terminal triangles.
+- Rule 1: k is unchanged, and it is positive, as rule 1 did not act
+  before the deletion.
+- Rule 2: every terminal stays on a triangle. Take a terminal triangle
+  through v, with terminal s and third vertex x. The members of Z share
+  their arcs with s, so x lies outside Z. If x is a terminal, any other
+  member of Z closes the same triangle. Otherwise x is in Z's r_greater
+  when v -> x and in its r_less when x -> v, since a sink that v beats
+  or a source that beats v would make v relevant. Either way at least two
+  core vertices point at x the same way as v, and another one closes the
+  triangle.
+- Rules 3 to 6: each rule-3 triangle count only loses its triangles
+  through v, rules 4 and 5 read only |S| and k, and no other vertex
+  changes its terminal in-neighbourhood, so the class count stays put.
+
+A big class Y other than Z keeps its in-class degrees, its core and its
+r-sets less v. Its relevant core stays too: v is no wrong-direction
+witness of a core vertex y of Y. Say y -> v with v in Y's r_less (the
+case v -> y with v in Y's r_greater is symmetric). Some terminal s tells
+Y and Z apart. If s -> Z and Y -> s, then s -> v -> y' -> s for the more
+than k core vertices y' that v beats. If Z -> s and s -> Y, then y is in
+Z's r_less, as a source into v would make v relevant, and s -> y -> z -> s
+for the more than k core vertices z of Z that y beats. Either way one arc
+lies on more than k terminal triangles, but rule 3 was exhausted before
+the deletion. So each such decomposition is carried over as it is, and
+only the class that lost v is decomposed afresh. Any other applied rule
+or arc swap drops the state, and the next step runs every rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -617,9 +632,12 @@ def class_decomposition(instance: Instance, members: Sequence[int]) -> ClassDeco
     r_less_tilde = rest[~high_in & (into >= 1)].tolist()
     r_greater_tilde = rest[high_in & (out >= 1)].tolist()
 
-    z_relevant, z_irrelevant = _relevance_split(
-        t, zp_arr, z_minus + r_less, z_plus + r_greater
-    )
+    relevant = np.zeros(zp_arr.size, dtype=bool)
+    sinks, sources = z_minus + r_less, z_plus + r_greater
+    if zp_arr.size and sinks:
+        relevant |= t.adj[zp_arr][:, sinks].any(axis=1)
+    if zp_arr.size and sources:
+        relevant |= t.adj[sources][:, zp_arr].any(axis=0)
     return ClassDecomposition(
         z=frozenset(z_list),
         s1=s1,
@@ -631,22 +649,9 @@ def class_decomposition(instance: Instance, members: Sequence[int]) -> ClassDeco
         r_greater=frozenset(r_greater),
         r_less_tilde=frozenset(r_less_tilde),
         r_greater_tilde=frozenset(r_greater_tilde),
-        z_relevant=z_relevant,
-        z_irrelevant=z_irrelevant,
+        z_relevant=frozenset(zp_arr[relevant].tolist()),
+        z_irrelevant=frozenset(zp_arr[~relevant].tolist()),
     )
-
-
-def _relevance_split(
-    t: Tournament, zp: np.ndarray, sinks: Sequence[int], sources: Sequence[int]
-) -> tuple[frozenset[int], frozenset[int]]:
-    """The core zp split into the vertices with an arc into a sink or from a
-    source, and the rest."""
-    relevant = np.zeros(zp.size, dtype=bool)
-    if zp.size and len(sinks):
-        relevant |= t.adj[zp][:, sinks].any(axis=1)
-    if zp.size and len(sources):
-        relevant |= t.adj[sources][:, zp].any(axis=0)
-    return frozenset(zp[relevant].tolist()), frozenset(zp[~relevant].tolist())
 
 
 def rr7_wrong_arcs(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
@@ -784,10 +789,9 @@ def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
 # -- Driver ------------------------------------------------------------------
 
 # The state one step hands the next, for the instance left by a rule-8
-# deletion without arc swaps: that instance's big classes, ordered by their
-# smallest member. Each is a decomposition carried over, or the sorted
-# members of the class that lost the vertex, which still need one.
-_Carry = tuple[Union[ClassDecomposition, tuple[int, ...]], ...]
+# deletion without arc swaps: that instance's big classes, decomposed and
+# ordered by their smallest member.
+_Carry = tuple[ClassDecomposition, ...]
 
 
 def _shift(vs: frozenset[int], v: int) -> frozenset[int]:
@@ -796,26 +800,17 @@ def _shift(vs: frozenset[int], v: int) -> frozenset[int]:
 
 
 def _carry_past(
-    t: Tournament, decs: Sequence[ClassDecomposition], touched: ClassDecomposition, v: int
+    instance: Instance, decs: Sequence[ClassDecomposition], touched: ClassDecomposition, v: int
 ) -> _Carry:
-    """The state for tournament t, obtained by deleting vertex v of the class
+    """The state for `instance`, obtained by deleting vertex v of the class
     `touched` from the instance that `decs` decompose."""
-    items: list[Union[ClassDecomposition, tuple[int, ...]]] = []
-    for dec in decs:
-        if dec is touched:
-            items.append(tuple(sorted(_shift(dec.z, v))))
-            continue
-        moved = ClassDecomposition(*(_shift(getattr(dec, f.name), v) for f in fields(dec)))
-        z_relevant, z_irrelevant = _relevance_split(
-            t,
-            np.array(list(moved.z_prime), dtype=int),
-            list(moved.z_minus | moved.r_less),
-            list(moved.z_plus | moved.r_greater),
-        )
-        items.append(replace(moved, z_relevant=z_relevant, z_irrelevant=z_irrelevant))
-    return tuple(
-        sorted(items, key=lambda it: min(it.z) if isinstance(it, ClassDecomposition) else it[0])
-    )
+    carried = [
+        class_decomposition(instance, sorted(_shift(dec.z, v)))
+        if dec is touched
+        else ClassDecomposition(*(_shift(getattr(dec, f.name), v) for f in fields(dec)))
+        for dec in decs
+    ]
+    return tuple(sorted(carried, key=lambda dec: min(dec.z)))
 
 
 def _step(
@@ -826,20 +821,21 @@ def _step(
     state for the next step (see the module docstring).
 
     Rules 6 to 8 share one classification; their step returns the arc swaps
-    followed by the rule-8 deletion. With a carried state, rules 3 to 6 are
+    followed by the rule-8 deletion. With a carried state, rules 1 to 6 are
     known not to apply and are skipped.
     """
-    rules = [rr1_sanity, rr2_triangle_free_terminal]
-    if carry is None:
-        rules += [rr3_many_triangles, rr4_bounded_terminal, rr5_safe_partition]
-    for rule in rules:
-        out = rule(instance)
-        if out.status != STATUS_NOT_APPLICABLE:
-            return (out,), None
-
     k = instance.k
-    big: Sequence[Union[ClassDecomposition, tuple[int, ...]]]
     if carry is None:
+        for rule in (
+            rr1_sanity,
+            rr2_triangle_free_terminal,
+            rr3_many_triangles,
+            rr4_bounded_terminal,
+            rr5_safe_partition,
+        ):
+            out = rule(instance)
+            if out.status != STATUS_NOT_APPLICABLE:
+                return (out,), None
         classes = equivalence_classes(instance.tournament, instance.terminals)
         out = rr6_many_types(instance, classes)
         if out.status != STATUS_NOT_APPLICABLE:
@@ -847,15 +843,13 @@ def _step(
         big = sorted(
             (vs for vs in classes.values() if len(vs) >= decomposition_class_size(k)), key=min
         )
+        decs: Sequence[ClassDecomposition] = [class_decomposition(instance, vs) for vs in big]
     else:
-        big = carry
-    decs = []
-    for item in big:
-        dec = item if isinstance(item, ClassDecomposition) else class_decomposition(instance, item)
+        decs = carry
+    for dec in decs:
         out = rr7_wrong_arcs(instance, dec)
         if out.status != STATUS_NOT_APPLICABLE:
             return (out,), None
-        decs.append(dec)
 
     deletable = [dec for dec in decs if len(dec.z) >= deletion_class_size(k)]
     if deletable:
@@ -866,7 +860,7 @@ def _step(
         if swaps:
             return swaps + (out,), None
         v = instance.tournament.labels.index(out.detail["deleted"][0])
-        return (out,), _carry_past(out.next.tournament, decs, deletable[0], v)
+        return (out,), _carry_past(out.next, decs, deletable[0], v)
 
     out = rr9_vertex_bound(instance)
     return (() if out.status == STATUS_NOT_APPLICABLE else (out,)), None

@@ -24,7 +24,14 @@ from families import (
 from invariants import assert_kernel_exhausted
 from reference import interleaving_count, reference_minimum
 from sfast.graphs import Instance, Tournament, s_backward_arcs, verify_solution
-from sfast.kernel import _step, decomposition_class_size, equivalence_classes, kernelize
+from sfast.kernel import (
+    _step,
+    decomposition_class_size,
+    equivalence_classes,
+    kernelize,
+    rr1_sanity,
+    rr2_triangle_free_terminal,
+)
 from sfast.oracle import (
     GeneratorSpec,
     generate_planted,
@@ -82,7 +89,11 @@ def cascade_check(instance, tally):
 def checked_step(instance, tally, carry=None):
     """`cascade_check`'s step: the deciding rule's name (or None), the
     instance the step leads to (None unless it applied a rule), and the
-    state it carries on."""
+    state it carries on. A step with a carried state skips rules 1 and 2,
+    so neither may apply to its instance."""
+    if carry is not None:
+        assert rr1_sanity(instance).status == "not-applicable"
+        assert rr2_triangle_free_terminal(instance).status == "not-applicable"
     records, carry = _step(instance, carry)
     if not records:
         return None, None, None

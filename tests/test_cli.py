@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import families
 from families import rule6_instance, stubborn_instance, unrefuted_no_instance
 import sfast.cli
+import sfast.kernel
 import sfast.solver
 from sfast.cli import (
     EXIT_INVALID,
@@ -395,3 +396,19 @@ def test_readme_exit_codes_match_the_cli():
     # 0 is success, 1 a ClickException, 2 a click usage error.
     constants = [value for name, value in vars(sfast.cli).items() if name.startswith("EXIT_")]
     assert sorted(readme_exit_codes()) == sorted([0, 1, 2] + constants)
+
+
+def test_readme_library_example_runs_and_names_root_exports(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    _, block, after = section.split("```", 2)
+    block = block.removeprefix("python\n")
+    exec(block, {})
+    # Each print line's comment starts with what it prints.
+    expected = re.findall(r"^print\(.*# (.*?)(?: \(.*)?$", block, re.M)
+    assert capsys.readouterr().out.splitlines() == expected
+    paragraph = after.strip().split("\n\n", 1)[0]
+    root = re.search(r"package root\s+also exports (.*?)\.\s", paragraph, re.S).group(1)
+    kernel = re.search(r"\(([^)]*)\)\s+and the other kernel pieces are in", paragraph).group(1)
+    assert set(re.findall(r"`(\w+)`", root)) <= set(sfast.__all__)
+    assert set(re.findall(r"`(\w+)`", kernel)) <= set(sfast.kernel.__all__)

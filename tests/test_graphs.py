@@ -129,6 +129,14 @@ class TestTournamentBasics:
         with pytest.raises(ValueError):
             t.drop([5])
 
+    def test_construction_leaves_the_callers_array_alone(self):
+        a = transitive(4)
+        t = Tournament(a)
+        assert a.flags.writeable
+        a[0, 1], a[1, 0] = False, True
+        assert np.array_equal(t.adj, transitive(4))
+        assert not t.adj.flags.writeable
+
     def test_equality_includes_labels(self):
         t = random_tournament(4, seed=9)
         assert t == Tournament(t.adj.copy())
@@ -174,10 +182,27 @@ def test_reverse_arcs_is_an_involution(n, seed):
     assert reverse_arcs(reverse_arcs(t, arcs), [(v, u) for u, v in arcs]) == t
 
 
+@given(n=st.integers(2, 8), seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_reverse_arcs_matches_a_validated_tournament(n, seed):
+    rng = random.Random(seed)
+    labels = rng.sample(range(100), n)
+    t = Tournament(random_tournament(n, seed).adj, labels)
+    arcs = [a for a in t.arcs() if rng.random() < 0.4]
+    adj = np.array(t.adj)
+    for u, v in arcs:
+        adj[u, v], adj[v, u] = False, True
+    flipped = reverse_arcs(t, arcs)
+    assert flipped == Tournament(adj, labels)
+    assert not flipped.adj.flags.writeable
+
+
 def test_reverse_arcs_rejects_missing_arc():
     t = Tournament.from_arcs(2, [(0, 1)])
     with pytest.raises(InvalidArcError):
         reverse_arcs(t, [(1, 0)])
+    with pytest.raises(InvalidArcError, match="twice"):
+        reverse_arcs(t, [(0, 1), (0, 1)])
 
 
 def test_triangle_detection_matches_acyclicity_exhaustively():

@@ -34,9 +34,7 @@ from sfast.graphs import (
 )
 from sfast.kernel import (
     BipartiteConflictGraph,
-    ClassDecomposition,
     RuleOutcome,
-    _carry_past,
     _step,
     build_conflict_bipartite,
     class_decomposition,
@@ -662,7 +660,7 @@ class TestCarriedState:
     )
     def test_every_carried_state_is_exact(self, n, s_count, seed, swaps):
         # Walk the carried driver one step at a time. A step with arc swaps
-        # carries nothing. Whenever a state is carried, rules 3 to 6 must
+        # carries nothing. Whenever a state is carried, rules 1 to 6 must
         # indeed be inapplicable, its classes must be the instance's big
         # classes in order, and each decomposition it carries must equal a
         # fresh one.
@@ -680,7 +678,13 @@ class TestCarriedState:
                 continue
             carried += 1
             assert [rec.rule for rec in records] == ["rr8"]
-            for rule in (rr3_many_triangles, rr4_bounded_terminal, rr5_safe_partition):
+            for rule in (
+                rr1_sanity,
+                rr2_triangle_free_terminal,
+                rr3_many_triangles,
+                rr4_bounded_terminal,
+                rr5_safe_partition,
+            ):
                 assert rule(cur).status == "not-applicable"
             classes = equivalence_classes(cur.tournament, cur.terminals)
             assert rr6_many_types(cur, classes).status == "not-applicable"
@@ -688,46 +692,11 @@ class TestCarriedState:
                 (vs for vs in classes.values() if len(vs) >= decomposition_class_size(cur.k)),
                 key=min,
             )
-            members = [
-                tuple(sorted(it.z)) if isinstance(it, ClassDecomposition) else it for it in carry
-            ]
-            assert members == big
-            for item in carry:
-                if isinstance(item, ClassDecomposition):
-                    assert item == class_decomposition(cur, item.z)
+            assert [tuple(sorted(dec.z)) for dec in carry] == big
+            for dec in carry:
+                assert dec == class_decomposition(cur, dec.z)
         assert carried >= 10
         assert swapped == swaps
-
-    def test_carry_redoes_the_relevant_core(self):
-        # Terminal 0 is beaten by the chain 1..13 and beats the chain
-        # 14..26; the first chain beats the second except that core vertex
-        # 20 beats 7. So 7 is 20's only wrong-direction witness, and
-        # deleting 7 leaves 20 in the irrelevant core. (Rule 3 is not
-        # exhausted here, so no driver step meets this case; the carry must
-        # still be exact.)
-        adj = np.zeros((27, 27), dtype=bool)
-        adj[1:14, 1:14] = families.transitive(13)
-        adj[14:27, 14:27] = families.transitive(13)
-        adj[1:14, 0] = adj[0, 14:27] = True
-        adj[1:14, 14:27] = True
-        adj[7, 20], adj[20, 7] = False, True
-        instance = Instance(Tournament(adj), frozenset({0}), 1)
-        decs = [class_decomposition(instance, range(1, 14)), class_decomposition(instance, range(14, 27))]
-        assert 20 in decs[1].z_relevant
-        after = Instance(instance.tournament.drop([7]), frozenset({0}), 1)
-        carry = _carry_past(after.tournament, decs, decs[0], 7)
-        assert carry[0] == tuple(range(1, 13))
-        assert carry[1] == class_decomposition(after, range(13, 26))
-        assert 19 in carry[1].z_irrelevant
-
-    def test_rules_1_and_2_run_under_a_carried_state(self):
-        # With any carried state, a step still starts at rules 1 and 2, and
-        # a step they decide carries nothing on.
-        t = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
-        records, carry = _step(Instance(t, frozenset({3}), 1), ())
-        assert [rec.rule for rec in records] == ["rr2"] and carry is None
-        records, carry = _step(Instance(t, frozenset({0}), 0), ())
-        assert [rec.rule for rec in records] == ["rr1"] and carry is None
 
 
 class TestLifting:
