@@ -254,6 +254,23 @@ def _tarjan(succ: list[list[int]]) -> list[list[int]]:
     return comps
 
 
+def _reachable(adj: np.ndarray, v: int) -> np.ndarray:
+    """Mask of the vertices reachable from v, v included.
+
+    Each frontier's rows are read once and a vertex joins one frontier
+    only, so a search reads every row at most once: O(n^2) at any depth.
+    """
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[v] = True
+    front = np.array([v])
+    while front.size:
+        new = adj[front].any(axis=0)
+        new &= ~seen
+        seen |= new
+        front = np.flatnonzero(new)
+    return seen
+
+
 def _landau(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A tournament's strong components, read off its scores.
 

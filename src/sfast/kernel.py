@@ -61,6 +61,7 @@ from .graphs import (
     s_backward_arcs,
     verify_solution,
     _landau,
+    _reachable,
 )
 
 __all__ = [
@@ -913,16 +914,43 @@ def minimalize_solution(
     """Greedy prune to an inclusion-minimal solution (label arcs).
 
     Works under deletion semantics; minimal deletion and reversal solutions
-    coincide, so the result is again a reversal solution.
+    coincide, so the result is again a reversal solution. The arcs are
+    tried in sorted label order, and an arc goes when the tournament T
+    minus the arcs still kept has no cycle through a terminal (S-cycle).
+    A set that is no deletion solution has no subset that is one, so it
+    comes back unchanged. An arc absent from T raises InvalidArcError.
+
+    Let F be the arcs kept and D = T - F. D is a subgraph of T with F
+    reversed, so when that reversal is S-acyclic (Landau, which the
+    verified lift steps always pass) so is D; only otherwise does Tarjan's
+    search decide. The greedy keeps D S-acyclic, so every S-cycle of
+    D + (u, v) uses the arc (u, v) and lies in the arc's strong component,
+    every vertex of which is on some cycle. So D + (u, v) has an S-cycle
+    exactly when a terminal lies in that component. It is desc(v) ∩ anc(u)
+    in D, as a simple path out of v or into u never uses the arc, and it
+    is empty unless u is reachable from v: two reachability searches per
+    arc decide whether the arc goes.
     """
     t, terminals = instance.tournament, instance.terminals
-    index = instance.tournament.index_of()
+    index = t.index_of()
     current = {tuple(a) for a in solution_labels}
-    for arc in sorted(current):
-        trial = current - {arc}
-        arcs = [(index[u], index[v]) for u, v in trial]
-        if is_s_acyclic(Digraph.minus(t, arcs), terminals):
-            current = trial
+    arcs = sorted(current)
+    # reverse_arcs rejects an absent arc before any pruning, and an unknown
+    # label maps to the absent index -1.
+    pairs = [(index.get(u, -1), index.get(v, -1)) for u, v in arcs]
+    flipped = reverse_arcs(t, pairs)
+    d = t.adj & flipped.adj
+    if not is_s_acyclic(flipped, terminals) and not is_s_acyclic(Digraph(d), terminals):
+        return current
+    d_in = np.ascontiguousarray(d.T)
+    is_term = np.zeros(t.n, dtype=bool)
+    is_term[list(terminals)] = True
+    for arc, (u, v) in zip(arcs, pairs):
+        desc = _reachable(d, v)
+        if desc[u] and (desc & is_term & _reachable(d_in, u)).any():
+            continue
+        current.discard(arc)
+        d[u, v] = d_in[v, u] = True
     return current
 
 

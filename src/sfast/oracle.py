@@ -164,9 +164,11 @@ def oracle_min_deletion(
         return 0 if k_max >= 0 else None
     if k_max <= 0:
         return None
+    # Deleting every arc is a solution, so no budget past m changes the answer.
+    m = t.arc_count()
+    k_max = min(k_max, m)
     s, a, b = tri
     tri_arcs = [(s, a), (a, b), (b, s)]
-    m = t.arc_count()
     candidates = sum(
         math.comb(m, size) - math.comb(max(m - 3, 0), size)
         for size in range(1, k_max + 1)

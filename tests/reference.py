@@ -11,6 +11,10 @@ of a class decomposition into the four r-sets one at a time, and
 at a time; the kernel computes all three with whole-array passes and must
 agree with these loops.
 
+`reference_minimalize_solution` is the lift's greedy prune with one Tarjan
+pass over the whole pruned digraph per solution arc; the reachability
+searches of `minimalize_solution` must return the same arc set.
+
 `reference_kernelize` is the driver loop without a carried rule state: every
 step runs every rule from rule 1, which the carried loop must reproduce
 record for record.
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from sfast.graphs import InternalInvariantError, InvalidArcError
+from sfast.graphs import Digraph, InternalInvariantError, InvalidArcError, is_s_acyclic
 from sfast.kernel import STATUS_APPLIED, KernelResult, _step
 from sfast.solver import _LATTICE_CAP, SolverScaleError
 
@@ -102,6 +106,19 @@ def reference_outside_split(instance, z_list, z_prime):
             if out >= 1:
                 r_greater_tilde.append(v)
     return r_less, r_greater, r_less_tilde, r_greater_tilde
+
+
+def reference_minimalize_solution(instance, solution_labels):
+    """The greedy prune, each trial arc set checked by a Tarjan pass."""
+    t, terminals = instance.tournament, instance.terminals
+    index = instance.tournament.index_of()
+    current = {tuple(a) for a in solution_labels}
+    for arc in sorted(current):
+        trial = current - {arc}
+        arcs = [(index[u], index[v]) for u, v in trial]
+        if is_s_acyclic(Digraph.minus(t, arcs), terminals):
+            current = trial
+    return current
 
 
 def reference_kernelize(instance) -> KernelResult:

@@ -258,6 +258,17 @@ class TestOracleCommand:
         assert result.exit_code == 0
         assert result.output.strip() == "none within 0"
 
+    @pytest.mark.parametrize(
+        "k, args",
+        [(10**20, []), (1, ["--kmax", "100000000"])],
+        ids=["file-budget", "kmax-flag"],
+    )
+    def test_a_huge_budget_answers_at_once(self, runner, tmp_instance_file, k, args):
+        path = tmp_instance_file(triangle_instance(k=k))
+        result = runner.invoke(main, ["oracle", path, *args])
+        assert result.exit_code == 0
+        assert result.output.strip() == "1"
+
     def test_orderings_method_agrees(self, runner, tmp_instance_file):
         path = tmp_instance_file(stubborn_instance())
         result = runner.invoke(main, ["oracle", path, "--method", "orderings"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import families
+import sfast.graphs
 import sfast.kernel
 from families import (
     all_tournaments,
@@ -21,15 +22,19 @@ from reference import (
     reference_conflict_packing,
     reference_equivalence_classes,
     reference_kernelize,
+    reference_minimalize_solution,
     reference_outside_split,
     s_triangles_through_arc,
 )
 from sfast.graphs import (
     Instance,
     InternalInvariantError,
+    InvalidArcError,
     Tournament,
     has_s_triangle,
+    is_s_acyclic,
     reverse_arcs,
+    s_backward_arcs,
     verify_solution,
 )
 from sfast.kernel import (
@@ -58,6 +63,7 @@ from sfast.kernel import (
     vertex_bound,
 )
 from sfast.oracle import GeneratorSpec, generate_planted, oracle_min_deletion
+from sfast.solver import solve_report
 
 
 def triangle_instance(k=1, terminals=frozenset({0})):
@@ -707,6 +713,16 @@ class TestLifting:
         arcs = [tuple(a) for a in trimmed]
         assert verify_solution(instance, arcs, mode="reversal")
 
+    @pytest.mark.parametrize(
+        "arcs",
+        [[(1, 0)], [(1, 0), (0, 2)], [(0, 3)]],
+        ids=["alone", "with-a-present-arc", "unknown-label"],
+    )
+    def test_minimalize_rejects_an_absent_arc(self, arcs):
+        instance = transitive_instance(3, range(3), 2)
+        with pytest.raises(InvalidArcError):
+            minimalize_solution(instance, arcs)
+
     def test_lift_through_rule5_and_rule2(self):
         instance = rule5_instance()
         result = kernelize(instance)
@@ -762,6 +778,113 @@ class TestLifting:
         result = kernelize(instance)
         assert result.status == "trivial-yes"
         assert lift_solution(instance, result.trace, []) == frozenset()
+
+
+def _minimalize_terminals(n, rng):
+    """Terminal sets of each size class: none, one vertex, a few, all."""
+    return [
+        frozenset(),
+        frozenset({rng.randrange(n)}),
+        frozenset(rng.sample(range(n), 3)),
+        frozenset(range(n)),
+    ]
+
+
+def _near_order_tournament(n, flips, rng):
+    """A random order with ``flips`` random arcs turned backward, and the order."""
+    order = rng.sample(range(n), n)
+    adj = np.zeros((n, n), dtype=bool)
+    for i, u in enumerate(order):
+        adj[u, order[i + 1 :]] = True
+    for u, v in rng.sample(list(zip(*np.nonzero(adj))), flips):
+        adj[u, v], adj[v, u] = False, True
+    return adj, order
+
+
+def _minimalize_cases(adj, order, terminals, rng):
+    """Index arc sets by kind: the terminal-backward arcs of ``order`` (a
+    reversal solution), those plus a few random arcs, those plus a forward
+    arc whose reversal closes a terminal cycle (a deletion-only solution),
+    and a random half of them that leaves a terminal cycle (no solution)."""
+    t = Tournament(adj)
+    backward = sorted(s_backward_arcs(t, terminals, order))
+    others = [a for a in sorted(t.arcs()) if a not in backward]
+    cases = {"backward": backward, "superset": backward + rng.sample(others, min(3, len(others)))}
+    rng.shuffle(others)
+    for a in others:
+        if not is_s_acyclic(reverse_arcs(t, backward + [a]), terminals):
+            cases["deletion-only"] = backward + [a]
+            break
+    half = rng.sample(backward, len(backward) // 2)
+    if not verify_solution(Instance(t, terminals, len(half)), half, mode="deletion"):
+        cases["none"] = half
+    return cases
+
+
+@pytest.mark.parametrize("n", [*range(4, 13), 40, 150])
+def test_minimalize_matches_the_one_tarjan_pass_per_arc_reference(n):
+    # Above 40 vertices the reference's Tarjan pass per arc is too slow for
+    # the thousands of backward arcs of a uniform tournament's random order,
+    # so there the tournament is a random order with a few arcs flipped.
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(3 if n <= 40 else 1):
+        if n <= 40:
+            adj = random_tournament(n, rng.randrange(10**6)).adj
+            order = rng.sample(range(n), n)
+        else:
+            adj, order = _near_order_tournament(n, n // 3, rng)
+        labels = rng.sample(range(10 * n), n)
+        for terminals in _minimalize_terminals(n, rng):
+            instance = Instance(Tournament(adj, labels), terminals, n * n)
+            for kind, arcs in _minimalize_cases(adj, order, terminals, rng).items():
+                solution = [(labels[u], labels[v]) for u, v in arcs]
+                got = minimalize_solution(instance, solution)
+                assert got == reference_minimalize_solution(instance, solution), kind
+                if kind == "none":
+                    assert got == set(solution)
+                else:
+                    index = instance.tournament.index_of()
+                    assert verify_solution(instance, [(index[u], index[v]) for u, v in got])
+                seen.add(kind)
+    assert seen == {"backward", "superset", "deletion-only", "none"}
+
+
+@pytest.mark.parametrize(
+    "n, s_count, seeds, calls",
+    [(50, 6, range(20), 87), (150, 10, range(10), 90)],
+    ids=["planted_dp", "planted_kernel"],
+)
+def test_minimalize_matches_the_reference_on_every_lift_call(n, s_count, seeds, calls, monkeypatch):
+    seen = []
+
+    def checked(instance, solution_labels):
+        solution = list(solution_labels)
+        got = minimalize_solution(instance, solution)
+        assert got == reference_minimalize_solution(instance, solution)
+        seen.append(len(solution))
+        return got
+
+    monkeypatch.setattr(sfast.kernel, "minimalize_solution", checked)
+    for seed in seeds:
+        instance, _ = generate_planted(GeneratorSpec(n, s_count, seed, planted_k=3))
+        solve_report(instance)
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_planted_instances_solve_without_tarjan(seed, monkeypatch):
+    # Every tournament cycle test goes through Landau's scores, and the lift's
+    # minimalization through reachability, so Tarjan's search never runs.
+    def no_tarjan(succ):
+        raise AssertionError("Tarjan's search ran")
+
+    monkeypatch.setattr(sfast.graphs, "_tarjan", no_tarjan)
+    instance, planted = generate_planted(GeneratorSpec(150, 10, seed, planted_k=3))
+    report = solve_report(instance)
+    assert report.certified
+    assert report.size <= len(planted)
+    assert verify_solution(instance, report.solution, mode="reversal")
 
 
 def test_kernel_exhaustion_holds_on_the_witness_kernels():

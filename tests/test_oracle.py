@@ -77,6 +77,15 @@ def test_budget_zero_with_a_terminal_cycle():
     assert oracle_min_deletion(t, frozenset({1}), 1) == 1
 
 
+def test_a_cap_past_the_arc_count_answers_at_once():
+    # Deleting all three arcs is a solution, so a cap of 10**20 counts as 3
+    # instead of summing and enumerating subset sizes up to it.
+    from sfast.graphs import Tournament
+
+    t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    assert oracle_min_deletion(t, frozenset({1}), 10**20) == 1
+
+
 def test_value_is_monotone_in_the_cap():
     t = random_tournament(7, seed=77)
     terminals = random_terminals(7, 77)
