@@ -5,6 +5,15 @@ An instance file holds one problem line `p sfast <n> <k>`, one terminal line
 ordered pair, together describing a full tournament on vertices 0..n-1.
 Comment lines starting with `c` and blank lines are ignored anywhere. A
 solution file lists arcs to reverse, one `r <u> <v>` line each.
+
+Nearly all of an instance file is its n(n-1)/2 arc lines, so the plain
+ones (`a`, then two ASCII numbers of at most 18 digits, with spaces or tabs
+between) are found and decoded together, as arrays over the file's bytes.
+Every other line, including an arc line spelt any other way (`+1`, `1_0`,
+other Unicode digits or blanks, longer numbers), is read one at a time with
+`str.split` and `int`, so what the format accepts is what those accept.
+All arc lines are then checked together in line order, and an error names
+the first offending line.
 """
 
 from __future__ import annotations
@@ -47,15 +56,22 @@ def _ints(number: int, fields: list[str]) -> list[int]:
 
 
 def parse_instance(text: str) -> Instance:
+    lines = text.splitlines()
+    plain, plain_tails, plain_heads = _plain_arcs(lines)
+    plain_lines = np.flatnonzero(plain) + 1
     n = k = None
     terminals: frozenset[int] | None = None
     # The arc lines are checked together once the line loop ends, or when
     # it stops at an error, so that an earlier arc line's error wins.
     arc_lines: list[int] = []
-    arc_ends: list[str] = []
     last = 0
     try:
-        for number, fields in _tokens(text):
+        for number in (np.flatnonzero(~plain) + 1).tolist():
+            fields = lines[number - 1].split()
+            if not fields or fields[0].startswith("c"):
+                continue
+            if n is None and plain_lines.size and plain_lines[0] < number:
+                break  # a plain arc line came before the problem line
             last = number
             kind = fields[0]
             if kind == "a":
@@ -64,7 +80,6 @@ def parse_instance(text: str) -> Instance:
                 if len(fields) != 3:
                     raise InstanceFormatError(number, "arc line must read `a <u> <v>`")
                 arc_lines.append(number)
-                arc_ends += fields[1:]
             elif kind == "p":
                 if n is not None:
                     raise InstanceFormatError(number, "second problem line")
@@ -87,66 +102,160 @@ def parse_instance(text: str) -> Instance:
                 terminals = frozenset(listed)
             else:
                 raise InstanceFormatError(number, f"unknown line type {kind!r}")
+        if n is None and plain_lines.size:
+            raise InstanceFormatError(int(plain_lines[0]), "arc line before the problem line")
         if n is None:
             raise InstanceFormatError(last + 1, "missing problem line")
+        if plain_lines.size:
+            last = max(last, int(plain_lines[-1]))
         if terminals is None:
             raise InstanceFormatError(last + 1, "missing terminal line")
-    except InstanceFormatError:
-        if arc_lines:
-            _arc_arrays(n, arc_lines, arc_ends)
+    except InstanceFormatError as error:
+        if n is not None:
+            cut = int(np.searchsorted(plain_lines, error.line))
+            _arc_arrays(
+                n, lines, plain_lines[:cut], plain_tails[:cut], plain_heads[:cut], arc_lines
+            )
         raise
-    tails, heads = _arc_arrays(n, arc_lines, arc_ends)
-    if len(arc_lines) != n * (n - 1) // 2:
+    tails, heads = _arc_arrays(n, lines, plain_lines, plain_tails, plain_heads, arc_lines)
+    if tails.size != n * (n - 1) // 2:
         raise InstanceFormatError(
             last + 1,
-            f"{len(arc_lines)} arcs given, a tournament on {n} vertices has {n * (n - 1) // 2}",
+            f"{tails.size} arcs given, a tournament on {n} vertices has {n * (n - 1) // 2}",
         )
     adj = np.zeros((n, n), dtype=bool)
     adj[tails, heads] = True
     return Instance(Tournament(adj), terminals, k)
 
 
-def _arc_arrays(n: int, lines: list[int], ends: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The tails and heads of the arc lines, whose fields ``ends`` holds
-    flat. Raises for the first line that is not two integers, names a bad
-    arc, or orients a pair a second time."""
-    values: list[int] = []
-    try:
-        values.extend(map(int, ends))
-    except ValueError:
-        pass
-    # `values` stops at the first field that is no integer; the lines before
-    # that one are checked as arrays.
-    good = len(values) // 2
-    ints = values[: 2 * good]
-    try:
-        pairs = np.array(ints, dtype=np.int64).reshape(good, 2)
-    except OverflowError:
-        pairs = np.array([x if 0 <= x < n else -1 for x in ints], dtype=np.int64)
-        pairs = pairs.reshape(good, 2)
-    tails, heads = pairs[:, 0], pairs[:, 1]
-    bad = (pairs < 0).any(axis=1) | (pairs >= n).any(axis=1) | (tails == heads)
-    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
-    order = np.lexsort((np.arange(good), hi, lo))
-    repeat = np.zeros(good, dtype=bool)
-    repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
-    failing = np.flatnonzero(bad | repeat)
-    first = int(failing[0]) if failing.size else good
-    if first == len(lines):
+def _plain_arcs(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which lines are plain arc lines, and the tail and head each names.
+
+    A plain arc line is ``a``, spaces or tabs, 1-18 ASCII digits, spaces or
+    tabs, 1-18 ASCII digits, and optional trailing spaces or tabs; its two
+    numbers fit an int64. The lines are joined by single ``\\n`` bytes, so
+    that each line break is one byte.
+    """
+    data = np.frombuffer(
+        ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"), dtype=np.uint8
+    )
+    found, offsets, lengths = _plain_runs(data)
+    plain = np.zeros(len(lines), dtype=bool)
+    plain[found] = True
+    tails, heads = _decimal(data, offsets, lengths)
+    return plain, tails, heads
+
+
+def _plain_runs(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indices of the plain arc lines in the joined text, and the
+    offsets and lengths of their two digit runs (two rows).
+
+    The text is cut into runs of one byte class, a line break being a run of
+    its own, so a plain line is five runs, or six with trailing blanks, of
+    fixed classes. The per-byte and per-run arrays die when this returns,
+    before the numbers are decoded, which keeps the parse's peak memory
+    below that of a line-at-a-time parse.
+    """
+    # Byte classes: 0 other, 1 digit, 2 space or tab, 3 `a`, 4 line break.
+    kind = ((data - ord("0")) < 10).view(np.uint8)
+    kind |= ((data == ord(" ")) | (data == ord("\t"))).view(np.uint8) << 1
+    kind |= (data == ord("a")).view(np.uint8) * np.uint8(3)
+    kind |= (data == ord("\n")).view(np.uint8) << 2
+    edge = kind == 4
+    edge[1:] |= kind[1:] != kind[:-1]
+    edge[0] = True
+    starts = np.flatnonzero(edge)
+    kind = kind[starts]
+    breaks = np.flatnonzero(kind == 4)
+    first = np.concatenate(([0], breaks[:-1] + 1))
+    runs = breaks - first
+    candidates = np.flatnonzero((runs == 5) | (runs == 6))
+    # Run i is starts[i + 1] - starts[i] bytes long. The sixth run of a
+    # candidate line is its trailing blanks or its line break.
+    at = first[candidates]
+    sixth = kind[at + 5]
+    ok = (sixth == 2) | (sixth == 4)
+    for offset, want in enumerate((3, 2, 1, 2, 1)):
+        ok &= kind[at + offset] == want
+    ok &= starts[at + 1] - starts[at] == 1
+    digits = np.stack((at[ok] + 2, at[ok] + 4))
+    offsets = starts[digits]
+    lengths = starts[digits + 1] - offsets
+    fits = (lengths <= 18).all(axis=0)
+    return candidates[ok][fits], offsets[:, fits], lengths[:, fits]
+
+
+def _decimal(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The values of ASCII digit runs, by Horner's rule over digit columns."""
+    values = np.zeros(starts.shape, dtype=np.int64)
+    for column in range(int(lengths.max(initial=0))):
+        more = lengths > column
+        digits = data[np.minimum(starts + column, data.size - 1)] - ord("0")
+        np.multiply(values, 10, out=values, where=more)
+        np.add(values, digits, out=values, where=more)
+    return values
+
+
+def _arc_arrays(
+    n: int,
+    lines: list[str],
+    plain_lines: np.ndarray,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    arc_lines: list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tails and heads of all arc lines in line order: the plain ones,
+    decoded already, and the others by line number. Raises for the first
+    line that is not two integers, names a bad arc, or orients a pair a
+    second time."""
+    numbers = plain_lines
+    if arc_lines:
+        ends = [_arc_ends(n, lines[number - 1].split()[1:]) for number in arc_lines]
+        numbers = np.concatenate((plain_lines, arc_lines))
+        order = np.argsort(numbers)
+        numbers = numbers[order]
+        tails = np.concatenate((tails, [u for u, _ in ends]))[order]
+        heads = np.concatenate((heads, [v for _, v in ends]))[order]
+    bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads)
+    first = int(bad.argmax()) if bad.any() else bad.size
+    lo = np.minimum(tails[:first], heads[:first])
+    hi = np.maximum(tails[:first], heads[:first])
+    # The lines before the first bad one name pairs below n * n. When they
+    # would fill a good share of that many codes, one count shows that no
+    # pair repeats; the first repeat is looked for only when one may exist.
+    if first and (n * n > 4 * first + 64 or np.bincount(lo * n + hi).max() > 1):
+        order = np.lexsort((np.arange(first), hi, lo))
+        repeat = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+        if repeat.any():
+            first = int(order[1:][repeat].min())
+    if first == bad.size:
         return tails, heads
-    number = lines[first]
-    if first == good:
-        _ints(number, ends[2 * first : 2 * first + 2])
-    u, v = ints[2 * first : 2 * first + 2]
+    number = int(numbers[first])
+    u, v = _ints(number, lines[number - 1].split()[1:])
     if bad[first]:
         raise InstanceFormatError(number, f"bad arc ({u}, {v})")
     raise InstanceFormatError(number, f"pair {{{u}, {v}}} oriented twice")
 
 
+def _arc_ends(n: int, fields: list[str]) -> tuple[int, int]:
+    """The ends of an arc line that is not plain, -1 for a field that is no
+    integer or no vertex index that fits an int64."""
+    top = min(n, np.iinfo(np.int64).max)
+    values = []
+    for field in fields:
+        try:
+            value = int(field)
+        except ValueError:
+            value = -1
+        values.append(value if 0 <= value < top else -1)
+    return values[0], values[1]
+
+
 def serialize_instance(instance: Instance) -> str:
     lines = [f"p sfast {instance.n} {instance.k}"]
     lines.append(" ".join(["s", *map(str, sorted(instance.terminals))]).rstrip())
-    lines.extend(f"a {u} {v}" for u, v in instance.tournament.arcs())
+    tails, heads = np.nonzero(instance.tournament.adj)
+    lines.extend(map("a {} {}".format, tails.tolist(), heads.tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -1,12 +1,14 @@
 """Randomized solver for kernelized instances.
 
-A packing bound above the budget refutes the instance before anything else
-runs. Next comes a deterministic upper bound: the S-backward arcs of the
+The kernel's packing bound refutes the instance first when it exceeds the
+budget. Next comes a deterministic upper bound: the S-backward arcs of the
 kernel's vertices by descending score, improved by single-vertex insertion
 moves. When that count fits the kernel's budget it is lifted to a verified
 solution of the input, and when it meets the packing bound it is returned,
-certified, after 0 trials. Otherwise it seeds the best solution and the
-randomized trials below run as before.
+certified, after 0 trials. Only when it is not certified does the packing
+of the whole input run; a larger bound from it refutes the instance or
+reruns the ordering bound to the raised target. An uncertified bound seeds
+the best solution and the randomized trials below run as before.
 
 Each trial colors the vertices uniformly at random with about sqrt(8k)
 colors. When every color class happens to induce a terminal-acyclic
@@ -599,20 +601,34 @@ def solve_report(instance: Instance, config: Optional[SolverConfig] = None) -> S
         return report(lift_solution(instance, kr.trace, ()), 0, kr, True)
 
     offset = instance.k - kernel.k
-    lower = max(
-        len(conflict_packing(instance.tournament, instance.terminals).triangles),
-        offset
-        + len(conflict_packing(kernel.tournament, kernel.terminals).triangles),
-    )
+
+    def ordering_solution(lower: int) -> Optional[frozenset[Arc]]:
+        """The lifted ordering bound run to ``lower``, None past the budget."""
+        count, order = _ordering_bound(kernel, lower - offset)
+        if count > kernel.k:
+            return None
+        return lift_solution(instance, kr.trace, _labeled_backward_arcs(kernel, order, count))
+
+    lower = offset + len(conflict_packing(kernel.tournament, kernel.terminals).triangles)
     if lower > instance.k:
         return report(None, 0, kr, True)
-
-    best: Optional[frozenset[Arc]] = None
-    count, order = _ordering_bound(kernel, lower - offset)
-    if count <= kernel.k:
-        best = lift_solution(instance, kr.trace, _labeled_backward_arcs(kernel, order, count))
-        if len(best) <= lower:
-            return report(best, 0, kr, True)
+    best = ordering_solution(lower)
+    if best is None or len(best) > lower:
+        # The input's packing is a lower bound too, but it costs a pass over
+        # the whole input, so it runs only here. Taking the larger bound
+        # first gives the same result. A lifted solution of at most `lower`
+        # arcs caps the input's packing, so the larger bound was `lower` and
+        # the ordering bound ran to the same target. Past that, a larger
+        # input bound refutes or reruns the ordering bound to the raised
+        # target, and a smaller one changes nothing.
+        packed = len(conflict_packing(instance.tournament, instance.terminals).triangles)
+        if packed > lower:
+            lower = packed
+            if lower > instance.k:
+                return report(None, 0, kr, True)
+            best = ordering_solution(lower)
+    if best is not None and len(best) <= lower:
+        return report(best, 0, kr, True)
     floor = lower
     # The bounded oracle runs at most once: it either certifies `best` or
     # raises the floor to the optimum.

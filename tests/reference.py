@@ -19,6 +19,11 @@ searches of `minimalize_solution` must return the same arc set.
 step runs every rule from rule 1, which the carried loop must reproduce
 record for record.
 
+`reference_parse_instance` reads an instance file one line at a time, with
+`str.split` and `int` on every field, and `reference_serialize_instance`
+formats one arc at a time; the array parser and serializer must agree with
+them on every file, error line and message included.
+
 The dynamic program claims to minimize the terminal-relevant backward arc
 count over all vertex orders that keep each color's condensed nodes in
 sequence. At a handful of nodes that minimum is checkable by enumerating
@@ -32,7 +37,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from sfast.graphs import Digraph, InternalInvariantError, InvalidArcError, is_s_acyclic
+from sfast.graphs import (
+    Digraph,
+    Instance,
+    InternalInvariantError,
+    InvalidArcError,
+    Tournament,
+    is_s_acyclic,
+)
+from sfast.instancefile import InstanceFormatError
 from sfast.kernel import STATUS_APPLIED, KernelResult, _step
 from sfast.solver import _LATTICE_CAP, SolverScaleError
 
@@ -166,6 +179,125 @@ def reference_conflict_packing(t, terminals) -> tuple[tuple[int, int, int], ...]
             a += 1
             b_from = 0
     return tuple(triangles)
+
+
+def _tokens(text: str):
+    for number, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if fields and not fields[0].startswith("c"):
+            yield number, fields
+
+
+def _ints(number: int, fields: list[str]) -> list[int]:
+    try:
+        return [int(f) for f in fields]
+    except ValueError:
+        raise InstanceFormatError(number, f"expected integers, got {' '.join(fields)}") from None
+
+
+def reference_parse_instance(text: str) -> Instance:
+    n = k = None
+    terminals: frozenset[int] | None = None
+    # The arc lines are checked together once the line loop ends, or when
+    # it stops at an error, so that an earlier arc line's error wins.
+    arc_lines: list[int] = []
+    arc_ends: list[str] = []
+    last = 0
+    try:
+        for number, fields in _tokens(text):
+            last = number
+            kind = fields[0]
+            if kind == "a":
+                if n is None:
+                    raise InstanceFormatError(number, "arc line before the problem line")
+                if len(fields) != 3:
+                    raise InstanceFormatError(number, "arc line must read `a <u> <v>`")
+                arc_lines.append(number)
+                arc_ends += fields[1:]
+            elif kind == "p":
+                if n is not None:
+                    raise InstanceFormatError(number, "second problem line")
+                if len(fields) != 4 or fields[1] != "sfast":
+                    raise InstanceFormatError(number, "problem line must read `p sfast <n> <k>`")
+                n, k = _ints(number, fields[2:])
+                if n < 0:
+                    raise InstanceFormatError(number, "negative vertex count")
+            elif kind == "s":
+                if n is None:
+                    raise InstanceFormatError(number, "terminal line before the problem line")
+                if terminals is not None:
+                    raise InstanceFormatError(number, "second terminal line")
+                listed = _ints(number, fields[1:])
+                for v in listed:
+                    if not 0 <= v < n:
+                        raise InstanceFormatError(number, f"terminal {v} out of range")
+                if len(set(listed)) != len(listed):
+                    raise InstanceFormatError(number, "terminal listed twice")
+                terminals = frozenset(listed)
+            else:
+                raise InstanceFormatError(number, f"unknown line type {kind!r}")
+        if n is None:
+            raise InstanceFormatError(last + 1, "missing problem line")
+        if terminals is None:
+            raise InstanceFormatError(last + 1, "missing terminal line")
+    except InstanceFormatError:
+        if arc_lines:
+            _arc_arrays(n, arc_lines, arc_ends)
+        raise
+    tails, heads = _arc_arrays(n, arc_lines, arc_ends)
+    if len(arc_lines) != n * (n - 1) // 2:
+        raise InstanceFormatError(
+            last + 1,
+            f"{len(arc_lines)} arcs given, a tournament on {n} vertices has {n * (n - 1) // 2}",
+        )
+    adj = np.zeros((n, n), dtype=bool)
+    adj[tails, heads] = True
+    return Instance(Tournament(adj), terminals, k)
+
+
+def _arc_arrays(n: int, lines: list[int], ends: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The tails and heads of the arc lines, whose fields ``ends`` holds
+    flat. Raises for the first line that is not two integers, names a bad
+    arc, or orients a pair a second time."""
+    values: list[int] = []
+    try:
+        values.extend(map(int, ends))
+    except ValueError:
+        pass
+    # `values` stops at the first field that is no integer; the lines before
+    # that one are checked as arrays.
+    good = len(values) // 2
+    ints = values[: 2 * good]
+    try:
+        pairs = np.array(ints, dtype=np.int64).reshape(good, 2)
+    except OverflowError:
+        pairs = np.array([x if 0 <= x < n else -1 for x in ints], dtype=np.int64)
+        pairs = pairs.reshape(good, 2)
+    tails, heads = pairs[:, 0], pairs[:, 1]
+    bad = (pairs < 0).any(axis=1) | (pairs >= n).any(axis=1) | (tails == heads)
+    lo, hi = np.minimum(tails, heads), np.maximum(tails, heads)
+    order = np.lexsort((np.arange(good), hi, lo))
+    repeat = np.zeros(good, dtype=bool)
+    repeat[order[1:]] = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
+    failing = np.flatnonzero(bad | repeat)
+    first = int(failing[0]) if failing.size else good
+    if first == len(lines):
+        return tails, heads
+    number = lines[first]
+    if first == good:
+        _ints(number, ends[2 * first : 2 * first + 2])
+    u, v = ints[2 * first : 2 * first + 2]
+    if bad[first]:
+        raise InstanceFormatError(number, f"bad arc ({u}, {v})")
+    raise InstanceFormatError(number, f"pair {{{u}, {v}}} oriented twice")
+
+
+def reference_serialize_instance(instance: Instance) -> str:
+    lines = [f"p sfast {instance.n} {instance.k}"]
+    lines.append(" ".join(["s", *map(str, sorted(instance.terminals))]).rstrip())
+    lines.extend(f"a {u} {v}" for u, v in instance.tournament.arcs())
+    return "\n".join(lines) + "\n"
+
 
 def interleavings(sequences):
     """Every merge of the given sequences that keeps each one in order."""

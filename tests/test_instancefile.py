@@ -1,8 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from families import random_tournament
+from reference import reference_parse_instance, reference_serialize_instance
 from sfast.graphs import Instance
 from sfast.instancefile import (
     InstanceFormatError,
@@ -11,6 +14,7 @@ from sfast.instancefile import (
     serialize_instance,
     serialize_solution,
 )
+from sfast.oracle import GeneratorSpec, generate_planted
 
 SAMPLE = """\
 c a three vertex cycle with one terminal
@@ -35,8 +39,6 @@ def test_parse_sample_with_comments_and_blanks():
 @given(n=st.integers(0, 8), seed=st.integers(0, 10**6), k=st.integers(-1, 5))
 @settings(max_examples=60, deadline=None)
 def test_round_trip_preserves_everything(n, seed, k):
-    import random
-
     rng = random.Random(seed)
     t = random_tournament(n, seed) if n else parse_instance("p sfast 0 0\ns\n").tournament
     terminals = frozenset(v for v in range(n) if rng.random() < 0.5)
@@ -72,6 +74,7 @@ def test_empty_terminal_line_round_trips():
         ("", 1, "missing problem line"),
         ("p sfast 2 1\na 0 1\n", 3, "missing terminal line"),
         ("p sfast -1 0\ns\n", 1, "negative"),
+        ("p sfast 99999999999999999999 0\ns\na 0 99999999999999999998\n", 3, "bad arc"),
     ],
 )
 def test_errors_carry_line_numbers(text, line, fragment):
@@ -131,3 +134,105 @@ def test_the_first_offending_line_wins(text, line, fragment):
         parse_instance(text)
     assert info.value.line == line
     assert fragment in str(info.value)
+
+
+BREAKS = ("\n", "\r\n", "\r", "\v", "\x1c")
+BLANKS = (" ", "\t", "\x1f", "\xa0", "  ", " \t ")
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def respelled(token: str, rng, huge: bool) -> str:
+    """The same integer spelt another way, no integer, or (when ``huge``) a
+    number of 20 or more digits."""
+    choice = rng.randrange(7 if huge else 6)
+    if choice == 0:
+        return "+" + token
+    if choice == 1:
+        return token[:1] + "_" + token[1:] if len(token) > 1 else "0_" + token
+    if choice == 2:
+        return token.translate(ARABIC_INDIC)
+    if choice == 3:
+        return "0" * rng.randrange(1, 4) + token
+    if choice == 4:
+        return "0" * 20 + token
+    if choice == 5:
+        return rng.choice(["x", "1.0", "--1", "0x1"])
+    return str(rng.randrange(10**19, 10**21))
+
+
+def mutated(text: str, rng) -> str:
+    lines = text.splitlines()
+    for _ in range(rng.randrange(1, 4)):
+        i = rng.randrange(len(lines) + 1)
+        op = rng.randrange(9)
+        if op == 0 and i < len(lines):
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 1 and i < len(lines):
+            lines.insert(i, lines[i])
+        elif op == 2 and i < len(lines):
+            del lines[i]
+        elif op == 3:
+            arcs = [line for line in lines if line.startswith("a")]
+            if arcs:
+                lines.insert(0, rng.choice(arcs))
+        elif op == 4:
+            lines.insert(i, rng.choice(["c a comment", "", "   ", "c", "\t", "ca 1 2"]))
+        elif op in (5, 6) and i < len(lines):
+            fields = lines[i].split(" ")
+            numbers = [j for j, f in enumerate(fields) if j and f.lstrip("-").isdigit()]
+            if numbers:
+                j = rng.choice(numbers)
+                # A vertex count past int64 is left out: the line-at-a-time
+                # parser overflows on it.
+                fields[j] = respelled(fields[j], rng, fields[0] != "p")
+            lines[i] = " ".join(fields)
+        elif i < len(lines):
+            fields = lines[i].split()
+            blank = "".join(rng.choice(BLANKS) for _ in range(rng.randrange(1, 3)))
+            edge = rng.choice(["", "", " ", "\t", "\xa0"])
+            lines[i] = (edge if op == 7 else "") + blank.join(fields) + edge
+    breaks = [rng.choice(BREAKS) for _ in lines]
+    if breaks and rng.random() < 0.3:
+        breaks[-1] = ""
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def parsed(parse, text):
+    """The instance a file holds, or the line and message of its error."""
+    try:
+        return parse(text)
+    except InstanceFormatError as error:
+        return error.line, str(error)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_matches_the_line_at_a_time_reference_on_mutated_files(seed):
+    rng = random.Random(seed)
+    kinds = set()
+    for _ in range(250):
+        n = rng.randrange(0, 7)
+        terminals = frozenset(v for v in range(n) if rng.random() < 0.4)
+        instance = Instance(random_tournament(n, rng.randrange(2**30)), terminals, rng.randrange(-1, 5))
+        text = mutated(serialize_instance(instance), rng)
+        got = parsed(parse_instance, text)
+        assert got == parsed(reference_parse_instance, text), repr(text)
+        kinds.add(type(got))
+    assert kinds == {Instance, tuple}
+
+
+@pytest.mark.parametrize("n, s_count", [(50, 6), (150, 10), (1000, 10)])
+def test_parse_matches_the_reference_on_planted_files(n, s_count):
+    instance, _ = generate_planted(GeneratorSpec(n, s_count, 0, planted_k=3))
+    text = serialize_instance(instance)
+    assert parse_instance(text) == reference_parse_instance(text) == instance
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_serialize_matches_the_arc_at_a_time_reference(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(0, 41)
+    t = random_tournament(n, seed) if n else parse_instance("p sfast 0 0\ns\n").tournament
+    for terminals in (frozenset(), frozenset(rng.sample(range(n), rng.randrange(n + 1)))):
+        instance = Instance(t, terminals, rng.randrange(-1, 9))
+        assert serialize_instance(instance) == reference_serialize_instance(instance)

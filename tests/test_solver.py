@@ -29,7 +29,8 @@ from sfast.graphs import (
     s_backward_arcs,
     verify_solution,
 )
-from sfast.kernel import conflict_packing, kernelize
+import sfast.solver
+from sfast.kernel import ConflictPacking, conflict_packing, kernelize, lift_solution
 from sfast.oracle import GeneratorSpec, generate_planted, generate_random, oracle_min_deletion
 from sfast.solver import (
     ContractedTournament,
@@ -45,6 +46,7 @@ from sfast.solver import (
     solve,
     solve_contracted,
     solve_report,
+    _labeled_backward_arcs,
     _ordering_bound,
 )
 
@@ -632,6 +634,84 @@ class TestSolveReport:
         instance, _ = generate_planted(spec)
         config = SolverConfig(seed=4)
         assert solve(instance, config) == solve_report(instance, config).solution
+
+
+def packing_of_size(size):
+    return ConflictPacking(((0, 1, 2),) * size, frozenset(), frozenset())
+
+
+def bounds_with_both_packings_first(instance, kr, packing):
+    """The bound phase with the larger of the input's and the kernel's
+    packing bounds taken before the ordering bound: (solution, certified),
+    or None when the trials would run."""
+    kernel = kr.kernel
+    offset = instance.k - kernel.k
+    lower = max(
+        len(packing(instance.tournament, instance.terminals).triangles),
+        offset + len(packing(kernel.tournament, kernel.terminals).triangles),
+    )
+    if lower > instance.k:
+        return None, True
+    count, order = _ordering_bound(kernel, lower - offset)
+    if count <= kernel.k:
+        best = lift_solution(instance, kr.trace, _labeled_backward_arcs(kernel, order, count))
+        if len(best) <= lower:
+            return best, True
+    return None
+
+
+class TestPackingOnDemand:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_kernel_instances_pack_only_the_kernel(self, seed, monkeypatch):
+        instance, _ = generate_planted(GeneratorSpec(150, 10, seed, planted_k=3))
+        packed = []
+
+        def recording(t, terminals):
+            packed.append(t)
+            return conflict_packing(t, terminals)
+
+        monkeypatch.setattr(sfast.solver, "conflict_packing", recording)
+        report = solve_report(instance)
+        assert report.certified and report.trials == 0
+        # Seed 0's kernel is terminal-acyclic already, which needs no bound.
+        kernel = report.kernel.kernel
+        acyclic = is_s_acyclic(kernel.tournament, kernel.terminals)
+        assert acyclic == (seed == 0)
+        assert [t is kernel.tournament for t in packed] == ([] if acyclic else [True])
+
+    @pytest.mark.parametrize("input_size, targets", [(4, [0]), (3, [0, 1])])
+    def test_a_larger_input_packing_refutes_or_reruns_the_ordering_bound(
+        self, input_size, targets, monkeypatch
+    ):
+        # Kernel k' = 1 at k = 3 (offset 2), optimum 3. An empty kernel
+        # packing leaves the bound at 2, which the ordering bound, run to
+        # target 0, cannot meet; so the input's packing runs, and its size
+        # decides.
+        instance, _ = generate_planted(GeneratorSpec(150, 10, 1, planted_k=3))
+
+        def packing(t, terminals):
+            return packing_of_size(input_size if t is instance.tournament else 0)
+
+        ran = []
+
+        def recording(kernel, target):
+            ran.append(target)
+            return _ordering_bound(kernel, target)
+
+        monkeypatch.setattr(sfast.solver, "conflict_packing", packing)
+        monkeypatch.setattr(sfast.solver, "_ordering_bound", recording)
+        report = solve_report(instance)
+        assert instance.k - report.kernel.kernel.k == 2
+        assert ran == targets
+        assert report.trials == 0
+        assert (report.solution, report.certified) == bounds_with_both_packings_first(
+            instance, report.kernel, packing
+        )
+        if input_size > instance.k:
+            assert report.solution is None
+        else:
+            assert report.size == 3
+            assert verify_solution(instance, report.solution, "reversal")
 
 
 class TestAgainstOracleSweep:
