@@ -37,15 +37,37 @@ than k core vertices y' that v beats. If Z -> s and s -> Y, then y is in
 Z's r_less, as a source into v would make v relevant, and s -> y -> z -> s
 for the more than k core vertices z of Z that y beats. Either way one arc
 lies on more than k terminal triangles, but rule 3 was exhausted before
-the deletion. So each such decomposition is carried over as it is, and
-only the class that lost v is decomposed afresh. Any other applied rule
-or arc swap drops the state, and the next step runs every rule.
+the deletion. So each such decomposition is carried over as it is, less
+v's column.
+
+Z itself is decomposed afresh only when the deletion crosses a degree
+threshold. Its decomposition keeps, for every vertex, the class members
+beating it, the class members it beats and the core members beating it
+(see ClassDecomposition). Deleting v, a core member, takes one from the
+first and the third count of every vertex that v beats and one from the
+second count of every other vertex, and the seven degree-derived sets,
+z_prime to r_greater_tilde, follow again from these counts. When none of
+them changes, Z's decomposition is carried less v and is settled; its
+relevant core stands as well. The core, the sinks (z_minus and r_less)
+and the sources (z_plus and r_greater) are the same vertices, with the same
+arcs among them, and v was irrelevant: it beat no sink, and no source beat
+it. The core in-degrees stay exact, as the core lost only v.
+
+Rule 8's swap search is skipped when it would run on a settled class. The
+search of the step that deleted v found no swap on Z; it ran there, or Z
+was settled then too. Nor did v lie on either side set, the core members
+that beat a sink or that a source beats. So the side sets, their k+1
+smallest members (the anchors) and the rest (the far members) are the
+same, with the same arcs to the same pivots, and the search would again
+find nothing. The relevant core is unchanged as well, so its 2k+2 bound
+holds. Any other applied rule or arc swap drops the state, and the next
+step runs every rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -149,7 +171,21 @@ class BipartiteConflictGraph:
     edges: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+# The rows of `ClassDecomposition.masks`, one per vertex set.
+_Z, _S1, _S2, _PRIME, _MINUS, _PLUS, _R_LESS, _R_GREATER = range(8)
+_R_LESS_TILDE, _R_GREATER_TILDE, _RELEVANT, _IRRELEVANT = range(8, 12)
+# z_prime to r_greater_tilde: the rows that follow from the degree counts.
+_DEGREE_ROWS = slice(_PRIME, _RELEVANT)
+# The rows of `ClassDecomposition.counts`.
+_IN, _OUT, _CORE_IN = range(3)
+
+
+def _row_view(row: int) -> property:
+    """One row of `ClassDecomposition.masks`, read as a vertex set."""
+    return property(lambda self: frozenset(np.flatnonzero(self.masks[row]).tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class ClassDecomposition:
     """Degree-based split of one equivalence class and its surroundings.
 
@@ -160,20 +196,52 @@ class ClassDecomposition:
     variants additionally touch z_prime. z_relevant are the z_prime vertices
     adjacent to low-degree material in the wrong direction; z_irrelevant the
     remainder, candidates for deletion.
+
+    ``masks`` holds the twelve sets as one read-only (12, n) boolean matrix
+    over the instance's vertices, a row per set in the order above, and
+    each set reads as a frozenset under its own name (``dec.z_prime``). Two
+    decompositions are equal, and hash alike, when their masks are equal.
+    ``counts`` takes no part in equality: a read-only (3, n) integer matrix
+    whose rows give, for every vertex, the class members beating it, the
+    class members it beats, and the z_prime vertices beating it. For a
+    member the first two are its in-class in- and out-degree, and for an
+    outside vertex the third is its in-degree from the core, so the seven
+    rows z_prime to r_greater_tilde follow from the counts, given the class
+    and its terminals.
     """
 
-    z: frozenset[int]
-    s1: frozenset[int]
-    s2: frozenset[int]
-    z_prime: frozenset[int]
-    z_minus: frozenset[int]
-    z_plus: frozenset[int]
-    r_less: frozenset[int]
-    r_greater: frozenset[int]
-    r_less_tilde: frozenset[int]
-    r_greater_tilde: frozenset[int]
-    z_relevant: frozenset[int]
-    z_irrelevant: frozenset[int]
+    masks: np.ndarray
+    counts: np.ndarray = field(compare=False, repr=False)
+
+    z = _row_view(_Z)
+    s1 = _row_view(_S1)
+    s2 = _row_view(_S2)
+    z_prime = _row_view(_PRIME)
+    z_minus = _row_view(_MINUS)
+    z_plus = _row_view(_PLUS)
+    r_less = _row_view(_R_LESS)
+    r_greater = _row_view(_R_GREATER)
+    r_less_tilde = _row_view(_R_LESS_TILDE)
+    r_greater_tilde = _row_view(_R_GREATER_TILDE)
+    z_relevant = _row_view(_RELEVANT)
+    z_irrelevant = _row_view(_IRRELEVANT)
+
+    def __post_init__(self) -> None:
+        self.masks.flags.writeable = False
+        self.counts.flags.writeable = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClassDecomposition):
+            return NotImplemented
+        return np.array_equal(self.masks, other.masks)
+
+    def __hash__(self) -> int:
+        return hash(self.masks.tobytes())
+
+    @property
+    def size(self) -> int:
+        """The number of class members."""
+        return np.count_nonzero(self.masks[_Z])
 
 
 @dataclass(frozen=True)
@@ -573,99 +641,93 @@ def rr6_many_types(
     return _outcome("rr6", STATUS_NOT_APPLICABLE, instance)
 
 
-def class_decomposition(instance: Instance, members: Sequence[int]) -> ClassDecomposition:
-    """Degree decomposition of one class; see ClassDecomposition.
+def _split_class(
+    z: np.ndarray, indeg: np.ndarray, outdeg: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """z_prime, z_minus and z_plus from the in-class degrees."""
+    prime = z & (indeg >= k + 1) & (outdeg >= k + 1)
+    fringe = z & ~prime
+    minus = fringe & (indeg <= k)
+    plus = fringe & (outdeg <= k)
+    if (minus & plus).any():
+        raise InternalInvariantError("low in- and out-degree overlap in the class")
+    if np.count_nonzero(fringe) > 4 * k + 2:
+        raise InternalInvariantError("low-degree fringe exceeds 4k+2")
+    return prime, minus, plus
+
+
+def _split_outside(
+    rest: np.ndarray, core_in: np.ndarray, core_size: int, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """r_less, r_greater, r_less_tilde and r_greater_tilde from the core
+    in-degrees. An outside vertex beats every core vertex that does not
+    beat it, so its out-degree into the core is the core size less its
+    in-degree."""
+    core_out = core_size - core_in
+    high_in = core_in >= k + 1
+    high_out = core_out >= k + 1
+    if (rest & high_in & high_out).any():
+        raise InternalInvariantError("outside vertex with high degree both ways")
+    if (rest & ~high_in & ~high_out).any():
+        raise InternalInvariantError("outside vertex with low degree both ways")
+    r_less, r_greater = rest & ~high_in, rest & high_in
+    return r_less, r_greater, r_less & (core_in >= 1), r_greater & (core_out >= 1)
+
+
+def class_decomposition(instance: Instance, members: Iterable[int]) -> ClassDecomposition:
+    """Degree decomposition of one class of distinct members; see
+    ClassDecomposition.
 
     Requires a class of size at least 6k+6 with rules 1-3 exhausted; under
     those preconditions the mixed in/out categories outside the class are
     provably empty and the low-degree fringe has at most 4k+2 vertices, both
     of which are asserted.
     """
-    t, terminals, k = instance.tournament, instance.terminals, instance.k
-    z_list = sorted(int(v) for v in members)
-    if len(z_list) < decomposition_class_size(k):
+    t, k = instance.tournament, instance.k
+    z_idx = np.fromiter(members, dtype=np.intp)
+    if z_idx.size < decomposition_class_size(k):
         raise ValueError("class too small for the degree decomposition")
-    z_arr = np.array(z_list)
-    term_sorted = sorted(terminals)
-    if term_sorted:
-        type_cols = t.adj[term_sorted][:, z_arr]
-        if not (type_cols == type_cols[:, :1]).all():
-            raise ValueError("members do not share a terminal in-neighbourhood")
-        s1 = frozenset(s for i, s in enumerate(term_sorted) if type_cols[i, 0])
-    else:
-        s1 = frozenset()
-    s2 = frozenset(terminals) - s1
+    term = _term_mask(t.n, instance.terminals)
+    type_cols = t.adj[term][:, z_idx]
+    if not (type_cols == type_cols[:, :1]).all():
+        raise ValueError("members do not share a terminal in-neighbourhood")
+    s1 = term & t.adj[:, z_idx[0]]
+    z = np.zeros(t.n, dtype=bool)
+    z[z_idx] = True
 
-    inside = t.adj[z_arr][:, z_arr]
-    indeg = inside.sum(axis=0)
-    outdeg = inside.sum(axis=1)
-    prime_mask = (indeg >= k + 1) & (outdeg >= k + 1)
-    minus_mask = ~prime_mask & (indeg <= k)
-    plus_mask = ~prime_mask & (outdeg <= k)
-    if (minus_mask & plus_mask).any():
-        raise InternalInvariantError("low in- and out-degree overlap in the class")
-    fringe = int((~prime_mask).sum())
-    if fringe > 4 * k + 2:
-        raise InternalInvariantError("low-degree fringe exceeds 4k+2")
+    # In a tournament a member beats the members other than itself that do
+    # not beat it, and an outside vertex every member that does not beat it.
+    indeg = t.adj[z_idx].sum(axis=0)
+    outdeg = z_idx.size - indeg - z
+    prime, minus, plus = _split_class(z, indeg, outdeg, k)
 
-    z_prime = [z_list[i] for i in np.flatnonzero(prime_mask)]
-    z_minus = [z_list[i] for i in np.flatnonzero(minus_mask)]
-    z_plus = [z_list[i] for i in np.flatnonzero(plus_mask)]
+    core_rows = t.adj[prime]
+    core_in = core_rows.sum(axis=0)
+    r_sets = _split_outside(~term & ~z, core_in, core_rows.shape[0], k)
 
-    rest_mask = ~_term_mask(t.n, terminals)
-    rest_mask[z_arr] = False
-    rest = np.flatnonzero(rest_mask)
-    zp_arr = np.array(z_prime, dtype=int)
-    # Submatrices are taken rows first, then columns: numpy gathers that
-    # way several times faster than through np.ix_. An outside vertex beats
-    # every core vertex that does not beat it, so its out-degree into the
-    # core is the core size less its in-degree.
-    into = t.adj[zp_arr].sum(axis=0)[rest]
-    out = zp_arr.size - into
-    high_in = into >= k + 1
-    high_out = out >= k + 1
-    if (high_in & high_out).any():
-        raise InternalInvariantError("outside vertex with high degree both ways")
-    if (~high_in & ~high_out).any():
-        raise InternalInvariantError("outside vertex with low degree both ways")
-    r_less = rest[~high_in].tolist()
-    r_greater = rest[high_in].tolist()
-    r_less_tilde = rest[~high_in & (into >= 1)].tolist()
-    r_greater_tilde = rest[high_in & (out >= 1)].tolist()
-
-    relevant = np.zeros(zp_arr.size, dtype=bool)
-    sinks, sources = z_minus + r_less, z_plus + r_greater
-    if zp_arr.size and sinks:
-        relevant |= t.adj[zp_arr][:, sinks].any(axis=1)
-    if zp_arr.size and sources:
-        relevant |= t.adj[sources][:, zp_arr].any(axis=0)
-    return ClassDecomposition(
-        z=frozenset(z_list),
-        s1=s1,
-        s2=s2,
-        z_prime=frozenset(z_prime),
-        z_minus=frozenset(z_minus),
-        z_plus=frozenset(z_plus),
-        r_less=frozenset(r_less),
-        r_greater=frozenset(r_greater),
-        r_less_tilde=frozenset(r_less_tilde),
-        r_greater_tilde=frozenset(r_greater_tilde),
-        z_relevant=frozenset(zp_arr[relevant].tolist()),
-        z_irrelevant=frozenset(zp_arr[~relevant].tolist()),
+    # A core vertex is relevant when it beats a sink or a source beats it.
+    sinks, sources = minus | r_sets[0], plus | r_sets[1]
+    relevant = prime & t.adj[sources].any(axis=0)
+    relevant[prime] |= (core_rows & sinks).any(axis=1)
+    masks = np.stack(
+        (z, s1, term & ~s1, prime, minus, plus, *r_sets, relevant, prime & ~relevant)
     )
+    return ClassDecomposition(masks, np.stack((indeg, outdeg, core_in)))
 
 
 def rr7_wrong_arcs(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
     """Too many outside vertices with wrong-direction arcs into the core."""
     k = instance.k
-    if len(dec.r_less_tilde) > k or len(dec.r_greater_tilde) > k:
+    r_less_tilde = np.count_nonzero(dec.masks[_R_LESS_TILDE])
+    r_greater_tilde = np.count_nonzero(dec.masks[_R_GREATER_TILDE])
+    if r_less_tilde > k or r_greater_tilde > k:
         return _outcome(
             "rr7",
             STATUS_TRIVIAL_NO,
             instance,
             note="wrong-direction fringe exceeds budget",
-            r_less_tilde=len(dec.r_less_tilde),
-            r_greater_tilde=len(dec.r_greater_tilde),
+            r_less_tilde=r_less_tilde,
+            r_greater_tilde=r_greater_tilde,
         )
     return _outcome("rr7", STATUS_NOT_APPLICABLE, instance)
 
@@ -676,41 +738,37 @@ def _find_swap(
     """First normalization swap, or None: ((q, z), (z, p), z) with q, p in the
     relevant core and z a low-degree pivot whose core arcs point the wrong way.
     """
-    t, k = instance.tournament, instance.k
+    t, k, masks = instance.tournament, instance.k, dec.masks
 
-    sinks = sorted(dec.z_minus | dec.r_less)
-    sources = sorted(dec.z_plus | dec.r_greater)
-    zp = sorted(dec.z_prime)
+    sinks = np.flatnonzero(masks[_MINUS] | masks[_R_LESS])
+    sources = np.flatnonzero(masks[_PLUS] | masks[_R_GREATER])
+    zp = np.flatnonzero(masks[_PRIME])
 
-    if zp and sinks:
-        side1 = [zp[i] for i in np.flatnonzero(t.adj[zp][:, sinks].any(axis=1))]
-        anchors = side1[: k + 1]
-        far = set(side1[k + 1 :])
-        if far:
-            for v in sinks:
-                ins = sorted(u for u in far if t.adj[u, v])
-                if not ins:
+    if zp.size and sinks.size:
+        side1 = zp[t.adj[zp][:, sinks].any(axis=1)]
+        anchors, far = side1[: k + 1], side1[k + 1 :]
+        if far.size:
+            for v in sinks.tolist():
+                ins = far[t.adj[far, v]]
+                if not ins.size:
                     continue
-                u = ins[0]
-                outs = [w for w in anchors if t.adj[v, w]]
-                if not outs:
+                outs = anchors[t.adj[v, anchors]]
+                if not outs.size:
                     raise InternalInvariantError("pivot dominates every anchor")
-                return ((u, v), (v, outs[0]), v)
+                return ((int(ins[0]), v), (v, int(outs[0])), v)
 
-    if zp and sources:
-        side2 = [zp[i] for i in np.flatnonzero(t.adj[sources][:, zp].any(axis=0))]
-        anchors = side2[: k + 1]
-        far = set(side2[k + 1 :])
-        if far:
-            for v in sources:
-                outs = sorted(u for u in far if t.adj[v, u])
-                if not outs:
+    if zp.size and sources.size:
+        side2 = zp[t.adj[sources][:, zp].any(axis=0)]
+        anchors, far = side2[: k + 1], side2[k + 1 :]
+        if far.size:
+            for v in sources.tolist():
+                outs = far[t.adj[v, far]]
+                if not outs.size:
                     continue
-                u = outs[0]
-                ins = [w for w in anchors if t.adj[w, v]]
-                if not ins:
+                ins = anchors[t.adj[anchors, v]]
+                if not ins.size:
                     raise InternalInvariantError("pivot dominated by every anchor")
-                return ((ins[0], v), (v, u), v)
+                return ((int(ins[0]), v), (v, int(outs[0])), v)
 
     return None
 
@@ -727,8 +785,8 @@ def arc_swap_normalize(
     provably terminates; a generous cap guards that argument.
     """
     k = instance.k
-    members = sorted(dec.z)
-    if len(members) < deletion_class_size(k):
+    members = np.flatnonzero(dec.masks[_Z])
+    if members.size < deletion_class_size(k):
         raise ValueError("normalization expects a deletable-size class")
     records: list[RuleOutcome] = []
     cap = 4 * (instance.n + 2) ** 3 + 64
@@ -754,7 +812,7 @@ def arc_swap_normalize(
         dec = class_decomposition(instance, members)
     else:
         raise InternalInvariantError("swap loop exceeded its certified bound")
-    if len(dec.z_relevant) > 2 * k + 2:
+    if np.count_nonzero(dec.masks[_RELEVANT]) > 2 * k + 2:
         raise InternalInvariantError("relevant core still exceeds 2k+2 after swaps")
     return instance, dec, tuple(records)
 
@@ -762,11 +820,12 @@ def arc_swap_normalize(
 def rr8_irrelevant_vertex(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
     """Delete the smallest vertex of the irrelevant core of a large class."""
     k = instance.k
-    if len(dec.z) < deletion_class_size(k):
+    if dec.size < deletion_class_size(k):
         return _outcome("rr8", STATUS_NOT_APPLICABLE, instance, note="class within bound")
-    if not dec.z_irrelevant:
+    irrelevant = dec.masks[_IRRELEVANT]
+    if not irrelevant.any():
         raise InternalInvariantError("large class with empty irrelevant core")
-    v = min(dec.z_irrelevant)
+    v = int(irrelevant.argmax())
     nxt = _delete_vertex(instance, v)
     return _outcome(
         "rr8",
@@ -789,29 +848,57 @@ def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
 
 # -- Driver ------------------------------------------------------------------
 
-# The state one step hands the next, for the instance left by a rule-8
-# deletion without arc swaps: that instance's big classes, decomposed and
-# ordered by their smallest member.
-_Carry = tuple[ClassDecomposition, ...]
+class _Carry(NamedTuple):
+    """The state one step hands the next, for the instance left by a rule-8
+    deletion without arc swaps: that instance's big classes, decomposed and
+    ordered by their smallest member, and the decomposition of the class
+    that lost a vertex when none of its degree-derived rows changed (else
+    None)."""
+
+    decs: tuple[ClassDecomposition, ...]
+    settled: Optional[ClassDecomposition]
 
 
-def _shift(vs: frozenset[int], v: int) -> frozenset[int]:
-    """The vertex set with v deleted and the indices above v moved down."""
-    return frozenset(x - (x > v) for x in vs if x != v)
+def _drop_column(a: np.ndarray, v: int) -> np.ndarray:
+    """A copy of the 2-D array a without column v."""
+    return np.concatenate((a[:, :v], a[:, v + 1 :]), axis=1)
 
 
 def _carry_past(
-    instance: Instance, decs: Sequence[ClassDecomposition], touched: ClassDecomposition, v: int
+    before: Instance,
+    after: Instance,
+    decs: Sequence[ClassDecomposition],
+    touched: ClassDecomposition,
+    v: int,
 ) -> _Carry:
-    """The state for `instance`, obtained by deleting vertex v of the class
-    `touched` from the instance that `decs` decompose."""
-    carried = [
-        class_decomposition(instance, sorted(_shift(dec.z, v)))
-        if dec is touched
-        else ClassDecomposition(*(_shift(getattr(dec, f.name), v) for f in fields(dec)))
-        for dec in decs
-    ]
-    return tuple(sorted(carried, key=lambda dec: min(dec.z)))
+    """The state for `after`, obtained by deleting vertex v of the class
+    `touched` from `before`, which `decs` decompose."""
+    carried, settled = [], None
+    for dec in decs:
+        masks, counts = _drop_column(dec.masks, v), _drop_column(dec.counts, v)
+        if dec is not touched:
+            carried.append(ClassDecomposition(masks, counts))
+            continue
+        # v leaves the class and its core: the vertices it beats lose a
+        # class and a core in-neighbour, the others a class out-neighbour.
+        row = before.tournament.adj[v]
+        beaten = np.concatenate((row[:v], row[v + 1 :]))
+        counts[_IN] -= beaten
+        counts[_OUT] -= ~beaten
+        counts[_CORE_IN] -= beaten
+        z = masks[_Z]
+        prime, minus, plus = _split_class(z, counts[_IN], counts[_OUT], after.k)
+        if np.array_equal(prime, masks[_PRIME]):
+            rest = ~(masks[_S1] | masks[_S2] | z)
+            rows = (prime, minus, plus)
+            rows += _split_outside(rest, counts[_CORE_IN], np.count_nonzero(prime), after.k)
+            if np.array_equal(np.stack(rows), masks[_DEGREE_ROWS]):
+                settled = ClassDecomposition(masks, counts)
+                carried.append(settled)
+                continue
+        carried.append(class_decomposition(after, np.flatnonzero(z)))
+    carried.sort(key=lambda dec: int(dec.masks[_Z].argmax()))
+    return _Carry(tuple(carried), settled)
 
 
 def _step(
@@ -823,7 +910,8 @@ def _step(
 
     Rules 6 to 8 share one classification; their step returns the arc swaps
     followed by the rule-8 deletion. With a carried state, rules 1 to 6 are
-    known not to apply and are skipped.
+    known not to apply and are skipped, and so is the swap search when the
+    class it would run on is the carried state's settled one.
     """
     k = instance.k
     if carry is None:
@@ -846,22 +934,25 @@ def _step(
         )
         decs: Sequence[ClassDecomposition] = [class_decomposition(instance, vs) for vs in big]
     else:
-        decs = carry
+        decs = carry.decs
     for dec in decs:
         out = rr7_wrong_arcs(instance, dec)
         if out.status != STATUS_NOT_APPLICABLE:
             return (out,), None
 
-    deletable = [dec for dec in decs if len(dec.z) >= deletion_class_size(k)]
+    deletable = [dec for dec in decs if dec.size >= deletion_class_size(k)]
     if deletable:
-        swapped, dec, swaps = arc_swap_normalize(instance, deletable[0])
+        if carry is not None and deletable[0] is carry.settled:
+            swapped, dec, swaps = instance, deletable[0], ()
+        else:
+            swapped, dec, swaps = arc_swap_normalize(instance, deletable[0])
         out = rr8_irrelevant_vertex(swapped, dec)
         if out.status != STATUS_APPLIED:
             raise InternalInvariantError("deletable class but rule 8 balked")
         if swaps:
             return swaps + (out,), None
         v = instance.tournament.labels.index(out.detail["deleted"][0])
-        return (out,), _carry_past(out.next, decs, deletable[0], v)
+        return (out,), _carry_past(instance, out.next, decs, deletable[0], v)
 
     out = rr9_vertex_bound(instance)
     return (() if out.status == STATUS_NOT_APPLICABLE else (out,)), None
@@ -893,12 +984,17 @@ def kernelize(instance: Instance) -> KernelResult:
 
 
 def _to_indices(instance: Instance, labeled: Iterable[tuple[int, int]]) -> list[Arc]:
-    index = instance.tournament.index_of()
+    # A solution names few labels, so searching the label tuple for each
+    # beats building the whole label-to-index map at every lift step.
+    labels = instance.tournament.labels
     out = []
     for lu, lv in labeled:
-        if lu not in index or lv not in index:
-            raise InternalInvariantError(f"lifted arc ({lu}, {lv}) names a deleted vertex")
-        out.append((index[lu], index[lv]))
+        try:
+            out.append((labels.index(lu), labels.index(lv)))
+        except ValueError:
+            raise InternalInvariantError(
+                f"lifted arc ({lu}, {lv}) names a deleted vertex"
+            ) from None
     return out
 
 

@@ -11,6 +11,10 @@ of a class decomposition into the four r-sets one at a time, and
 at a time; the kernel computes all three with whole-array passes and must
 agree with these loops.
 
+`reference_class_decomposition` builds a class decomposition from sorted
+vertex lists and frozensets, the form the kernel kept before its masks; the
+mask-backed one must give the same twelve sets and raise the same errors.
+
 `reference_minimalize_solution` is the lift's greedy prune with one Tarjan
 pass over the whole pruned digraph per solution arc; the reachability
 searches of `minimalize_solution` must return the same arc set.
@@ -46,7 +50,13 @@ from sfast.graphs import (
     is_s_acyclic,
 )
 from sfast.instancefile import InstanceFormatError
-from sfast.kernel import STATUS_APPLIED, KernelResult, _step
+from sfast.kernel import (
+    STATUS_APPLIED,
+    KernelResult,
+    _step,
+    _term_mask,
+    decomposition_class_size,
+)
 from sfast.solver import _LATTICE_CAP, SolverScaleError
 
 
@@ -119,6 +129,89 @@ def reference_outside_split(instance, z_list, z_prime):
             if out >= 1:
                 r_greater_tilde.append(v)
     return r_less, r_greater, r_less_tilde, r_greater_tilde
+
+
+def reference_class_decomposition(instance, members) -> dict[str, frozenset[int]]:
+    """The frozenset class decomposition, field name to vertex set; see
+    `ClassDecomposition`.
+
+    Requires a class of size at least 6k+6 with rules 1-3 exhausted; under
+    those preconditions the mixed in/out categories outside the class are
+    provably empty and the low-degree fringe has at most 4k+2 vertices, both
+    of which are asserted.
+    """
+    t, terminals, k = instance.tournament, instance.terminals, instance.k
+    z_list = sorted(int(v) for v in members)
+    if len(z_list) < decomposition_class_size(k):
+        raise ValueError("class too small for the degree decomposition")
+    z_arr = np.array(z_list)
+    term_sorted = sorted(terminals)
+    if term_sorted:
+        type_cols = t.adj[term_sorted][:, z_arr]
+        if not (type_cols == type_cols[:, :1]).all():
+            raise ValueError("members do not share a terminal in-neighbourhood")
+        s1 = frozenset(s for i, s in enumerate(term_sorted) if type_cols[i, 0])
+    else:
+        s1 = frozenset()
+    s2 = frozenset(terminals) - s1
+
+    inside = t.adj[z_arr][:, z_arr]
+    indeg = inside.sum(axis=0)
+    outdeg = inside.sum(axis=1)
+    prime_mask = (indeg >= k + 1) & (outdeg >= k + 1)
+    minus_mask = ~prime_mask & (indeg <= k)
+    plus_mask = ~prime_mask & (outdeg <= k)
+    if (minus_mask & plus_mask).any():
+        raise InternalInvariantError("low in- and out-degree overlap in the class")
+    fringe = int((~prime_mask).sum())
+    if fringe > 4 * k + 2:
+        raise InternalInvariantError("low-degree fringe exceeds 4k+2")
+
+    z_prime = [z_list[i] for i in np.flatnonzero(prime_mask)]
+    z_minus = [z_list[i] for i in np.flatnonzero(minus_mask)]
+    z_plus = [z_list[i] for i in np.flatnonzero(plus_mask)]
+
+    rest_mask = ~_term_mask(t.n, terminals)
+    rest_mask[z_arr] = False
+    rest = np.flatnonzero(rest_mask)
+    zp_arr = np.array(z_prime, dtype=int)
+    # Submatrices are taken rows first, then columns: numpy gathers that
+    # way several times faster than through np.ix_. An outside vertex beats
+    # every core vertex that does not beat it, so its out-degree into the
+    # core is the core size less its in-degree.
+    into = t.adj[zp_arr].sum(axis=0)[rest]
+    out = zp_arr.size - into
+    high_in = into >= k + 1
+    high_out = out >= k + 1
+    if (high_in & high_out).any():
+        raise InternalInvariantError("outside vertex with high degree both ways")
+    if (~high_in & ~high_out).any():
+        raise InternalInvariantError("outside vertex with low degree both ways")
+    r_less = rest[~high_in].tolist()
+    r_greater = rest[high_in].tolist()
+    r_less_tilde = rest[~high_in & (into >= 1)].tolist()
+    r_greater_tilde = rest[high_in & (out >= 1)].tolist()
+
+    relevant = np.zeros(zp_arr.size, dtype=bool)
+    sinks, sources = z_minus + r_less, z_plus + r_greater
+    if zp_arr.size and sinks:
+        relevant |= t.adj[zp_arr][:, sinks].any(axis=1)
+    if zp_arr.size and sources:
+        relevant |= t.adj[sources][:, zp_arr].any(axis=0)
+    return dict(
+        z=frozenset(z_list),
+        s1=s1,
+        s2=s2,
+        z_prime=frozenset(z_prime),
+        z_minus=frozenset(z_minus),
+        z_plus=frozenset(z_plus),
+        r_less=frozenset(r_less),
+        r_greater=frozenset(r_greater),
+        r_less_tilde=frozenset(r_less_tilde),
+        r_greater_tilde=frozenset(r_greater_tilde),
+        z_relevant=frozenset(zp_arr[relevant].tolist()),
+        z_irrelevant=frozenset(zp_arr[~relevant].tolist()),
+    )
 
 
 def reference_minimalize_solution(instance, solution_labels):

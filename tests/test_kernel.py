@@ -19,6 +19,7 @@ from families import (
 )
 from invariants import assert_kernel_exhausted
 from reference import (
+    reference_class_decomposition,
     reference_conflict_packing,
     reference_equivalence_classes,
     reference_kernelize,
@@ -39,7 +40,9 @@ from sfast.graphs import (
 )
 from sfast.kernel import (
     BipartiteConflictGraph,
+    ClassDecomposition,
     RuleOutcome,
+    _find_swap,
     _step,
     build_conflict_bipartite,
     class_decomposition,
@@ -411,6 +414,27 @@ class TestClassDecomposition:
         assert result.status == "trivial-no"
         assert result.trace[-1].rule == "rr7"
 
+    def test_masks_views_and_counts(self):
+        instance = rule7_instance()
+        t, n = instance.tournament, instance.n
+        members = equivalence_classes(t, instance.terminals)[frozenset({0})]
+        dec = class_decomposition(instance, members)
+        assert dec.masks.shape == (12, n) and dec.masks.dtype == bool
+        assert not dec.masks.flags.writeable and not dec.counts.flags.writeable
+        assert isinstance(dec.z_irrelevant, frozenset)
+        assert dec.size == len(dec.z) == len(members)
+        core = sorted(dec.z_prime)
+        for v in range(n):
+            assert dec.counts[0, v] == sum(bool(t.adj[u, v]) for u in members)
+            assert dec.counts[1, v] == sum(bool(t.adj[v, u]) for u in members)
+            assert dec.counts[2, v] == sum(bool(t.adj[u, v]) for u in core)
+        # equality and hashing go by the masks alone
+        other = ClassDecomposition(np.array(dec.masks), np.zeros_like(dec.counts))
+        assert other == dec and hash(other) == hash(dec)
+        flipped = np.array(dec.masks)
+        flipped[0, 0] = ~flipped[0, 0]
+        assert ClassDecomposition(flipped, dec.counts) != dec
+
 
 class TestArcSwapAndRule8:
     def test_swap_then_delete_on_the_witness(self):
@@ -668,10 +692,11 @@ class TestCarriedState:
         # Walk the carried driver one step at a time. A step with arc swaps
         # carries nothing. Whenever a state is carried, rules 1 to 6 must
         # indeed be inapplicable, its classes must be the instance's big
-        # classes in order, and each decomposition it carries must equal a
-        # fresh one.
+        # classes in order, each decomposition it carries must equal a fresh
+        # one, counts included, and when the settled class is the one rule 8
+        # acts on next, the swap search it skips must find nothing.
         cur, carry = planted(n, s_count, seed), None
-        carried = swapped = 0
+        carried = swapped = skipped = 0
         while True:
             records, carry = _step(cur, carry)
             if not records or records[-1].status != "applied":
@@ -698,11 +723,121 @@ class TestCarriedState:
                 (vs for vs in classes.values() if len(vs) >= decomposition_class_size(cur.k)),
                 key=min,
             )
-            assert [tuple(sorted(dec.z)) for dec in carry] == big
-            for dec in carry:
-                assert dec == class_decomposition(cur, dec.z)
+            assert [tuple(sorted(dec.z)) for dec in carry.decs] == big
+            for dec in carry.decs:
+                fresh = class_decomposition(cur, dec.z)
+                assert dec == fresh
+                assert np.array_equal(dec.counts, fresh.counts)
+            deletable = [dec for dec in carry.decs if dec.size >= deletion_class_size(cur.k)]
+            if deletable and deletable[0] is carry.settled:
+                skipped += 1
+                assert _find_swap(cur, carry.settled) is None
         assert carried >= 10
         assert swapped == swaps
+        assert skipped >= carried // 2
+
+    def test_carried_runs_rarely_decompose_or_search_for_swaps(self, monkeypatch):
+        # Over the ten planted_kernel kernelizations a carried rr8 run
+        # decomposes a class afresh only when a deletion crosses a degree
+        # threshold, and searches for swaps only on a class it has not
+        # settled: 64 and 148 calls, against 1034 and 1014 when every
+        # carried step redid both.
+        calls = {"class_decomposition": 0, "arc_swap_normalize": 0}
+        for name in calls:
+            original = getattr(sfast.kernel, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(sfast.kernel, name, counting)
+        for seed in range(10):
+            kernelize(planted(150, 10, seed))
+        assert calls["class_decomposition"] <= 80
+        assert calls["arc_swap_normalize"] <= 160
+
+
+def assert_same_decomposition(instance, members):
+    """class_decomposition gives the reference's twelve sets, or raises its
+    exception type with its message; True when it decomposed."""
+    try:
+        expected = reference_class_decomposition(instance, members)
+    except (ValueError, InternalInvariantError) as exc:
+        with pytest.raises(Exception) as got:
+            class_decomposition(instance, members)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return False
+    dec = class_decomposition(instance, members)
+    assert {name: getattr(dec, name) for name in expected} == expected
+    return True
+
+
+def hitter_instance(terminal_beats=range(12), k=1):
+    """A transitive class 0..11 at budget k, an outside vertex 12 beaten by
+    the odd members and beating the even ones, and a terminal 13 beating
+    the members in ``terminal_beats``. At k = 1 vertex 12 has core degree
+    4 both ways."""
+    adj = np.zeros((14, 14), dtype=bool)
+    adj[:12, :12] = np.triu(np.ones((12, 12), dtype=bool), 1)
+    adj[1:12:2, 12] = adj[12, 0:12:2] = True
+    beats = np.zeros(12, dtype=bool)
+    beats[list(terminal_beats)] = True
+    adj[13, :12], adj[:12, 13] = beats, ~beats
+    adj[12, 13] = True
+    return Instance(Tournament(adj), frozenset({13}), k)
+
+
+class TestClassDecompositionReference:
+    """The mask-backed decomposition against the frozenset one it replaced."""
+
+    @pytest.mark.parametrize("n, s_count, seeds", [(50, 6, 20), (150, 10, 10)], ids=["dp", "kernel"])
+    def test_every_big_class_along_the_planted_kernelizations(self, n, s_count, seeds):
+        decomposed = 0
+        for seed in range(seeds):
+            instance = planted(n, s_count, seed)
+            result = kernelize(instance)
+            chain = [instance] + [rec.next for rec in result.trace if rec.status == "applied"]
+            for cur in chain:
+                for members in equivalence_classes(cur.tournament, cur.terminals).values():
+                    if len(members) >= decomposition_class_size(cur.k):
+                        decomposed += assert_same_decomposition(cur, members)
+        assert decomposed >= 100
+
+    @pytest.mark.parametrize("n", [20, 40, 150])
+    def test_every_big_class_of_random_tournaments(self, n):
+        # Uniformly random tournaments leave rule 3 unexhausted, and every
+        # big class fails the outside-degree check; random orders with n/4
+        # arcs turned backward give both outcomes.
+        decomposed = raised = 0
+        for s_count in (1, 2, 4):
+            for k in range(4):
+                rng = random.Random(100 * n + 10 * s_count + k)
+                t = Tournament(_near_order_tournament(n, n // 4, rng)[0])
+                terminals = frozenset(rng.sample(range(n), s_count))
+                instance = Instance(t, terminals, k)
+                for members in equivalence_classes(t, terminals).values():
+                    if len(members) >= decomposition_class_size(k):
+                        if assert_same_decomposition(instance, members):
+                            decomposed += 1
+                        else:
+                            raised += 1
+        assert decomposed and raised
+
+    @pytest.mark.parametrize(
+        "instance, members, message",
+        [
+            (hitter_instance(), range(11), "class too small"),
+            (hitter_instance(range(6)), range(11), "class too small"),
+            (hitter_instance(range(6)), range(12), "do not share a terminal"),
+            (hitter_instance(), range(12), "high degree both ways"),
+        ],
+        ids=["small", "small-and-mixed", "mixed", "high-both-ways"],
+    )
+    def test_same_error_as_the_reference(self, instance, members, message):
+        with pytest.raises((ValueError, InternalInvariantError), match=message):
+            class_decomposition(instance, members)
+        assert not assert_same_decomposition(instance, members)
 
 
 class TestLifting:
@@ -732,6 +867,15 @@ class TestLifting:
         lifted = lift_solution(instance, result.trace, [(labels[u], labels[v])])
         assert verify_solution(instance, lifted, mode="reversal")
         assert len(lifted) <= instance.k
+
+    def test_lift_rejects_an_arc_naming_a_deleted_vertex(self):
+        instance = rule8_instance()
+        result = kernelize(instance)
+        (deleted,) = next(rec for rec in result.trace if rec.rule == "rr8").detail["deleted"]
+        kept = result.kernel.tournament.labels[0]
+        for arc in ((deleted, kept), (kept, deleted)):
+            with pytest.raises(InternalInvariantError, match=r"names a deleted vertex"):
+                lift_solution(instance, result.trace, [arc])
 
     def test_lift_rejects_an_invalid_kernel_solution(self):
         instance = rule5_instance()
