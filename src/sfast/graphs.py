@@ -15,6 +15,7 @@ tournament with arcs deleted, still needs Tarjan's search.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Optional, Sequence
 
@@ -139,14 +140,21 @@ class Tournament(Digraph):
         return t
 
     def drop(self, vertices: Iterable[int]) -> "Tournament":
-        """Delete vertices (by index); the copy is compacted, labels kept."""
-        gone = list(vertices)
-        if not all(0 <= v < self.n for v in gone):
+        """The tournament without the given vertices, renumbered in order.
+
+        ``vertices`` holds indices in any order, repeats allowed; one outside
+        0..n-1 raises ValueError. Labels stay with their vertices. For one
+        vertex both deletions copy by slicing into a C-contiguous matrix,
+        which freezing does not copy again.
+        """
+        gone = sorted(set(vertices))
+        if gone and not (0 <= gone[0] and gone[-1] < self.n):
             raise ValueError("vertex index out of range")
-        keep = np.ones(self.n, dtype=bool)
-        keep[gone] = False
-        labels = tuple(self.labels[v] for v in np.flatnonzero(keep).tolist())
-        return Tournament._derived(self.adj[keep][:, keep], labels)
+        labels = list(self.labels)
+        for v in reversed(gone):
+            del labels[v]
+        adj = np.delete(np.delete(self.adj, gone, axis=0), gone, axis=1)
+        return Tournament._derived(adj, tuple(labels))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tournament):
@@ -189,6 +197,21 @@ class Instance:
     @property
     def n(self) -> int:
         return self.tournament.n
+
+    def drop(self, vertices: Iterable[int]) -> "Instance":
+        """The instance without the given vertices, read as `Tournament.drop`
+        reads them, with the same k; a kept terminal's new index is its old
+        one less the deleted vertices below it."""
+        gone = sorted(set(vertices))
+        terminals = frozenset(s - bisect_left(gone, s) for s in self.terminals.difference(gone))
+        return Instance(self.tournament.drop(gone), terminals, self.k)
+
+
+def _term_mask(n: int, terminals: Iterable[int]) -> np.ndarray:
+    """The terminals as a boolean mask over the vertices 0..n-1."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(terminals)] = True
+    return mask
 
 
 def reverse_arcs(t: Tournament, arcs: Iterable[Arc]) -> Tournament:
@@ -362,10 +385,7 @@ def s_backward_arcs(
     if t.n == 0:
         return frozenset()
     sub = t.adj[np.ix_(perm, perm)]
-    is_term = np.zeros(t.n, dtype=bool)
-    for s in terminals:
-        is_term[s] = True
-    term_perm = is_term[perm]
+    term_perm = _term_mask(t.n, terminals)[perm]
     cum = np.cumsum(term_perm)
     later, earlier = np.nonzero(np.tril(sub, k=-1))
     if later.size == 0:

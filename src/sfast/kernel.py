@@ -84,6 +84,7 @@ from .graphs import (
     verify_solution,
     _landau,
     _reachable,
+    _term_mask,
 )
 
 __all__ = [
@@ -259,18 +260,6 @@ def _arc_labels(t: Tournament, arcs: Iterable[Arc]) -> list[list[int]]:
     return sorted([t.labels[u], t.labels[v]] for u, v in arcs)
 
 
-def _delete_vertex(instance: Instance, v: int) -> Instance:
-    t2 = instance.tournament.drop([v])
-    terms = frozenset(s - (s > v) for s in instance.terminals if s != v)
-    return Instance(t2, terms, instance.k)
-
-
-def _term_mask(n: int, terminals: Iterable[int]) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[list(terminals)] = True
-    return mask
-
-
 def _outcome(
     rule: str,
     status: str,
@@ -319,7 +308,7 @@ def rr2_triangle_free_terminal(instance: Instance) -> RuleOutcome:
         "rr2",
         STATUS_APPLIED,
         instance,
-        _delete_vertex(instance, s),
+        instance.drop([s]),
         note="terminal on no triangle",
         deleted=[t.labels[s]],
     )
@@ -383,7 +372,8 @@ def conflict_packing(t: Tournament, terminals: frozenset[int] | set[int]) -> Con
     avail = np.array(t.adj)
     term = _term_mask(t.n, terminals)
     triangles: list[tuple[int, int, int]] = []
-    for a in range(t.n):
+    # A terminal triangle's smallest vertex is at most its terminal.
+    for a in range(max(terminals, default=-1) + 1):
         b_from = a + 1
         while True:
             rows = np.flatnonzero(avail[a, b_from:]) + b_from
@@ -421,10 +411,8 @@ def packing_ordering(
     packing arcs, which is asserted.
     """
     s1 = sorted(s for s in terminals if s not in packing.covered)
-    keep = [v for v in range(t.n) if v not in packing.covered]
-    residual = t.drop(packing.covered)
-    residual_terms = {i for i, v in enumerate(keep) if v in terminals}
-    if not is_s_acyclic(residual, residual_terms):
+    residual = Instance(t, frozenset(terminals), 0).drop(packing.covered)  # k is unused
+    if not is_s_acyclic(residual.tournament, residual.terminals):
         raise InternalInvariantError("packing is not maximal: residual terminal triangle")
 
     indeg = {s: sum(1 for r in s1 if t.adj[r, s]) for s in s1}
@@ -826,7 +814,7 @@ def rr8_irrelevant_vertex(instance: Instance, dec: ClassDecomposition) -> RuleOu
     if not irrelevant.any():
         raise InternalInvariantError("large class with empty irrelevant core")
     v = int(irrelevant.argmax())
-    nxt = _delete_vertex(instance, v)
+    nxt = instance.drop([v])
     return _outcome(
         "rr8",
         STATUS_APPLIED,
@@ -859,11 +847,6 @@ class _Carry(NamedTuple):
     settled: Optional[ClassDecomposition]
 
 
-def _drop_column(a: np.ndarray, v: int) -> np.ndarray:
-    """A copy of the 2-D array a without column v."""
-    return np.concatenate((a[:, :v], a[:, v + 1 :]), axis=1)
-
-
 def _carry_past(
     before: Instance,
     after: Instance,
@@ -875,14 +858,13 @@ def _carry_past(
     `touched` from `before`, which `decs` decompose."""
     carried, settled = [], None
     for dec in decs:
-        masks, counts = _drop_column(dec.masks, v), _drop_column(dec.counts, v)
+        masks, counts = np.delete(dec.masks, v, axis=1), np.delete(dec.counts, v, axis=1)
         if dec is not touched:
             carried.append(ClassDecomposition(masks, counts))
             continue
         # v leaves the class and its core: the vertices it beats lose a
         # class and a core in-neighbour, the others a class out-neighbour.
-        row = before.tournament.adj[v]
-        beaten = np.concatenate((row[:v], row[v + 1 :]))
+        beaten = np.delete(before.tournament.adj[v], v)
         counts[_IN] -= beaten
         counts[_OUT] -= ~beaten
         counts[_CORE_IN] -= beaten
@@ -1039,8 +1021,7 @@ def minimalize_solution(
     if not is_s_acyclic(flipped, terminals) and not is_s_acyclic(Digraph(d), terminals):
         return current
     d_in = np.ascontiguousarray(d.T)
-    is_term = np.zeros(t.n, dtype=bool)
-    is_term[list(terminals)] = True
+    is_term = _term_mask(t.n, terminals)
     for arc, (u, v) in zip(arcs, pairs):
         desc = _reachable(d, v)
         if desc[u] and (desc & is_term & _reachable(d_in, u)).any():

@@ -35,11 +35,11 @@ from .graphs import (
     Arc,
     Instance,
     InternalInvariantError,
-    Tournament,
     is_s_acyclic,
     s_backward_arcs,
     strongly_connected_components,
     _landau,
+    _term_mask,
 )
 from .kernel import KernelResult, conflict_packing, kernelize, lift_solution
 from .oracle import OracleScaleError, oracle_min_deletion
@@ -129,13 +129,11 @@ def _class_members(coloring: tuple[int, ...], q: int) -> list[list[int]]:
 
 def classes_feasible(instance: Instance, coloring: tuple[int, ...], q: int) -> bool:
     """True when every color class induces a terminal-acyclic subtournament."""
-    t, terminals = instance.tournament, instance.terminals
     for members in _class_members(coloring, q):
         if len(members) < 3:
             continue
-        idx = np.array(members)
-        local_terms = {i for i, v in enumerate(members) if v in terminals}
-        if not is_s_acyclic(Tournament(t.adj[np.ix_(idx, idx)]), local_terms):
+        part = instance.drop(set(range(instance.n)).difference(members))
+        if not is_s_acyclic(part.tournament, part.terminals):
             return False
     return True
 
@@ -168,8 +166,8 @@ def contract(instance: Instance, coloring: tuple[int, ...], q: int) -> Contracte
     for color, members in enumerate(_class_members(coloring, q)):
         ids = []
         if members:
-            idx = np.array(members)
-            for comp in strongly_connected_components(Tournament(t.adj[np.ix_(idx, idx)])):
+            part = instance.drop(set(range(t.n)).difference(members)).tournament
+            for comp in strongly_connected_components(part):
                 vertices = tuple(members[i] for i in comp)
                 node_id = len(nodes)
                 if any(v in terminals for v in vertices):
@@ -552,8 +550,7 @@ def _ordering_bound(instance: Instance, target: int) -> tuple[int, np.ndarray]:
     """
     t = instance.tournament
     order = _landau(t.adj)[0]
-    term = np.zeros(t.n, dtype=bool)
-    term[list(instance.terminals)] = True
+    term = _term_mask(t.n, instance.terminals)
     count = len(s_backward_arcs(t, instance.terminals, order))
     moved = True
     while moved and count > target:
@@ -597,9 +594,6 @@ def solve_report(instance: Instance, config: Optional[SolverConfig] = None) -> S
 
     kernel = kr.kernel
     assert kernel is not None
-    if is_s_acyclic(kernel.tournament, kernel.terminals):
-        return report(lift_solution(instance, kr.trace, ()), 0, kr, True)
-
     offset = instance.k - kernel.k
 
     def ordering_solution(lower: int) -> Optional[frozenset[Arc]]:

@@ -48,13 +48,13 @@ from sfast.graphs import (
     InvalidArcError,
     Tournament,
     is_s_acyclic,
+    _term_mask,
 )
 from sfast.instancefile import InstanceFormatError
 from sfast.kernel import (
     STATUS_APPLIED,
     KernelResult,
     _step,
-    _term_mask,
     decomposition_class_size,
 )
 from sfast.solver import _LATTICE_CAP, SolverScaleError

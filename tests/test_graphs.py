@@ -150,6 +150,79 @@ class TestTournamentBasics:
             Instance(t, frozenset({3}), 1)
 
 
+def labeled_instance(n, seed):
+    """A random instance whose labels are not 0..n-1 and whose terminals are
+    a random subset."""
+    rng = random.Random(seed)
+    labels = rng.sample(range(10 * n + 10), n)
+    t = Tournament(random_tournament(n, seed).adj, labels)
+    return Instance(t, frozenset(rng.sample(range(n), rng.randrange(n + 1))), rng.randrange(5))
+
+
+def validated_drop(instance, vertices):
+    """The instance without ``vertices``, built through the validating
+    constructors."""
+    gone = set(vertices)
+    keep = [v for v in range(instance.n) if v not in gone]
+    t = instance.tournament
+    sub = Tournament(t.adj[np.ix_(keep, keep)], [t.labels[v] for v in keep])
+    terminals = frozenset(keep.index(s) for s in instance.terminals if s not in gone)
+    return Instance(sub, terminals, instance.k)
+
+
+DROP_SHAPES = {
+    "list": lambda vs, rng: sorted(vs),
+    "set": lambda vs, rng: set(vs),
+    "unsorted list": lambda vs, rng: rng.sample(sorted(vs), len(vs)),
+    "list with duplicates": lambda vs, rng: sorted(vs) + sorted(vs)[: 1 + len(vs) // 2],
+    "numpy array": lambda vs, rng: np.array(sorted(vs), dtype=np.int64),
+}
+
+
+class TestDrop:
+    @pytest.mark.parametrize("shape", DROP_SHAPES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_a_validated_construction(self, shape, seed):
+        rng = random.Random(seed)
+        instance = labeled_instance(rng.randrange(2, 40), seed)
+        gone = set(rng.sample(range(instance.n), rng.randrange(1, instance.n)))
+        self.check(instance, DROP_SHAPES[shape](gone, rng), gone)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_empty_and_all_but_one(self, seed):
+        instance = labeled_instance(12 + seed, seed)
+        self.check(instance, [], set())
+        for last in (0, 5, instance.n - 1):
+            gone = set(range(instance.n)) - {last}
+            self.check(instance, sorted(gone), gone)
+
+    def test_single_vertices_at_every_position(self):
+        instance = labeled_instance(9, 3)
+        for v in range(instance.n):
+            self.check(instance, [v], {v})
+
+    @staticmethod
+    def check(instance, vertices, gone):
+        before = (instance.tournament.adj.copy(), instance.tournament.labels, instance.terminals)
+        expected = validated_drop(instance, gone)
+        dropped = instance.drop(vertices)
+        assert dropped == expected
+        assert dropped.tournament == instance.tournament.drop(vertices) == expected.tournament
+        for adj in (dropped.tournament.adj, instance.tournament.drop(vertices).adj):
+            assert not adj.flags.writeable and adj.flags.c_contiguous
+        assert np.array_equal(instance.tournament.adj, before[0])
+        assert (instance.tournament.labels, instance.terminals) == before[1:]
+        assert not instance.tournament.adj.flags.writeable
+
+    @pytest.mark.parametrize("bad", [[-1], [5], [0, 7], {2, -3}])
+    def test_rejects_indices_outside_the_instance(self, bad):
+        instance = labeled_instance(5, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            instance.drop(bad)
+        with pytest.raises(ValueError, match="out of range"):
+            instance.tournament.drop(bad)
+
+
 class TestDigraphBasics:
     def test_rejects_non_square_matrix(self):
         with pytest.raises(ValueError, match="square"):

@@ -673,11 +673,23 @@ class TestPackingOnDemand:
         monkeypatch.setattr(sfast.solver, "conflict_packing", recording)
         report = solve_report(instance)
         assert report.certified and report.trials == 0
-        # Seed 0's kernel is terminal-acyclic already, which needs no bound.
+        # Seed 0's kernel is terminal-acyclic already; its packing is empty
+        # and the bound path certifies it like the others.
+        assert [t is report.kernel.kernel.tournament for t in packed] == [True]
+
+    @pytest.mark.parametrize(
+        "n, s_count, seed", [(50, 6, 12), (50, 6, 16), (50, 6, 19), (150, 10, 0), (150, 10, 7)]
+    )
+    def test_kernels_without_terminal_cycles_lift_the_empty_solution(self, n, s_count, seed):
+        # These kernels keep no terminal on a cycle, so the bound path's
+        # packing and ordering count are both 0 and it certifies the lift
+        # of the empty kernel solution.
+        instance, _ = generate_planted(GeneratorSpec(n, s_count, seed, planted_k=3))
+        report = solve_report(instance)
         kernel = report.kernel.kernel
-        acyclic = is_s_acyclic(kernel.tournament, kernel.terminals)
-        assert acyclic == (seed == 0)
-        assert [t is kernel.tournament for t in packed] == ([] if acyclic else [True])
+        assert is_s_acyclic(kernel.tournament, kernel.terminals)
+        assert report.solution == lift_solution(instance, report.kernel.trace, ())
+        assert report.certified and report.trials == 0
 
     @pytest.mark.parametrize("input_size, targets", [(4, [0]), (3, [0, 1])])
     def test_a_larger_input_packing_refutes_or_reruns_the_ordering_bound(
