@@ -46,12 +46,22 @@ beating it, the class members it beats and the core members beating it
 (see ClassDecomposition). Deleting v, a core member, takes one from the
 first and the third count of every vertex that v beats and one from the
 second count of every other vertex, and the seven degree-derived sets,
-z_prime to r_greater_tilde, follow again from these counts. When none of
-them changes, Z's decomposition is carried less v and is settled; its
-relevant core stands as well. The core, the sinks (z_minus and r_less)
-and the sources (z_plus and r_greater) are the same vertices, with the same
-arcs among them, and v was irrelevant: it beat no sink, and no source beat
-it. The core in-degrees stay exact, as the core lost only v.
+z_prime to r_greater_tilde, follow from these counts by thresholds: k + 1
+on a member's in- and out-degree in the class, k + 1 and 1 on an outside
+vertex's in- and out-degree from the core. So a run keeps, per class and
+vertex, two margins (`_margins`): how many more deletions of members that
+beat the vertex, and of members that it beats, its counts take before one
+crosses a threshold. Deleting v takes one from the first margin of every
+vertex v beats and from the second of every other. A margin reaches 0
+exactly when a count crosses, and a crossing either moves a vertex between
+sets or makes it low both ways or high both ways, which the invariant
+checks of the decomposition reject; then Z is decomposed afresh, and those
+checks run there. Otherwise none of the seven sets changes, and Z's
+decomposition is carried less v and is settled; its relevant core stands
+as well. The core, the sinks (z_minus and r_less) and the sources (z_plus
+and r_greater) are the same vertices, with the same arcs among them, and v
+was irrelevant: it beat no sink, and no source beat it. The core
+in-degrees stay exact, as the core lost only v.
 
 Rule 8's swap search is skipped when it would run on a settled class. The
 search of the step that deleted v found no swap on Z; it ran there, or Z
@@ -62,12 +72,38 @@ same, with the same arcs to the same pivots, and the search would again
 find nothing. The relevant core is unchanged as well, so its 2k+2 bound
 holds. Any other applied rule or arc swap drops the state, and the next
 step runs every rule.
+
+A run of such steps works in a frame (`_Run`): the matrix, labels and
+terminals of the instance where the run began, and a mask of the vertices
+still alive. A deletion clears the vertex in that mask and in every mask
+column of the carried decompositions, and updates Z's counts and margins
+in place; no matrix is copied. Rules 7 and 8 and the swap search read the
+frame with the dead columns cleared, and decide as they would on the
+compact instance, the alive vertices renumbered in order:
+
+- every set they read is a mask row, empty on the dead columns, so the
+  sizes that rules 7 and 8 compare are the same;
+- renumbering keeps the order, so the first irrelevant core vertex (an
+  argmax), the order of the classes by their smallest member, and the
+  swap search's side sets, anchors (the k+1 smallest) and pivots name the
+  same vertices;
+- the counts of the alive vertices are exact and the outside of a class is
+  cut to the alive vertices, so each split of a class and every invariant
+  check inside it sees what it would see there.
+
+A run is rebased onto a compact instance, built with one `Instance.drop` of
+its dead vertices, only where a rule needs one: when a deletion crosses a
+threshold and Z is decomposed afresh, as `class_decomposition` takes an
+instance; when the swap search finds a swap, whose records carry the
+instances they leave; and at the step that ends the run, whose kernel is
+compact. Rule-8 records name the deleted vertex and carry no instance, and
+`lift_solution` replays every record as a delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -76,6 +112,7 @@ from .graphs import (
     Digraph,
     Instance,
     InternalInvariantError,
+    InvalidArcError,
     Tournament,
     has_s_triangle,
     is_s_acyclic,
@@ -142,7 +179,18 @@ def vertex_bound(k: int) -> int:
 
 @dataclass(frozen=True)
 class RuleOutcome:
-    """What one rule did: applied with a successor instance, or a verdict."""
+    """What one rule did: applied, or a verdict.
+
+    An applied record names its change in original labels in ``detail``:
+    the vertex ``deleted`` (rr2, rr8) or the arcs ``reversed`` (rr3, rr5,
+    arc swaps); rr3 and rr5 spend one unit of k per arc. ``next`` is the
+    instance the rule left, except on rr8 records, where it is None: a
+    carried run deletes in its frame and never builds that instance, and
+    `lift_solution` reads only the deltas. The field stays, for the other
+    rules, because callers outside the kernel still read it (the
+    benchmark's trace-size count skips a None), until the trace holds
+    deltas alone.
+    """
 
     rule: str
     status: str
@@ -175,8 +223,6 @@ class BipartiteConflictGraph:
 # The rows of `ClassDecomposition.masks`, one per vertex set.
 _Z, _S1, _S2, _PRIME, _MINUS, _PLUS, _R_LESS, _R_GREATER = range(8)
 _R_LESS_TILDE, _R_GREATER_TILDE, _RELEVANT, _IRRELEVANT = range(8, 12)
-# z_prime to r_greater_tilde: the rows that follow from the degree counts.
-_DEGREE_ROWS = slice(_PRIME, _RELEVANT)
 # The rows of `ClassDecomposition.counts`.
 _IN, _OUT, _CORE_IN = range(3)
 
@@ -300,7 +346,7 @@ def rr2_triangle_free_terminal(instance: Instance) -> RuleOutcome:
     """Delete the smallest terminal lying on no cycle (so on no triangle)."""
     t = instance.tournament
     terminals = sorted(instance.terminals)
-    free = np.flatnonzero(~_landau(t.adj)[2][terminals])
+    free = np.flatnonzero(~_landau(t.adj.sum(axis=1))[2][terminals])
     if free.size == 0:
         return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
     s = terminals[free[0]]
@@ -806,7 +852,11 @@ def arc_swap_normalize(
 
 
 def rr8_irrelevant_vertex(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
-    """Delete the smallest vertex of the irrelevant core of a large class."""
+    """Delete the smallest vertex of the irrelevant core of a large class.
+
+    The record names the vertex and carries no successor instance: the
+    driver deletes it in the frame of its carried run (see `_Run`).
+    """
     k = instance.k
     if dec.size < deletion_class_size(k):
         return _outcome("rr8", STATUS_NOT_APPLICABLE, instance, note="class within bound")
@@ -814,13 +864,12 @@ def rr8_irrelevant_vertex(instance: Instance, dec: ClassDecomposition) -> RuleOu
     if not irrelevant.any():
         raise InternalInvariantError("large class with empty irrelevant core")
     v = int(irrelevant.argmax())
-    nxt = instance.drop([v])
     return _outcome(
         "rr8",
         STATUS_APPLIED,
         instance,
-        nxt,
         note="deleted an irrelevant core vertex",
+        post=[instance.n - 1, len(instance.terminals), k],
         deleted=[instance.tournament.labels[v]],
     )
 
@@ -836,67 +885,130 @@ def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
 
 # -- Driver ------------------------------------------------------------------
 
-class _Carry(NamedTuple):
-    """The state one step hands the next, for the instance left by a rule-8
-    deletion without arc swaps: that instance's big classes, decomposed and
-    ordered by their smallest member, and the decomposition of the class
-    that lost a vertex when none of its degree-derived rows changed (else
-    None)."""
 
-    decs: tuple[ClassDecomposition, ...]
-    settled: Optional[ClassDecomposition]
+def _margins(masks: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """How many more deletions of core members a class decomposition's
+    degree-derived rows can take: a (2, n) matrix whose rows count, for every
+    vertex, the deletions of members that beat it (row 0) and of members
+    that it beats (row 1) before a count crosses a threshold. A member's
+    counts are its in- and its out-degree in the class, with a threshold at
+    k + 1; an outside vertex's are its in- and its out-degree from the core,
+    with thresholds at k + 1 and at 1. Where no threshold lies below, and
+    for terminals and dead vertices, the margin is n + 1, more than a run
+    can delete."""
+    n = masks.shape[-1]
+    big = n + 1
+    member = counts[[_IN, _OUT]]
+    member = np.where(member > k, member - k, big)
+    outside = np.stack((counts[_CORE_IN], np.count_nonzero(masks[_PRIME]) - counts[_CORE_IN]))
+    outside = np.where(outside > k, outside - k, np.where(outside > 0, outside, big))
+    rest = masks[_R_LESS] | masks[_R_GREATER]
+    return np.where(masks[_Z], member, np.where(rest, outside, big))
 
 
-def _carry_past(
-    before: Instance,
-    after: Instance,
-    decs: Sequence[ClassDecomposition],
-    touched: ClassDecomposition,
-    v: int,
-) -> _Carry:
-    """The state for `after`, obtained by deleting vertex v of the class
-    `touched` from `before`, which `decs` decompose."""
-    carried, settled = [], None
-    for dec in decs:
-        masks, counts = np.delete(dec.masks, v, axis=1), np.delete(dec.counts, v, axis=1)
-        if dec is not touched:
-            carried.append(ClassDecomposition(masks, counts))
-            continue
+class _Run:
+    """A carried run of rule-8 deletions in the frame of ``base``, the
+    instance where the run began or was last rebased (see the module
+    docstring).
+
+    ``alive`` marks the frame's vertices not yet deleted and ``n`` counts
+    them. ``k``, ``terminals`` and ``tournament`` are the base's, so rules 7
+    to 9 and the swap search read a run as they read an instance. ``decs``
+    holds the decompositions of the big classes over the frame, ordered by
+    their smallest member: read-only views of the stacked ``masks`` and
+    ``counts``, which each deletion updates in place, with the dead columns
+    cleared. ``margins`` stacks each class's `_margins`. ``settled`` is the
+    decomposition of the class that lost the last vertex when none of its
+    degree-derived rows changed, else None.
+    """
+
+    def __init__(self, base: Instance, decs: Sequence[ClassDecomposition]) -> None:
+        self.masks = np.stack([dec.masks for dec in decs])
+        self.counts = np.stack([dec.counts for dec in decs])
+        self._reframe(base)
+
+    def _reframe(self, base: Instance) -> None:
+        self.base = base
+        self.alive = np.ones(base.n, dtype=bool)
+        self.n = base.n
+        self.decs = tuple(map(ClassDecomposition, self.masks, self.counts))
+        self.margins = np.stack([_margins(*pair, base.k) for pair in zip(self.masks, self.counts)])
+        self.settled: Optional[ClassDecomposition] = None
+
+    @property
+    def k(self) -> int:
+        return self.base.k
+
+    @property
+    def terminals(self) -> frozenset[int]:
+        return self.base.terminals
+
+    @property
+    def tournament(self) -> Tournament:
+        return self.base.tournament
+
+    def instance(self) -> Instance:
+        """The compact instance: the base less the dead vertices."""
+        if self.n == self.base.n:
+            return self.base
+        return self.base.drop(np.flatnonzero(~self.alive).tolist())
+
+    def rebase(self, fresh: Optional[int] = None) -> None:
+        """Move the run onto its compact instance, decomposing the class
+        ``decs[fresh]`` afresh there when ``fresh`` is given."""
+        keep = self.alive
+        base = self.instance()
+        self.masks, self.counts = self.masks[:, :, keep], self.counts[:, :, keep]
+        if fresh is not None:
+            dec = class_decomposition(base, np.flatnonzero(self.masks[fresh, _Z]))
+            self.masks[fresh], self.counts[fresh] = dec.masks, dec.counts
+        self._reframe(base)
+
+    def delete(self, v: int, touched: int) -> None:
+        """Delete v, an irrelevant core vertex of the class ``decs[touched]``."""
+        self.alive[v] = False
+        self.n -= 1
+        self.masks[:, :, v] = False
         # v leaves the class and its core: the vertices it beats lose a
         # class and a core in-neighbour, the others a class out-neighbour.
-        beaten = np.delete(before.tournament.adj[v], v)
+        beaten = self.base.tournament.adj[v]
+        unbeaten = ~beaten
+        counts, margins = self.counts[touched], self.margins[touched]
         counts[_IN] -= beaten
-        counts[_OUT] -= ~beaten
+        counts[_OUT] -= unbeaten
         counts[_CORE_IN] -= beaten
-        z = masks[_Z]
-        prime, minus, plus = _split_class(z, counts[_IN], counts[_OUT], after.k)
-        if np.array_equal(prime, masks[_PRIME]):
-            rest = ~(masks[_S1] | masks[_S2] | z)
-            rows = (prime, minus, plus)
-            rows += _split_outside(rest, counts[_CORE_IN], np.count_nonzero(prime), after.k)
-            if np.array_equal(np.stack(rows), masks[_DEGREE_ROWS]):
-                settled = ClassDecomposition(masks, counts)
-                carried.append(settled)
-                continue
-        carried.append(class_decomposition(after, np.flatnonzero(z)))
-    carried.sort(key=lambda dec: int(dec.masks[_Z].argmax()))
-    return _Carry(tuple(carried), settled)
+        margins[0] -= beaten
+        margins[1] -= unbeaten
+        margins[:, v] = self.base.n + 1
+        settled = bool(margins.all())
+        if not settled:
+            self.rebase(touched)
+        first = self.masks[:, _Z].argmax(axis=1).tolist()
+        if first != sorted(first):
+            order = np.argsort(first, kind="stable")
+            self.masks, self.counts = self.masks[order], self.counts[order]
+            self.margins = self.margins[order]
+            self.decs = tuple(map(ClassDecomposition, self.masks, self.counts))
+            touched = order.tolist().index(touched)
+        self.settled = self.decs[touched] if settled else None
 
 
 def _step(
-    instance: Instance, carry: Optional[_Carry] = None
-) -> tuple[tuple[RuleOutcome, ...], Optional[_Carry]]:
-    """One driver step: the records of the first rule, in the fixed order,
-    whose status is not not-applicable, or () when no rule acts; and the
-    state for the next step (see the module docstring).
+    state: Instance | _Run,
+) -> tuple[tuple[RuleOutcome, ...], Optional[Instance | _Run]]:
+    """One driver step from an instance or a carried run: the records of the
+    first rule, in the fixed order, whose status is not not-applicable, and
+    what the next step starts from. That is the rule's successor instance,
+    or the run that a rule-8 deletion without arc swaps begins or
+    continues, or None after a verdict. When no rule acts the records are
+    () and the state comes back as a compact instance, the kernel.
 
     Rules 6 to 8 share one classification; their step returns the arc swaps
-    followed by the rule-8 deletion. With a carried state, rules 1 to 6 are
-    known not to apply and are skipped, and so is the swap search when the
-    class it would run on is the carried state's settled one.
+    followed by the rule-8 deletion. On a run, rules 1 to 6 are known not to
+    apply and are skipped, and so is the swap search when the class it
+    would run on is the run's settled one (see the module docstring).
     """
-    k = instance.k
-    if carry is None:
+    if isinstance(state, Instance):
         for rule in (
             rr1_sanity,
             rr2_triangle_free_terminal,
@@ -904,40 +1016,53 @@ def _step(
             rr4_bounded_terminal,
             rr5_safe_partition,
         ):
-            out = rule(instance)
+            out = rule(state)
             if out.status != STATUS_NOT_APPLICABLE:
-                return (out,), None
-        classes = equivalence_classes(instance.tournament, instance.terminals)
-        out = rr6_many_types(instance, classes)
+                return (out,), out.next
+        classes = equivalence_classes(state.tournament, state.terminals)
+        out = rr6_many_types(state, classes)
         if out.status != STATUS_NOT_APPLICABLE:
             return (out,), None
         big = sorted(
-            (vs for vs in classes.values() if len(vs) >= decomposition_class_size(k)), key=min
+            (vs for vs in classes.values() if len(vs) >= decomposition_class_size(state.k)),
+            key=min,
         )
-        decs: Sequence[ClassDecomposition] = [class_decomposition(instance, vs) for vs in big]
+        decs: Sequence[ClassDecomposition] = [class_decomposition(state, vs) for vs in big]
+        settled = None
     else:
-        decs = carry.decs
+        decs, settled = state.decs, state.settled
     for dec in decs:
-        out = rr7_wrong_arcs(instance, dec)
+        out = rr7_wrong_arcs(state, dec)
         if out.status != STATUS_NOT_APPLICABLE:
             return (out,), None
 
-    deletable = [dec for dec in decs if dec.size >= deletion_class_size(k)]
-    if deletable:
-        if carry is not None and deletable[0] is carry.settled:
-            swapped, dec, swaps = instance, deletable[0], ()
-        else:
-            swapped, dec, swaps = arc_swap_normalize(instance, deletable[0])
-        out = rr8_irrelevant_vertex(swapped, dec)
-        if out.status != STATUS_APPLIED:
-            raise InternalInvariantError("deletable class but rule 8 balked")
-        if swaps:
-            return swaps + (out,), None
-        v = instance.tournament.labels.index(out.detail["deleted"][0])
-        return (out,), _carry_past(instance, out.next, decs, deletable[0], v)
+    deletable = [i for i, dec in enumerate(decs) if dec.size >= deletion_class_size(state.k)]
+    if not deletable:
+        out = rr9_vertex_bound(state)
+        if out.status != STATUS_NOT_APPLICABLE:
+            return (out,), None
+        return (), state if isinstance(state, Instance) else state.instance()
+    touched = deletable[0]
+    dec = decs[touched]
+    if dec is not settled and _find_swap(state, dec) is not None:
+        if isinstance(state, _Run):
+            state.rebase()
+            state, dec = state.base, state.decs[touched]
+        swapped, dec, swaps = arc_swap_normalize(state, dec)
+        out, v = _rule8(swapped, dec)
+        return swaps + (out,), swapped.drop([v])
+    out, v = _rule8(state, dec)
+    run = state if isinstance(state, _Run) else _Run(state, decs)
+    run.delete(v, touched)
+    return (out,), run
 
-    out = rr9_vertex_bound(instance)
-    return (() if out.status == STATUS_NOT_APPLICABLE else (out,)), None
+
+def _rule8(instance: Instance | _Run, dec: ClassDecomposition) -> tuple[RuleOutcome, int]:
+    """Rule 8's record on a deletable class, and the vertex it deletes."""
+    out = rr8_irrelevant_vertex(instance, dec)
+    if out.status != STATUS_APPLIED:
+        raise InternalInvariantError("deletable class but rule 8 balked")
+    return out, instance.tournament.labels.index(out.detail["deleted"][0])
 
 
 def kernelize(instance: Instance) -> KernelResult:
@@ -948,42 +1073,19 @@ def kernelize(instance: Instance) -> KernelResult:
     deciding rule), in original labels, and is what `lift_solution` consumes.
     """
     trace: list[RuleOutcome] = []
-    cur = instance
-    carry: Optional[_Carry] = None
+    state: Optional[Instance | _Run] = instance
     cap = instance.n + max(instance.k, 0) + 8
     for _ in range(cap):
-        records, carry = _step(cur, carry)
+        records, state = _step(state)
         trace.extend(records)
         if not records:
-            return KernelResult("reduced", cur, tuple(trace))
+            return KernelResult("reduced", state, tuple(trace))
         if records[-1].status != STATUS_APPLIED:
             return KernelResult(records[-1].status, None, tuple(trace))
-        cur = records[-1].next
     raise InternalInvariantError("kernelization failed to settle within its cap")
 
 
 # -- Solution lifting --------------------------------------------------------
-
-
-def _to_indices(instance: Instance, labeled: Iterable[tuple[int, int]]) -> list[Arc]:
-    # A solution names few labels, so searching the label tuple for each
-    # beats building the whole label-to-index map at every lift step.
-    labels = instance.tournament.labels
-    out = []
-    for lu, lv in labeled:
-        try:
-            out.append((labels.index(lu), labels.index(lv)))
-        except ValueError:
-            raise InternalInvariantError(
-                f"lifted arc ({lu}, {lv}) names a deleted vertex"
-            ) from None
-    return out
-
-
-def _check(instance: Instance, labeled: set[tuple[int, int]], context: str) -> None:
-    arcs = _to_indices(instance, labeled)
-    if not verify_solution(instance, arcs, mode="reversal"):
-        raise InternalInvariantError(f"lift through {context} broke the solution")
 
 
 def minimalize_solution(
@@ -1039,30 +1141,109 @@ def lift_solution(
     """Walk a kernelization trace backward, translating a kernel solution
     into a solution of the original instance (all arcs in original labels).
 
-    Every intermediate step is re-verified; a failure means the trace or the
-    rule algebra is broken and raises InternalInvariantError.
-    """
-    steps = [rec for rec in trace if rec.status == STATUS_APPLIED]
-    chain = [original] + [rec.next for rec in steps]
-    raw = {(int(u), int(v)) for u, v in kernel_solution_labels}
-    _check(chain[-1], raw, "kernel solution")
+    The applied records are replayed as deltas onto one writable copy of the
+    input matrix: a vertex deleted (rr2, rr8) or arcs reversed (rr3, rr5,
+    arc swaps), with k spent by rr3 and rr5, one per arc; a record that
+    names a vertex already gone or an arc not there is rejected. The
+    records' ``next`` instances are not read. The walk back then
+    undoes one delta per step and keeps the alive vertices' scores
+    (out-degrees among the alive vertices) current: a vertex put back adds
+    its column and gets its row's count, O(n), and an arc turned back moves
+    its two ends' scores, O(1).
 
-    current = raw
-    for parent, rec, child in zip(chain[-2::-1], steps[::-1], chain[:0:-1]):
-        if rec.rule == "rr2":
-            current = minimalize_solution(child, current)
-        elif rec.rule == "rr8":
-            pass
+    Every step's solution is verified exactly, the kernel's first: each arc
+    must be present with both ends alive, the solution must fit that step's
+    k, and no alive terminal may lie on a cycle once the solution's arcs are
+    reversed. Reversing an arc (u, v) takes one from u's score and gives it
+    to v, and the result is again a tournament on the alive vertices, so by
+    Landau's theorem its strong components, and with them the terminals on
+    a cycle, follow from those scores by one sort (`graphs._landau`). A
+    failure means the trace or the rule algebra is broken and raises
+    InternalInvariantError; an arc absent from the kernel raises
+    InvalidArcError. A compact tournament is built only for the
+    `minimalize_solution` calls at rr2 and arc-swap steps, and the lifted
+    solution passes `verify_solution` on the input at the end.
+    """
+    t = original.tournament
+    index = t.index_of()
+    adj = np.array(t.adj)
+    alive = np.ones(t.n, dtype=bool)
+    term = _term_mask(t.n, original.terminals)
+    steps = [rec for rec in trace if rec.status == STATUS_APPLIED]
+
+    def vertex(label: int, rec: RuleOutcome) -> int:
+        v = index.get(label, -1)
+        if v < 0 or not alive[v]:
+            raise InternalInvariantError(f"{rec.rule} record names vertex {label}, absent there")
+        return v
+
+    # Per step, the vertex deleted or the arcs reversed, as input indices,
+    # and the k before it.
+    moves: list[int | list[Arc]] = []
+    budgets = [original.k]
+    for rec in steps:
+        if rec.rule in ("rr2", "rr8"):
+            (label,) = rec.detail["deleted"]
+            v = vertex(label, rec)
+            alive[v] = False
+            moves.append(v)
+            spent = 0
         elif rec.rule in ("rr3", "rr5", "arc-swap"):
-            if rec.rule == "arc-swap":
-                current = minimalize_solution(child, current)
+            arcs = [(vertex(a, rec), vertex(b, rec)) for a, b in rec.detail["reversed"]]
+            for a, b in arcs:
+                if not adj[a, b]:
+                    raise InternalInvariantError(f"{rec.rule} record reverses an absent arc")
+                adj[a, b], adj[b, a] = False, True
+            moves.append(arcs)
+            spent = 0 if rec.rule == "arc-swap" else len(arcs)
+        else:
+            raise InternalInvariantError(f"unliftable trace rule {rec.rule!r}")
+        budgets.append(budgets[-1] - spent)
+    scores = (adj & alive).sum(axis=1)
+
+    def check(labeled: set[tuple[int, int]], k: int, context: str) -> None:
+        pairs = [(index.get(u, -1), index.get(v, -1)) for u, v in labeled]
+        for (lu, lv), (u, v) in zip(labeled, pairs):
+            if min(u, v) < 0 or not (alive[u] and alive[v]):
+                raise InternalInvariantError(f"lifted arc ({lu}, {lv}) names a deleted vertex")
+        for (lu, lv), (u, v) in zip(labeled, pairs):
+            if not adj[u, v]:
+                raise InvalidArcError(f"arc ({lu}, {lv}) not present")
+        flipped = scores.copy()
+        for u, v in pairs:
+            flipped[u] -= 1
+            flipped[v] += 1
+        if len(pairs) > k or _landau(flipped[alive])[2][term[alive]].any():
+            raise InternalInvariantError(f"lift through {context} broke the solution")
+
+    def child(k: int) -> Instance:
+        # A read-only view of the working matrix, from which Instance.drop
+        # copies the compact tournament of the alive vertices.
+        frame = Instance(Tournament._derived(adj.view(), t.labels), original.terminals, k)
+        return frame.drop(np.flatnonzero(~alive).tolist())
+
+    current = {(int(u), int(v)) for u, v in kernel_solution_labels}
+    check(current, budgets[-1], "kernel solution")
+    for i in reversed(range(len(steps))):
+        rec, move = steps[i], moves[i]
+        if rec.rule in ("rr2", "arc-swap"):
+            current = minimalize_solution(child(budgets[i + 1]), current)
+        if isinstance(move, int):
+            alive[move] = True
+            scores += adj[:, move]
+            scores[move] = np.count_nonzero(adj[move] & alive)
+        else:
+            for a, b in move:
+                adj[a, b], adj[b, a] = True, False
+                scores[a] += 1
+                scores[b] -= 1
             pair = {tuple(a) for a in rec.detail["reversed"]}
             cancelled = {arc for arc in pair if (arc[1], arc[0]) in current}
             # a minimal solution that cancels neither swapped arc already
             # works upstairs as it is
             if cancelled or rec.rule != "arc-swap":
                 current = current - {(v, u) for u, v in cancelled} | (pair - cancelled)
-        else:
-            raise InternalInvariantError(f"unliftable trace rule {rec.rule!r}")
-        _check(parent, current, rec.rule)
+        check(current, budgets[i], rec.rule)
+    if not verify_solution(original, [(index[u], index[v]) for u, v in current]):
+        raise InternalInvariantError("lifted solution fails the input")
     return frozenset(current)

@@ -549,7 +549,7 @@ def _ordering_bound(instance: Instance, target: int) -> tuple[int, np.ndarray]:
     the count is at most ``target``.
     """
     t = instance.tournament
-    order = _landau(t.adj)[0]
+    order = _landau(t.adj.sum(axis=1))[0]
     term = _term_mask(t.n, instance.terminals)
     count = len(s_backward_arcs(t, instance.terminals, order))
     moved = True

@@ -21,7 +21,10 @@ searches of `minimalize_solution` must return the same arc set.
 
 `reference_kernelize` is the driver loop without a carried rule state: every
 step runs every rule from rule 1, which the carried loop must reproduce
-record for record.
+record for record. `successor` replays one applied record's delta (the
+vertex it deleted or the arcs it reversed) onto the instance before it,
+with a deletion of its own: rule-8 records carry no successor instance, and
+every other record's must equal the replay.
 
 `reference_parse_instance` reads an instance file one line at a time, with
 `str.split` and `int` on every field, and `reference_serialize_instance`
@@ -48,6 +51,7 @@ from sfast.graphs import (
     InvalidArcError,
     Tournament,
     is_s_acyclic,
+    reverse_arcs,
     _term_mask,
 )
 from sfast.instancefile import InstanceFormatError
@@ -227,6 +231,25 @@ def reference_minimalize_solution(instance, solution_labels):
     return current
 
 
+def successor(instance, rec) -> Instance:
+    """The instance that the applied record ``rec`` leaves from ``instance``."""
+    index = instance.tournament.index_of()
+    if rec.rule in ("rr2", "rr8"):
+        (label,) = rec.detail["deleted"]
+        v = index[label]
+        terminals = frozenset(s - (s > v) for s in instance.terminals if s != v)
+        nxt = Instance(instance.tournament.drop([v]), terminals, instance.k)
+    else:
+        arcs = [(index[a], index[b]) for a, b in rec.detail["reversed"]]
+        spent = len(arcs) if rec.rule in ("rr3", "rr5") else 0
+        nxt = Instance(reverse_arcs(instance.tournament, arcs), instance.terminals, instance.k - spent)
+    if rec.rule == "rr8":
+        assert rec.next is None
+    else:
+        assert nxt == rec.next, rec.rule
+    return nxt
+
+
 def reference_kernelize(instance) -> KernelResult:
     """`kernelize` with every step run from scratch."""
     trace = []
@@ -238,7 +261,8 @@ def reference_kernelize(instance) -> KernelResult:
             return KernelResult("reduced", cur, tuple(trace))
         if records[-1].status != STATUS_APPLIED:
             return KernelResult(records[-1].status, None, tuple(trace))
-        cur = records[-1].next
+        for rec in records:
+            cur = successor(cur, rec)
     raise InternalInvariantError("kernelization failed to settle within its cap")
 
 

@@ -22,7 +22,7 @@ from families import (
     rule8_instance,
 )
 from invariants import assert_kernel_exhausted
-from reference import interleaving_count, reference_minimum
+from reference import interleaving_count, reference_minimum, successor
 from sfast.graphs import Instance, Tournament, s_backward_arcs, verify_solution
 from sfast.kernel import (
     _step,
@@ -86,36 +86,42 @@ def cascade_check(instance, tally):
     return checked_step(instance, tally)[0]
 
 
-def checked_step(instance, tally, carry=None):
+def checked_step(instance, tally, state=None):
     """`cascade_check`'s step: the deciding rule's name (or None), the
-    instance the step leads to (None unless it applied a rule), and the
-    state it carries on. A step with a carried state skips rules 1 and 2,
-    so neither may apply to its instance."""
-    if carry is not None:
+    instance the step leads to (None unless it applied a rule), replayed
+    record by record, and the state `_step` hands the next step. ``state``
+    is the one the previous step handed on, the instance itself by default.
+    A step from a carried rule-8 run skips rules 1 and 2, so neither may
+    apply to its instance."""
+    if state is None:
+        state = instance
+    if not isinstance(state, Instance):
         assert rr1_sanity(instance).status == "not-applicable"
         assert rr2_triangle_free_terminal(instance).status == "not-applicable"
-    records, carry = _step(instance, carry)
+    records, state = _step(state)
     if not records:
         return None, None, None
     base = solvable(instance)
     for rec in records:
         if rec.status == "applied":
-            assert solvable(rec.next) == base
+            instance = successor(instance, rec)
+            assert solvable(instance) == base
         else:
             assert (rec.status == "trivial-yes") == base
     name = records[-1].rule
     tally[name] += 1
-    return name, records[-1].next, carry
+    return name, instance if records[-1].status == "applied" else None, state
 
 
 def cascade_walk(instance, tally):
     """Kernelize with checked steps, carrying the rule state from step to
-    step as `kernelize` does. Returns how many steps ran with a state."""
+    step as `kernelize` does. Returns how many steps ran from a carried
+    rule-8 run."""
     carried = 0
-    carry = None
+    state = None
     while instance is not None:
-        carried += carry is not None
-        _, instance, carry = checked_step(instance, tally, carry)
+        carried += state is not None and not isinstance(state, Instance)
+        _, instance, state = checked_step(instance, tally, state)
     return carried
 
 

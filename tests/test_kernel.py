@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from collections import Counter
 
 import networkx as nx
 import numpy as np
@@ -26,6 +28,7 @@ from reference import (
     reference_minimalize_solution,
     reference_outside_split,
     s_triangles_through_arc,
+    successor,
 )
 from sfast.graphs import (
     Instance,
@@ -43,6 +46,7 @@ from sfast.kernel import (
     ClassDecomposition,
     RuleOutcome,
     _find_swap,
+    _margins,
     _step,
     build_conflict_bipartite,
     class_decomposition,
@@ -495,27 +499,18 @@ class TestRule9:
         assert rr9_vertex_bound(transitive_instance(77, {0}, 1)).status == "not-applicable"
 
 
-def replay(instance, trace):
-    """Re-apply the recorded label-space operations step by step."""
-    cur = instance
+def chain(instance, trace):
+    """The instance and every instance the trace's applied records leave,
+    re-applied from the recorded label-space operations step by step."""
+    instances = [instance]
     for rec in trace:
-        if rec.status != "applied":
-            continue
-        index = cur.tournament.index_of()
-        if rec.rule in ("rr2", "rr8"):
-            (label,) = rec.detail["deleted"]
-            v = index[label]
-            t2 = cur.tournament.drop([v])
-            terms = frozenset(s - (s > v) for s in cur.terminals if s != v)
-            cur = Instance(t2, terms, cur.k)
-        else:
-            arcs = [(index[a], index[b]) for a, b in rec.detail["reversed"]]
-            spent = len(arcs) if rec.rule in ("rr3", "rr5") else 0
-            cur = Instance(
-                reverse_arcs(cur.tournament, arcs), cur.terminals, cur.k - spent
-            )
-        assert cur == rec.next, rec.rule
-    return cur
+        if rec.status == "applied":
+            instances.append(successor(instances[-1], rec))
+    return instances
+
+
+def replay(instance, trace):
+    return chain(instance, trace)[-1]
 
 
 # Instances whose kernelization reaches rules 6 to 8, arc swaps included.
@@ -560,9 +555,7 @@ class TestKernelizeDriver:
 
     def test_budget_never_increases(self):
         result = kernelize(rule5_instance())
-        budgets = [rule5_instance().k] + [
-            rec.next.k for rec in result.trace if rec.status == "applied"
-        ]
+        budgets = [cur.k for cur in chain(rule5_instance(), result.trace)]
         assert all(a >= b for a, b in zip(budgets, budgets[1:]))
 
     @driver_witnesses
@@ -689,26 +682,34 @@ class TestCarriedState:
         ids=["dp6", "dp7", "kernel6", "planted-60"],
     )
     def test_every_carried_state_is_exact(self, n, s_count, seed, swaps):
-        # Walk the carried driver one step at a time. A step with arc swaps
-        # carries nothing. Whenever a state is carried, rules 1 to 6 must
-        # indeed be inapplicable, its classes must be the instance's big
-        # classes in order, each decomposition it carries must equal a fresh
-        # one, counts included, and when the settled class is the one rule 8
-        # acts on next, the swap search it skips must find nothing.
-        cur, carry = planted(n, s_count, seed), None
+        # Walk the carried driver one step at a time, replaying each record
+        # onto a compact instance. A step with arc swaps carries nothing.
+        # Whenever a run is carried, its live vertices must be the replayed
+        # instance's, rules 1 to 6 must indeed be inapplicable there, its
+        # classes must be that instance's big classes in order, each
+        # decomposition it carries must equal a fresh one once its dead
+        # columns are cut, counts and margins included, and when the
+        # settled class is the one rule 8 acts on next, the swap search it
+        # skips must find nothing.
+        cur = state = planted(n, s_count, seed)
         carried = swapped = skipped = 0
         while True:
-            records, carry = _step(cur, carry)
+            records, state = _step(state)
             if not records or records[-1].status != "applied":
                 break
-            cur = records[-1].next
+            for rec in records:
+                cur = successor(cur, rec)
             if records[0].rule == "arc-swap":
                 swapped += 1
-                assert carry is None
-            if carry is None:
+                assert isinstance(state, Instance)
+            if isinstance(state, Instance):
+                assert state == cur
                 continue
             carried += 1
             assert [rec.rule for rec in records] == ["rr8"]
+            alive = state.alive
+            assert state.n == cur.n
+            assert tuple(np.array(state.tournament.labels)[alive]) == cur.tournament.labels
             for rule in (
                 rr1_sanity,
                 rr2_triangle_free_terminal,
@@ -723,15 +724,23 @@ class TestCarriedState:
                 (vs for vs in classes.values() if len(vs) >= decomposition_class_size(cur.k)),
                 key=min,
             )
-            assert [tuple(sorted(dec.z)) for dec in carry.decs] == big
-            for dec in carry.decs:
+            decs = [
+                ClassDecomposition(dec.masks[:, alive], dec.counts[:, alive])
+                for dec in state.decs
+            ]
+            assert [tuple(sorted(dec.z)) for dec in decs] == big
+            for dec, margins in zip(decs, state.margins):
                 fresh = class_decomposition(cur, dec.z)
                 assert dec == fresh
                 assert np.array_equal(dec.counts, fresh.counts)
-            deletable = [dec for dec in carry.decs if dec.size >= deletion_class_size(cur.k)]
-            if deletable and deletable[0] is carry.settled:
+                expected = _margins(fresh.masks, fresh.counts, cur.k)
+                assert np.array_equal(np.minimum(margins[:, alive], cur.n + 1), expected)
+            deletable = [
+                i for i, dec in enumerate(state.decs) if dec.size >= deletion_class_size(cur.k)
+            ]
+            if deletable and state.decs[deletable[0]] is state.settled:
                 skipped += 1
-                assert _find_swap(cur, carry.settled) is None
+                assert _find_swap(cur, decs[deletable[0]]) is None
         assert carried >= 10
         assert swapped == swaps
         assert skipped >= carried // 2
@@ -740,9 +749,9 @@ class TestCarriedState:
         # Over the ten planted_kernel kernelizations a carried rr8 run
         # decomposes a class afresh only when a deletion crosses a degree
         # threshold, and searches for swaps only on a class it has not
-        # settled: 64 and 148 calls, against 1034 and 1014 when every
+        # settled: 64 and 150 calls, against 1034 and 1014 when every
         # carried step redid both.
-        calls = {"class_decomposition": 0, "arc_swap_normalize": 0}
+        calls = {"class_decomposition": 0, "_find_swap": 0}
         for name in calls:
             original = getattr(sfast.kernel, name)
 
@@ -754,7 +763,7 @@ class TestCarriedState:
         for seed in range(10):
             kernelize(planted(150, 10, seed))
         assert calls["class_decomposition"] <= 80
-        assert calls["arc_swap_normalize"] <= 160
+        assert calls["_find_swap"] <= 160
 
 
 def assert_same_decomposition(instance, members):
@@ -797,8 +806,7 @@ class TestClassDecompositionReference:
         for seed in range(seeds):
             instance = planted(n, s_count, seed)
             result = kernelize(instance)
-            chain = [instance] + [rec.next for rec in result.trace if rec.status == "applied"]
-            for cur in chain:
+            for cur in chain(instance, result.trace):
                 for members in equivalence_classes(cur.tournament, cur.terminals).values():
                     if len(members) >= decomposition_class_size(cur.k):
                         decomposed += assert_same_decomposition(cur, members)
@@ -922,6 +930,129 @@ class TestLifting:
         result = kernelize(instance)
         assert result.status == "trivial-yes"
         assert lift_solution(instance, result.trace, []) == frozenset()
+
+    def test_lift_rejects_a_deleted_vertex_that_closes_a_terminal_triangle(self):
+        # The kernel 0 -> 1 -> 2 -> 0 is mended by reversing (2, 0); putting
+        # back vertex 3, with 2 -> 3 -> 0, closes 0 -> 2 -> 3 -> 0 through the
+        # terminal 0. Only the rr8 step's own check sees it.
+        t = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3)])
+        instance = Instance(t, frozenset({0}), 1)
+        with pytest.raises(InternalInvariantError, match="lift through rr8 broke"):
+            lift_solution(instance, [deletion(3)], [(2, 0)])
+
+    def test_lift_rejects_an_rr3_record_the_instance_does_not_replay(self):
+        # A replayable rr3 record cannot leave a terminal cycle: the lifted
+        # solution turns the arc the record turned, so the parent reversed
+        # is the child reversed. What breaks a lift there is a record that
+        # names an arc the instance lacks, or a vertex already deleted.
+        instance = triangle_instance(k=2)
+        for trace in ([reversal("rr3", (1, 0))], [deletion(2), reversal("rr3", (2, 0))]):
+            with pytest.raises(InternalInvariantError, match="rr3 record"):
+                lift_solution(instance, trace, [])
+
+    def test_lift_rejects_a_solution_over_its_step_budget(self):
+        # Two rr3 records spend the whole budget of one and more: the kernel
+        # is transitive, but its k is -1, which even no arc exceeds.
+        trace = [reversal("rr3", (0, 1)), reversal("rr3", (1, 2))]
+        with pytest.raises(InternalInvariantError, match="lift through kernel solution broke"):
+            lift_solution(triangle_instance(k=1), trace, [])
+        assert lift_solution(triangle_instance(k=2), trace, []) == {(0, 1), (1, 2)}
+
+
+def deletion(label):
+    """A hand-built rule-8 record: the delta alone, as `kernelize` writes it."""
+    return RuleOutcome("rr8", "applied", detail={"deleted": [label]})
+
+
+def reversal(rule, *arcs):
+    """A hand-built record of a rule that reversed ``arcs``."""
+    return RuleOutcome(rule, "applied", detail={"reversed": [list(arc) for arc in arcs]})
+
+
+def test_lift_step_checks_agree_with_verify_solution():
+    # A hand-built trace of rule-8 deletions lifts an arc set of the kernel
+    # back through every instance in between. The lift's score-based check
+    # must first fail where verify_solution first fails, from the kernel
+    # back, or nowhere; then the arcs come back as they are.
+    seen = Counter()
+    for n in (3, 6, 10, 20, 40):
+        rng = random.Random(1000 + n)
+        for _ in range(40):
+            adj, order = _near_order_tournament(n, rng.randrange(n // 2 + 1), rng)
+            t = Tournament(adj)
+            terminals = frozenset(rng.sample(range(n), rng.randrange(n + 1)))
+            gone = rng.sample(range(n), rng.randrange(n))
+            kernel = Instance(t, terminals, 0).drop(gone)
+            kept = kernel.tournament.labels
+            backward = s_backward_arcs(
+                kernel.tournament, kernel.terminals, [kept.index(v) for v in order if v in kept]
+            )
+            arcs = {(kept[u], kept[v]) for u, v in backward}
+            if rng.random() < 0.5:
+                arcs = set(rng.sample(sorted(arcs), len(arcs) // 2))
+            instance = Instance(t, terminals, len(arcs) + rng.choice((-1, 0, 2)))
+            expected = None
+            for i in range(len(gone), -1, -1):
+                state = instance.drop(gone[:i])
+                index = state.tournament.index_of()
+                if not verify_solution(state, [(index[u], index[v]) for u, v in arcs]):
+                    expected = "kernel solution" if i == len(gone) else "rr8"
+                    break
+            trace = [deletion(v) for v in gone]
+            if expected is None:
+                assert lift_solution(instance, trace, arcs) == arcs
+            else:
+                with pytest.raises(InternalInvariantError, match=f"lift through {expected} broke"):
+                    lift_solution(instance, trace, arcs)
+            seen[expected] += 1
+    assert min(seen[None], seen["rr8"], seen["kernel solution"]) >= 20, seen
+
+
+def test_kernelize_builds_a_compact_instance_only_where_a_rule_needs_one(monkeypatch):
+    # A carried run of rule-8 deletions works in the frame of the instance
+    # where it began, so a compact instance, one Tournament.drop, is built
+    # only for an rr2 deletion, a class decomposed afresh, a found swap and
+    # the end of a run: where a step with swaps ends it, and at the kernel.
+    # Over the ten planted_kernel kernelizations that is 139 calls; a copy
+    # per deletion made 1103, 1014 of them for rr8.
+    drops = decomposed = 0
+    drop, decompose = Tournament.drop, sfast.kernel.class_decomposition
+
+    def counting_drop(self, vertices):
+        nonlocal drops
+        drops += 1
+        return drop(self, vertices)
+
+    def counting_decompose(instance, members):
+        nonlocal decomposed
+        decomposed += 1
+        return decompose(instance, members)
+
+    monkeypatch.setattr(Tournament, "drop", counting_drop)
+    monkeypatch.setattr(sfast.kernel, "class_decomposition", counting_decompose)
+    budget = deletions = 0
+    for seed in range(10):
+        rules = [rec.rule for rec in kernelize(planted(150, 10, seed)).trace]
+        swap_steps = sum(a == "arc-swap" and b == "rr8" for a, b in zip(rules, rules[1:]))
+        budget += rules.count("rr2") + 2 * swap_steps + 1
+        deletions += rules.count("rr8")
+    assert drops <= budget + decomposed
+    assert drops < deletions // 4
+
+
+def test_kernelize_keeps_quadratic_memory():
+    # Each rule-8 record once kept its successor instance, about n^3/3
+    # bytes in all; now the records keep deltas and one frame is alive.
+    n = 1000
+    instance = planted(n, 10, 0)
+    tracemalloc.start()
+    try:
+        result = kernelize(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == "reduced"
+    assert peak < 48 * n * n
 
 
 def _minimalize_terminals(n, rng):
