@@ -8,11 +8,10 @@ Applied rules leave trace records (in original vertex labels) that
 `lift_solution` walks backward to translate kernel solutions into solutions
 of the input.
 
-`kernelize` threads a private state from one step to the next. It exists
-only after a rule-8 deletion of a vertex v that needed no arc swap, and
-holds the decompositions of the big classes with v removed. Deleting v, an
-irrelevant core vertex of its class Z, keeps the next step's rules 1 to 6
-inapplicable, so that step goes straight to rule 7:
+A step that applies rule 8 with no arc swap goes on deleting (`_rr8_run`)
+and hands the next step the decompositions of the big classes that are
+left. Deleting v, an irrelevant core vertex of its class Z, keeps rules 1
+to 6 inapplicable, so a step handed them goes straight to rule 7:
 
 - Rule 1: k is unchanged, and it is positive, as rule 1 did not act
   before the deletion.
@@ -64,40 +63,26 @@ was irrelevant: it beat no sink, and no source beat it. The core
 in-degrees stay exact, as the core lost only v.
 
 Rule 8's swap search is skipped when it would run on a settled class. The
-search of the step that deleted v found no swap on Z; it ran there, or Z
-was settled then too. Nor did v lie on either side set, the core members
+search that preceded the deletion of v found no swap on Z; it ran there, or
+Z was settled then too. Nor did v lie on either side set, the core members
 that beat a sink or that a source beats. So the side sets, their k+1
 smallest members (the anchors) and the rest (the far members) are the
 same, with the same arcs to the same pivots, and the search would again
 find nothing. The relevant core is unchanged as well, so its 2k+2 bound
-holds. Any other applied rule or arc swap drops the state, and the next
-step runs every rule.
+holds. A step of any other rule, or with arc swaps, hands on nothing, and
+the next step runs every rule.
 
-A run of such steps works in a frame (`_Run`): the matrix, labels and
-terminals of the instance where the run began, and a mask of the vertices
-still alive. A deletion clears the vertex in that mask and in every mask
-column of the carried decompositions, and updates Z's counts and margins
-in place; no matrix is copied. Rules 7 and 8 and the swap search read the
-frame with the dead columns cleared, and decide as they would on the
-compact instance, the alive vertices renumbered in order:
-
-- every set they read is a mask row, empty on the dead columns, so the
-  sizes that rules 7 and 8 compare are the same;
-- renumbering keeps the order, so the first irrelevant core vertex (an
-  argmax), the order of the classes by their smallest member, and the
-  swap search's side sets, anchors (the k+1 smallest) and pivots name the
-  same vertices;
-- the counts of the alive vertices are exact and the outside of a class is
-  cut to the alive vertices, so each split of a class and every invariant
-  check inside it sees what it would see there.
-
-A run is rebased onto a compact instance, built with one `Instance.drop` of
-its dead vertices, only where a rule needs one: when a deletion crosses a
-threshold and Z is decomposed afresh, as `class_decomposition` takes an
-instance; when the swap search finds a swap, whose records carry the
-instances they leave; and at the step that ends the run, whose kernel is
-compact. Rule-8 records name the deleted vertex and carry no instance, and
-`lift_solution` replays every record as a delta.
+The run is a loop inside one step. It deletes in rule 8's order, from the
+first deletable class by its smallest alive member, and reads the step's
+instance with the deleted vertices cleared from every mask column: the
+sizes, the smallest members, the anchors and the pivots are those of the
+compact instance, as renumbering keeps the order. The loop stops after a
+deletion that crosses a threshold, before deleting from a newly first class
+whose swap search finds a swap, or when no class is deletable. Then one
+`Instance.drop` builds the next step's instance, the masks and counts are
+cut to its columns, and a class whose threshold was crossed is decomposed
+afresh there. Rule-8 records name the deleted vertex and carry no instance,
+and `lift_solution` replays every record as a delta.
 """
 
 from __future__ import annotations
@@ -184,12 +169,11 @@ class RuleOutcome:
     An applied record names its change in original labels in ``detail``:
     the vertex ``deleted`` (rr2, rr8) or the arcs ``reversed`` (rr3, rr5,
     arc swaps); rr3 and rr5 spend one unit of k per arc. ``next`` is the
-    instance the rule left, except on rr8 records, where it is None: a
-    carried run deletes in its frame and never builds that instance, and
-    `lift_solution` reads only the deltas. The field stays, for the other
-    rules, because callers outside the kernel still read it (the
-    benchmark's trace-size count skips a None), until the trace holds
-    deltas alone.
+    instance the rule left, except on rr8 records, where it is None: a run
+    of deletions builds one instance at its end, and `lift_solution` reads
+    only the deltas. The field stays, for the other rules, because callers
+    outside the kernel still read it (the benchmark's trace-size count
+    skips a None), until the trace holds deltas alone.
     """
 
     rule: str
@@ -854,24 +838,12 @@ def arc_swap_normalize(
 def rr8_irrelevant_vertex(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
     """Delete the smallest vertex of the irrelevant core of a large class.
 
-    The record names the vertex and carries no successor instance: the
-    driver deletes it in the frame of its carried run (see `_Run`).
+    The record names the vertex and carries no successor instance, which
+    the driver builds once for a whole run of deletions (see `_rr8_run`).
     """
-    k = instance.k
-    if dec.size < deletion_class_size(k):
+    if dec.size < deletion_class_size(instance.k):
         return _outcome("rr8", STATUS_NOT_APPLICABLE, instance, note="class within bound")
-    irrelevant = dec.masks[_IRRELEVANT]
-    if not irrelevant.any():
-        raise InternalInvariantError("large class with empty irrelevant core")
-    v = int(irrelevant.argmax())
-    return _outcome(
-        "rr8",
-        STATUS_APPLIED,
-        instance,
-        note="deleted an irrelevant core vertex",
-        post=[instance.n - 1, len(instance.terminals), k],
-        deleted=[instance.tournament.labels[v]],
-    )
+    return _rule8(instance, dec.masks, instance.n)[0]
 
 
 def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
@@ -894,8 +866,7 @@ def _margins(masks: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     counts are its in- and its out-degree in the class, with a threshold at
     k + 1; an outside vertex's are its in- and its out-degree from the core,
     with thresholds at k + 1 and at 1. Where no threshold lies below, and
-    for terminals and dead vertices, the margin is n + 1, more than a run
-    can delete."""
+    for terminals, the margin is n + 1, more than a run can delete."""
     n = masks.shape[-1]
     big = n + 1
     member = counts[[_IN, _OUT]]
@@ -906,109 +877,22 @@ def _margins(masks: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     return np.where(masks[_Z], member, np.where(rest, outside, big))
 
 
-class _Run:
-    """A carried run of rule-8 deletions in the frame of ``base``, the
-    instance where the run began or was last rebased (see the module
-    docstring).
-
-    ``alive`` marks the frame's vertices not yet deleted and ``n`` counts
-    them. ``k``, ``terminals`` and ``tournament`` are the base's, so rules 7
-    to 9 and the swap search read a run as they read an instance. ``decs``
-    holds the decompositions of the big classes over the frame, ordered by
-    their smallest member: read-only views of the stacked ``masks`` and
-    ``counts``, which each deletion updates in place, with the dead columns
-    cleared. ``margins`` stacks each class's `_margins`. ``settled`` is the
-    decomposition of the class that lost the last vertex when none of its
-    degree-derived rows changed, else None.
-    """
-
-    def __init__(self, base: Instance, decs: Sequence[ClassDecomposition]) -> None:
-        self.masks = np.stack([dec.masks for dec in decs])
-        self.counts = np.stack([dec.counts for dec in decs])
-        self._reframe(base)
-
-    def _reframe(self, base: Instance) -> None:
-        self.base = base
-        self.alive = np.ones(base.n, dtype=bool)
-        self.n = base.n
-        self.decs = tuple(map(ClassDecomposition, self.masks, self.counts))
-        self.margins = np.stack([_margins(*pair, base.k) for pair in zip(self.masks, self.counts)])
-        self.settled: Optional[ClassDecomposition] = None
-
-    @property
-    def k(self) -> int:
-        return self.base.k
-
-    @property
-    def terminals(self) -> frozenset[int]:
-        return self.base.terminals
-
-    @property
-    def tournament(self) -> Tournament:
-        return self.base.tournament
-
-    def instance(self) -> Instance:
-        """The compact instance: the base less the dead vertices."""
-        if self.n == self.base.n:
-            return self.base
-        return self.base.drop(np.flatnonzero(~self.alive).tolist())
-
-    def rebase(self, fresh: Optional[int] = None) -> None:
-        """Move the run onto its compact instance, decomposing the class
-        ``decs[fresh]`` afresh there when ``fresh`` is given."""
-        keep = self.alive
-        base = self.instance()
-        self.masks, self.counts = self.masks[:, :, keep], self.counts[:, :, keep]
-        if fresh is not None:
-            dec = class_decomposition(base, np.flatnonzero(self.masks[fresh, _Z]))
-            self.masks[fresh], self.counts[fresh] = dec.masks, dec.counts
-        self._reframe(base)
-
-    def delete(self, v: int, touched: int) -> None:
-        """Delete v, an irrelevant core vertex of the class ``decs[touched]``."""
-        self.alive[v] = False
-        self.n -= 1
-        self.masks[:, :, v] = False
-        # v leaves the class and its core: the vertices it beats lose a
-        # class and a core in-neighbour, the others a class out-neighbour.
-        beaten = self.base.tournament.adj[v]
-        unbeaten = ~beaten
-        counts, margins = self.counts[touched], self.margins[touched]
-        counts[_IN] -= beaten
-        counts[_OUT] -= unbeaten
-        counts[_CORE_IN] -= beaten
-        margins[0] -= beaten
-        margins[1] -= unbeaten
-        margins[:, v] = self.base.n + 1
-        settled = bool(margins.all())
-        if not settled:
-            self.rebase(touched)
-        first = self.masks[:, _Z].argmax(axis=1).tolist()
-        if first != sorted(first):
-            order = np.argsort(first, kind="stable")
-            self.masks, self.counts = self.masks[order], self.counts[order]
-            self.margins = self.margins[order]
-            self.decs = tuple(map(ClassDecomposition, self.masks, self.counts))
-            touched = order.tolist().index(touched)
-        self.settled = self.decs[touched] if settled else None
-
-
 def _step(
-    state: Instance | _Run,
-) -> tuple[tuple[RuleOutcome, ...], Optional[Instance | _Run]]:
-    """One driver step from an instance or a carried run: the records of the
-    first rule, in the fixed order, whose status is not not-applicable, and
-    what the next step starts from. That is the rule's successor instance,
-    or the run that a rule-8 deletion without arc swaps begins or
-    continues, or None after a verdict. When no rule acts the records are
-    () and the state comes back as a compact instance, the kernel.
+    instance: Instance, decs: Optional[Sequence[ClassDecomposition]] = None
+) -> tuple[tuple[RuleOutcome, ...], Optional[Instance], Optional[tuple[ClassDecomposition, ...]]]:
+    """One driver step: the records of the first rule, in the fixed order,
+    whose status is not not-applicable, the instance the next step starts
+    from (None after a verdict), and the decompositions it starts with.
+    When no rule acts the records are () and the instance, the kernel,
+    comes back.
 
-    Rules 6 to 8 share one classification; their step returns the arc swaps
-    followed by the rule-8 deletion. On a run, rules 1 to 6 are known not to
-    apply and are skipped, and so is the swap search when the class it
-    would run on is the run's settled one (see the module docstring).
+    Rules 6 to 8 share one classification. A step with arc swaps returns
+    them followed by the rule-8 deletion; a step without goes on deleting
+    by rule 8 (`_rr8_run`) and hands on exact decompositions of the next
+    instance's big classes, ordered by their smallest member. A step
+    handed them skips rules 1 to 6 (see the module docstring).
     """
-    if isinstance(state, Instance):
+    if decs is None:
         for rule in (
             rr1_sanity,
             rr2_triangle_free_terminal,
@@ -1016,53 +900,100 @@ def _step(
             rr4_bounded_terminal,
             rr5_safe_partition,
         ):
-            out = rule(state)
+            out = rule(instance)
             if out.status != STATUS_NOT_APPLICABLE:
-                return (out,), out.next
-        classes = equivalence_classes(state.tournament, state.terminals)
-        out = rr6_many_types(state, classes)
+                return (out,), out.next, None
+        classes = equivalence_classes(instance.tournament, instance.terminals)
+        out = rr6_many_types(instance, classes)
         if out.status != STATUS_NOT_APPLICABLE:
-            return (out,), None
+            return (out,), None, None
         big = sorted(
-            (vs for vs in classes.values() if len(vs) >= decomposition_class_size(state.k)),
+            (vs for vs in classes.values() if len(vs) >= decomposition_class_size(instance.k)),
             key=min,
         )
-        decs: Sequence[ClassDecomposition] = [class_decomposition(state, vs) for vs in big]
-        settled = None
-    else:
-        decs, settled = state.decs, state.settled
+        decs = [class_decomposition(instance, vs) for vs in big]
     for dec in decs:
-        out = rr7_wrong_arcs(state, dec)
+        out = rr7_wrong_arcs(instance, dec)
         if out.status != STATUS_NOT_APPLICABLE:
-            return (out,), None
+            return (out,), None, None
 
-    deletable = [i for i, dec in enumerate(decs) if dec.size >= deletion_class_size(state.k)]
+    deletable = [i for i, dec in enumerate(decs) if dec.size >= deletion_class_size(instance.k)]
     if not deletable:
-        out = rr9_vertex_bound(state)
+        out = rr9_vertex_bound(instance)
         if out.status != STATUS_NOT_APPLICABLE:
-            return (out,), None
-        return (), state if isinstance(state, Instance) else state.instance()
-    touched = deletable[0]
-    dec = decs[touched]
-    if dec is not settled and _find_swap(state, dec) is not None:
-        if isinstance(state, _Run):
-            state.rebase()
-            state, dec = state.base, state.decs[touched]
-        swapped, dec, swaps = arc_swap_normalize(state, dec)
-        out, v = _rule8(swapped, dec)
-        return swaps + (out,), swapped.drop([v])
-    out, v = _rule8(state, dec)
-    run = state if isinstance(state, _Run) else _Run(state, decs)
-    run.delete(v, touched)
-    return (out,), run
+            return (out,), None, None
+        return (), instance, None
+    dec = decs[deletable[0]]
+    if _find_swap(instance, dec) is None:
+        return _rr8_run(instance, decs, deletable[0])
+    swapped, dec, swaps = arc_swap_normalize(instance, dec)
+    out, v = _rule8(swapped, dec.masks, swapped.n)
+    return swaps + (out,), swapped.drop([v]), None
 
 
-def _rule8(instance: Instance | _Run, dec: ClassDecomposition) -> tuple[RuleOutcome, int]:
-    """Rule 8's record on a deletable class, and the vertex it deletes."""
-    out = rr8_irrelevant_vertex(instance, dec)
-    if out.status != STATUS_APPLIED:
-        raise InternalInvariantError("deletable class but rule 8 balked")
-    return out, instance.tournament.labels.index(out.detail["deleted"][0])
+def _rr8_run(
+    instance: Instance, decs: Sequence[ClassDecomposition], first: int
+) -> tuple[tuple[RuleOutcome, ...], Instance, tuple[ClassDecomposition, ...]]:
+    """Rule-8 deletions from ``decs[first]`` on, the class whose swap search
+    just found nothing, until a deletion crosses a threshold, a newly first
+    class has a swap, or no class is deletable (see the module docstring).
+    Returns the records, the instance less the deleted vertices, and the
+    decompositions of its big classes."""
+    k, adj, big = instance.k, instance.tournament.adj, instance.n + 1
+    masks = np.stack([dec.masks for dec in decs])
+    counts = np.stack([dec.counts for dec in decs])
+    margins = np.stack([_margins(*pair, k) for pair in zip(masks, counts)])
+    sizes = masks[:, _Z].sum(axis=1)
+    records: list[RuleOutcome] = []
+    deleted: list[int] = []
+    i, fresh = first, None
+    while True:
+        out, v = _rule8(instance, masks[i], instance.n - len(deleted))
+        records.append(out)
+        deleted.append(v)
+        # v leaves its class and the core: the vertices it beats lose a
+        # class and a core in-neighbour, the others a class out-neighbour.
+        masks[:, :, v] = False
+        beaten = adj[v]
+        unbeaten = ~beaten
+        counts[i, _IN] -= beaten
+        counts[i, _OUT] -= unbeaten
+        counts[i, _CORE_IN] -= beaten
+        margins[i, 0] -= beaten
+        margins[i, 1] -= unbeaten
+        margins[:, :, v] = big  # no count of a deleted vertex is read again
+        if not margins[i].all():
+            fresh = i
+            break
+        sizes[i] -= 1
+        deletable = sizes >= deletion_class_size(k)
+        if not deletable.any():
+            break
+        j = int(np.where(deletable, masks[:, _Z].argmax(axis=1), big).argmin())
+        if j != i and _find_swap(instance, ClassDecomposition(masks[j], counts[j])) is not None:
+            break
+        i = j
+    nxt = instance.drop(deleted)
+    masks, counts = np.delete(masks, deleted, axis=2), np.delete(counts, deleted, axis=2)
+    if fresh is not None:
+        dec = class_decomposition(nxt, np.flatnonzero(masks[fresh, _Z]))
+        masks[fresh], counts[fresh] = dec.masks, dec.counts
+    order = np.argsort(masks[:, _Z].argmax(axis=1))
+    return tuple(records), nxt, tuple(map(ClassDecomposition, masks[order], counts[order]))
+
+
+def _rule8(instance: Instance, masks: np.ndarray, n: int) -> tuple[RuleOutcome, int]:
+    """Rule 8's record for deleting the smallest irrelevant core vertex of
+    the class with the decomposition ``masks``, from the instance with n of
+    its vertices still alive, and that vertex."""
+    v = int(masks[_IRRELEVANT].argmax())
+    if not masks[_IRRELEVANT, v]:
+        raise InternalInvariantError("large class with empty irrelevant core")
+    stats = [len(instance.terminals), instance.k]
+    label = instance.tournament.labels[v]
+    detail = {"pre": [n, *stats], "post": [n - 1, *stats], "deleted": [label]}
+    note = "deleted an irrelevant core vertex"
+    return RuleOutcome("rr8", STATUS_APPLIED, note=note, detail=detail), v
 
 
 def kernelize(instance: Instance) -> KernelResult:
@@ -1073,10 +1004,11 @@ def kernelize(instance: Instance) -> KernelResult:
     deciding rule), in original labels, and is what `lift_solution` consumes.
     """
     trace: list[RuleOutcome] = []
-    state: Optional[Instance | _Run] = instance
+    state: Optional[Instance] = instance
+    decs = None
     cap = instance.n + max(instance.k, 0) + 8
     for _ in range(cap):
-        records, state = _step(state)
+        records, state, decs = _step(state, decs)
         trace.extend(records)
         if not records:
             return KernelResult("reduced", state, tuple(trace))

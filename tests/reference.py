@@ -19,8 +19,10 @@ mask-backed one must give the same twelve sets and raise the same errors.
 pass over the whole pruned digraph per solution arc; the reachability
 searches of `minimalize_solution` must return the same arc set.
 
-`reference_kernelize` is the driver loop without a carried rule state: every
-step runs every rule from rule 1, which the carried loop must reproduce
+`reference_kernelize` is the driver loop with every step run from rule 1
+and at most one rule-8 deletion per step: it keeps a fresh step's records
+through the first rule-8 record, drops the rest, and steps afresh. So each
+deletion of a batched rule-8 run must match rule 8 applied from scratch,
 record for record. `successor` replays one applied record's delta (the
 vertex it deleted or the arcs it reversed) onto the instance before it,
 with a deletion of its own: rule-8 records carry no successor instance, and
@@ -251,11 +253,14 @@ def successor(instance, rec) -> Instance:
 
 
 def reference_kernelize(instance) -> KernelResult:
-    """`kernelize` with every step run from scratch."""
+    """`kernelize` with every step run from scratch, one deletion at a time."""
     trace = []
     cur = instance
     for _ in range(instance.n + max(instance.k, 0) + 8):
-        records, _ = _step(cur)
+        records = _step(cur)[0]
+        rules = [rec.rule for rec in records]
+        if "rr8" in rules:
+            records = records[: rules.index("rr8") + 1]
         trace.extend(records)
         if not records:
             return KernelResult("reduced", cur, tuple(trace))

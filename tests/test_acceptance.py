@@ -83,24 +83,22 @@ def cascade_check(instance, tally):
     oracle. Returns the deciding rule's name (rr8 for a step of arc swaps
     and a deletion), or None when the instance is already exhausted.
     """
-    return checked_step(instance, tally)[0]
+    records = checked_step(instance, tally)[0]
+    return records[-1].rule if records else None
 
 
-def checked_step(instance, tally, state=None):
-    """`cascade_check`'s step: the deciding rule's name (or None), the
-    instance the step leads to (None unless it applied a rule), replayed
-    record by record, and the state `_step` hands the next step. ``state``
-    is the one the previous step handed on, the instance itself by default.
-    A step from a carried rule-8 run skips rules 1 and 2, so neither may
-    apply to its instance."""
-    if state is None:
-        state = instance
-    if not isinstance(state, Instance):
+def checked_step(instance, tally, decs=None):
+    """`cascade_check`'s step: its records, the instance it leads to (None
+    unless it applied a rule), replayed record by record, and the
+    decompositions `_step` hands the next step. ``decs`` is what the
+    previous step handed on. A step handed decompositions skips rules 1 and
+    2, so neither may apply to its instance."""
+    if decs is not None:
         assert rr1_sanity(instance).status == "not-applicable"
         assert rr2_triangle_free_terminal(instance).status == "not-applicable"
-    records, state = _step(state)
+    records, nxt, decs = _step(instance, decs)
     if not records:
-        return None, None, None
+        return (), None, None
     base = solvable(instance)
     for rec in records:
         if rec.status == "applied":
@@ -108,20 +106,25 @@ def checked_step(instance, tally, state=None):
             assert solvable(instance) == base
         else:
             assert (rec.status == "trivial-yes") == base
-    name = records[-1].rule
-    tally[name] += 1
-    return name, instance if records[-1].status == "applied" else None, state
+    tally[records[-1].rule] += 1
+    if records[-1].status != "applied":
+        return records, None, decs
+    assert nxt == instance
+    return records, instance, decs
 
 
 def cascade_walk(instance, tally):
-    """Kernelize with checked steps, carrying the rule state from step to
-    step as `kernelize` does. Returns how many steps ran from a carried
-    rule-8 run."""
+    """Kernelize with checked steps, handing on the decompositions from
+    step to step as `kernelize` does. Returns how many rule-8 deletions
+    came from a carried state: every deletion of a step handed
+    decompositions, and every one after the first of a fresh step."""
     carried = 0
-    state = None
+    decs = None
     while instance is not None:
-        carried += state is not None and not isinstance(state, Instance)
-        _, instance, state = checked_step(instance, tally, state)
+        handed = decs is not None
+        records, instance, decs = checked_step(instance, tally, decs)
+        deletions = sum(rec.rule == "rr8" for rec in records)
+        carried += deletions if handed else max(deletions - 1, 0)
     return carried
 
 
@@ -259,10 +262,10 @@ def test_c2_reduction_rules_match_oracle_verdicts():
     # count, which the other rules' exhaustion rules out.
     assert exhaustive["rr9"] == randomized["rr9"] == variant_tally["rr9"] == 0
 
-    # Whole kernelizations, run as `kernelize` runs them: after a rule-8
-    # deletion without arc swaps the next step takes the carried rule
-    # state. Every record of every step is checked; the variants above add
-    # steps whose arc swaps drop the state.
+    # Whole kernelizations, run as `kernelize` runs them: a rule-8 step
+    # without arc swaps goes on deleting and hands the next step its class
+    # decompositions. Every record of every step is checked; the variants
+    # above add steps whose arc swaps hand on nothing.
     walked = Counter()
     carried = 0
     for n in (20, 24, 28, 32):

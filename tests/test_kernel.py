@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -45,8 +47,6 @@ from sfast.kernel import (
     BipartiteConflictGraph,
     ClassDecomposition,
     RuleOutcome,
-    _find_swap,
-    _margins,
     _step,
     build_conflict_bipartite,
     class_decomposition,
@@ -66,10 +66,11 @@ from sfast.kernel import (
     rr5_safe_partition,
     rr6_many_types,
     rr7_wrong_arcs,
+    rr8_irrelevant_vertex,
     rr9_vertex_bound,
     vertex_bound,
 )
-from sfast.oracle import GeneratorSpec, generate_planted, oracle_min_deletion
+from sfast.oracle import GeneratorSpec, generate_planted, generate_random, oracle_min_deletion
 from sfast.solver import solve_report
 
 
@@ -467,6 +468,20 @@ class TestArcSwapAndRule8:
         assert [rec.rule for rec in result.trace] == ["rr8"]
         assert result.kernel.n == 21
 
+    def test_rule8_deletes_the_smallest_irrelevant_core_vertex(self):
+        # The driver's runs build these records themselves; the public rule
+        # must give the same one on a compact instance.
+        instance = rule8_instance((4, 5), (5, 6))
+        dec = class_decomposition(instance, range(1, 20))
+        out = rr8_irrelevant_vertex(instance, dec)
+        assert out.status == "applied" and out.next is None
+        v = min(dec.z_irrelevant)
+        assert out.detail == {"pre": [22, 1, 2], "post": [21, 1, 2], "deleted": [v]}
+        assert out == kernelize(instance).trace[0]
+        smaller = instance.drop([19])
+        dec = class_decomposition(smaller, range(1, 19))
+        assert rr8_irrelevant_vertex(smaller, dec).status == "not-applicable"
+
     @pytest.mark.parametrize("seed", range(10))
     def test_witness_survives_relabeling(self, seed):
         shuffled, _ = relabel(rule8_instance(), seed)
@@ -659,8 +674,9 @@ PLANTED_CORPORA = [(50, 6, seed) for seed in range(20)] + [(150, 10, seed) for s
 
 
 class TestCarriedState:
-    """`kernelize` carries rule state from an rr8 step to the next one; the
-    result must equal the stateless driver's, record for record."""
+    """`kernelize` runs rule 8 on within a step and hands the class
+    decompositions to the next step; the result must equal the driver's
+    that steps afresh after every deletion, record for record."""
 
     @pytest.mark.parametrize("n, s_count, seed", PLANTED_CORPORA)
     def test_planted_corpora_match_the_stateless_driver(self, n, s_count, seed):
@@ -678,38 +694,34 @@ class TestCarriedState:
 
     @pytest.mark.parametrize(
         "n, s_count, seed, swaps",
-        [(50, 6, 6, 1), (50, 6, 7, 1), (150, 10, 6, 1), (60, 10, 0, 0)],
-        ids=["dp6", "dp7", "kernel6", "planted-60"],
+        [(50, 6, 6, 1), (50, 6, 7, 1), (150, 10, 6, 1), (60, 10, 0, 0), (80, 4, 0, 1)],
+        ids=["dp6", "dp7", "kernel6", "planted-60", "planted-80"],
     )
     def test_every_carried_state_is_exact(self, n, s_count, seed, swaps):
-        # Walk the carried driver one step at a time, replaying each record
-        # onto a compact instance. A step with arc swaps carries nothing.
-        # Whenever a run is carried, its live vertices must be the replayed
-        # instance's, rules 1 to 6 must indeed be inapplicable there, its
-        # classes must be that instance's big classes in order, each
-        # decomposition it carries must equal a fresh one once its dead
-        # columns are cut, counts and margins included, and when the
-        # settled class is the one rule 8 acts on next, the swap search it
-        # skips must find nothing.
-        cur = state = planted(n, s_count, seed)
-        carried = swapped = skipped = 0
+        # Walk the driver one step at a time, replaying each record onto a
+        # compact instance, which must be the instance the step returns. A
+        # step with arc swaps hands on nothing. Whenever a step hands on
+        # decompositions, rules 1 to 6 must indeed be inapplicable to the
+        # replayed instance, and the decompositions must be fresh ones of
+        # its big classes, in order, counts included.
+        cur = planted(n, s_count, seed)
+        decs = None
+        handed = swapped = deleted = 0
         while True:
-            records, state = _step(state)
+            records, nxt, decs = _step(cur, decs)
             if not records or records[-1].status != "applied":
                 break
             for rec in records:
                 cur = successor(cur, rec)
+            assert nxt == cur
+            deleted += sum(rec.rule == "rr8" for rec in records)
             if records[0].rule == "arc-swap":
                 swapped += 1
-                assert isinstance(state, Instance)
-            if isinstance(state, Instance):
-                assert state == cur
+                assert decs is None
+            if decs is None:
                 continue
-            carried += 1
-            assert [rec.rule for rec in records] == ["rr8"]
-            alive = state.alive
-            assert state.n == cur.n
-            assert tuple(np.array(state.tournament.labels)[alive]) == cur.tournament.labels
+            handed += 1
+            assert {rec.rule for rec in records} == {"rr8"}
             for rule in (
                 rr1_sanity,
                 rr2_triangle_free_terminal,
@@ -724,33 +736,47 @@ class TestCarriedState:
                 (vs for vs in classes.values() if len(vs) >= decomposition_class_size(cur.k)),
                 key=min,
             )
-            decs = [
-                ClassDecomposition(dec.masks[:, alive], dec.counts[:, alive])
-                for dec in state.decs
-            ]
             assert [tuple(sorted(dec.z)) for dec in decs] == big
-            for dec, margins in zip(decs, state.margins):
+            for dec in decs:
                 fresh = class_decomposition(cur, dec.z)
                 assert dec == fresh
                 assert np.array_equal(dec.counts, fresh.counts)
-                expected = _margins(fresh.masks, fresh.counts, cur.k)
-                assert np.array_equal(np.minimum(margins[:, alive], cur.n + 1), expected)
-            deletable = [
-                i for i, dec in enumerate(state.decs) if dec.size >= deletion_class_size(cur.k)
-            ]
-            if deletable and state.decs[deletable[0]] is state.settled:
-                skipped += 1
-                assert _find_swap(cur, decs[deletable[0]]) is None
-        assert carried >= 10
+        assert handed >= 2
+        assert deleted >= 10
         assert swapped == swaps
-        assert skipped >= carried // 2
+
+    def test_a_run_stops_before_a_newly_first_class_with_a_swap(self, monkeypatch):
+        # Here a run's deletions make another class first, and its swap
+        # search finds a swap: the run ends before deleting from it, and the
+        # next step, handed the decompositions, makes the swaps.
+        found = []
+        search = sfast.kernel._find_swap
+
+        def recording(instance, dec):
+            swap = search(instance, dec)
+            found.append(swap is not None)
+            return swap
+
+        monkeypatch.setattr(sfast.kernel, "_find_swap", recording)
+        instance = cur = planted(80, 4, 0)
+        decs = None
+        while not (found and found[-1]):
+            found.clear()
+            records, cur, decs = _step(cur, decs)
+            assert records and records[-1].status == "applied"
+        assert {rec.rule for rec in records} == {"rr8"}
+        records = _step(cur, decs)[0]
+        assert [rec.rule for rec in records] == ["arc-swap"] * (len(records) - 1) + ["rr8"]
+        assert len(records) > 1
+        monkeypatch.undo()
+        assert kernelize(instance) == reference_kernelize(instance)
 
     def test_carried_runs_rarely_decompose_or_search_for_swaps(self, monkeypatch):
-        # Over the ten planted_kernel kernelizations a carried rr8 run
+        # Over the ten planted_kernel kernelizations a rule-8 run
         # decomposes a class afresh only when a deletion crosses a degree
         # threshold, and searches for swaps only on a class it has not
         # settled: 64 and 150 calls, against 1034 and 1014 when every
-        # carried step redid both.
+        # deletion redid both.
         calls = {"class_decomposition": 0, "_find_swap": 0}
         for name in calls:
             original = getattr(sfast.kernel, name)
@@ -1009,10 +1035,10 @@ def test_lift_step_checks_agree_with_verify_solution():
 
 
 def test_kernelize_builds_a_compact_instance_only_where_a_rule_needs_one(monkeypatch):
-    # A carried run of rule-8 deletions works in the frame of the instance
-    # where it began, so a compact instance, one Tournament.drop, is built
-    # only for an rr2 deletion, a class decomposed afresh, a found swap and
-    # the end of a run: where a step with swaps ends it, and at the kernel.
+    # A run of rule-8 deletions reads the instance of the step where it
+    # began, so a compact instance, one Tournament.drop, is built only for
+    # an rr2 deletion, a class decomposed afresh, a found swap and the end
+    # of a run: where a step with swaps follows it, and at the kernel.
     # Over the ten planted_kernel kernelizations that is 139 calls; a copy
     # per deletion made 1103, 1014 of them for rr8.
     drops = decomposed = 0
@@ -1040,9 +1066,39 @@ def test_kernelize_builds_a_compact_instance_only_where_a_rule_needs_one(monkeyp
     assert drops < deletions // 4
 
 
+def kernel_digest(instances):
+    """SHA-256 over each kernelization's trace records (rule, status, note,
+    detail), its status and its kernel (labels, terminals, k and arcs)."""
+    digest = hashlib.sha256()
+    for instance in instances:
+        result = kernelize(instance)
+        trace = [[rec.rule, rec.status, rec.note, rec.detail] for rec in result.trace]
+        kernel = result.kernel
+        if kernel is not None:
+            t = kernel.tournament
+            arcs = np.packbits(t.adj).tobytes().hex()
+            kernel = [list(t.labels), sorted(kernel.terminals), kernel.k, arcs]
+        digest.update(json.dumps([trace, result.status, kernel], default=int).encode())
+    return digest.hexdigest()
+
+
+def test_kernel_traces_match_their_pinned_digest():
+    # The kernelizations of the planted_dp, planted_kernel and random_budget
+    # corpora, pinned. A change that is meant to alter a trace updates the
+    # digest and names the instances whose traces changed.
+    instances = (
+        [planted(50, 6, seed) for seed in range(20)]
+        + [planted(150, 10, seed) for seed in range(10)]
+        + [generate_random(GeneratorSpec(12, 2, seed, k=6)) for seed in range(12)]
+    )
+    assert kernel_digest(instances) == (
+        "fb502252f6a63d41b38f6c9eeba74d0ed3e44486cfc8eeecb6372975cb2761fd"
+    )
+
+
 def test_kernelize_keeps_quadratic_memory():
     # Each rule-8 record once kept its successor instance, about n^3/3
-    # bytes in all; now the records keep deltas and one frame is alive.
+    # bytes in all; now the rule-8 records keep deltas.
     n = 1000
     instance = planted(n, 10, 0)
     tracemalloc.start()
