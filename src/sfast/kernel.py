@@ -47,20 +47,23 @@ first and the third count of every vertex that v beats and one from the
 second count of every other vertex, and the seven degree-derived sets,
 z_prime to r_greater_tilde, follow from these counts by thresholds: k + 1
 on a member's in- and out-degree in the class, k + 1 and 1 on an outside
-vertex's in- and out-degree from the core. So a run keeps, per class and
-vertex, two margins (`_margins`): how many more deletions of members that
-beat the vertex, and of members that it beats, its counts take before one
-crosses a threshold. Deleting v takes one from the first margin of every
-vertex v beats and from the second of every other. A margin reaches 0
-exactly when a count crosses, and a crossing either moves a vertex between
-sets or makes it low both ways or high both ways, which the invariant
-checks of the decomposition reject; then Z is decomposed afresh, and those
-checks run there. Otherwise none of the seven sets changes, and Z's
-decomposition is carried less v and is settled; its relevant core stands
-as well. The core, the sinks (z_minus and r_less) and the sources (z_plus
-and r_greater) are the same vertices, with the same arcs among them, and v
-was irrelevant: it beat no sink, and no source beat it. The core
-in-degrees stay exact, as the core lost only v.
+vertex's in- and out-degree from the core. A count that falls by one
+crosses k + 1 exactly when it falls to k, so the run stops after a
+deletion that takes a member's in-degree (if v beats it) or out-degree (if
+not) to k. No other count crosses, because v was irrelevant: it beat no
+sink (z_minus and r_less), and no source (z_plus and r_greater) beat it.
+So an r_less vertex keeps its in-degree from the core, and an r_greater
+vertex its out-degree from the core, and neither of these falls to 0.
+The other one falling to k would leave both at most k, but they add up to
+the core size, which exceeds 2k: the class keeps at least 6k + 6 members,
+at most 4k + 2 of them off the core. A fringe member likewise keeps its
+other degree above k, as its two degrees add up to the class size less
+one. So a crossing takes a core member off the core, and then Z is
+decomposed afresh. Otherwise none of the seven sets changes, and Z's
+decomposition is carried less v and is settled. Its relevant core stands
+as well, as the core, the sinks and the sources are the same vertices
+less v, with the same arcs among them. The core in-degrees stay exact, as
+the core lost only v.
 
 Rule 8's swap search is skipped when it would run on a settled class. The
 search that preceded the deletion of v found no swap on Z; it ran there, or
@@ -230,19 +233,17 @@ class ClassDecomposition:
 
     ``masks`` holds the twelve sets as one read-only (12, n) boolean matrix
     over the instance's vertices, a row per set in the order above, and
-    each set reads as a frozenset under its own name (``dec.z_prime``). Two
-    decompositions are equal, and hash alike, when their masks are equal.
-    ``counts`` takes no part in equality: a read-only (3, n) integer matrix
-    whose rows give, for every vertex, the class members beating it, the
-    class members it beats, and the z_prime vertices beating it. For a
-    member the first two are its in-class in- and out-degree, and for an
-    outside vertex the third is its in-degree from the core, so the seven
-    rows z_prime to r_greater_tilde follow from the counts, given the class
-    and its terminals.
+    each set reads as a frozenset under its own name (``dec.z_prime``).
+    ``counts`` is a read-only (3, n) integer matrix whose rows give, for
+    every vertex, the class members beating it, the class members it beats,
+    and the z_prime vertices beating it. For a member the first two are its
+    in-class in- and out-degree, and for an outside vertex the third is its
+    in-degree from the core, so the seven rows z_prime to r_greater_tilde
+    follow from the counts, given the class and its terminals.
     """
 
     masks: np.ndarray
-    counts: np.ndarray = field(compare=False, repr=False)
+    counts: np.ndarray = field(repr=False)
 
     z = _row_view(_Z)
     s1 = _row_view(_S1)
@@ -260,14 +261,6 @@ class ClassDecomposition:
     def __post_init__(self) -> None:
         self.masks.flags.writeable = False
         self.counts.flags.writeable = False
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClassDecomposition):
-            return NotImplemented
-        return np.array_equal(self.masks, other.masks)
-
-    def __hash__(self) -> int:
-        return hash(self.masks.tobytes())
 
     @property
     def size(self) -> int:
@@ -736,8 +729,8 @@ def class_decomposition(instance: Instance, members: Iterable[int]) -> ClassDeco
 def rr7_wrong_arcs(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
     """Too many outside vertices with wrong-direction arcs into the core."""
     k = instance.k
-    r_less_tilde = np.count_nonzero(dec.masks[_R_LESS_TILDE])
-    r_greater_tilde = np.count_nonzero(dec.masks[_R_GREATER_TILDE])
+    r_less_tilde = int(np.count_nonzero(dec.masks[_R_LESS_TILDE]))
+    r_greater_tilde = int(np.count_nonzero(dec.masks[_R_GREATER_TILDE]))
     if r_less_tilde > k or r_greater_tilde > k:
         return _outcome(
             "rr7",
@@ -750,13 +743,12 @@ def rr7_wrong_arcs(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
     return _outcome("rr7", STATUS_NOT_APPLICABLE, instance)
 
 
-def _find_swap(
-    instance: Instance, dec: ClassDecomposition
-) -> Optional[tuple[Arc, Arc, int]]:
-    """First normalization swap, or None: ((q, z), (z, p), z) with q, p in the
-    relevant core and z a low-degree pivot whose core arcs point the wrong way.
+def _find_swap(instance: Instance, masks: np.ndarray) -> Optional[tuple[Arc, Arc, int]]:
+    """First normalization swap in the class decomposed as ``masks``, or
+    None: ((q, z), (z, p), z) with q, p in the relevant core and z a
+    low-degree pivot whose core arcs point the wrong way.
     """
-    t, k, masks = instance.tournament, instance.k, dec.masks
+    t, k = instance.tournament, instance.k
 
     sinks = np.flatnonzero(masks[_MINUS] | masks[_R_LESS])
     sources = np.flatnonzero(masks[_PLUS] | masks[_R_GREATER])
@@ -800,7 +792,9 @@ def arc_swap_normalize(
     pivot, rerouting it from a far core vertex to one of the k+1 smallest
     (the anchors). The pivot keeps its degrees, core vertices only lose
     degrees, so the decomposition can be recomputed live and the loop
-    provably terminates; a generous cap guards that argument.
+    provably terminates; a generous cap guards that argument. When the
+    first search finds no swap the instance and decomposition come back as
+    they are with no records, and `_step` goes on to a rule-8 run.
     """
     k = instance.k
     members = np.flatnonzero(dec.masks[_Z])
@@ -809,7 +803,7 @@ def arc_swap_normalize(
     records: list[RuleOutcome] = []
     cap = 4 * (instance.n + 2) ** 3 + 64
     for _ in range(cap):
-        swap = _find_swap(instance, dec)
+        swap = _find_swap(instance, dec.masks)
         if swap is None:
             break
         arc_in, arc_out, pivot = swap
@@ -858,25 +852,6 @@ def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
 # -- Driver ------------------------------------------------------------------
 
 
-def _margins(masks: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
-    """How many more deletions of core members a class decomposition's
-    degree-derived rows can take: a (2, n) matrix whose rows count, for every
-    vertex, the deletions of members that beat it (row 0) and of members
-    that it beats (row 1) before a count crosses a threshold. A member's
-    counts are its in- and its out-degree in the class, with a threshold at
-    k + 1; an outside vertex's are its in- and its out-degree from the core,
-    with thresholds at k + 1 and at 1. Where no threshold lies below, and
-    for terminals, the margin is n + 1, more than a run can delete."""
-    n = masks.shape[-1]
-    big = n + 1
-    member = counts[[_IN, _OUT]]
-    member = np.where(member > k, member - k, big)
-    outside = np.stack((counts[_CORE_IN], np.count_nonzero(masks[_PRIME]) - counts[_CORE_IN]))
-    outside = np.where(outside > k, outside - k, np.where(outside > 0, outside, big))
-    rest = masks[_R_LESS] | masks[_R_GREATER]
-    return np.where(masks[_Z], member, np.where(rest, outside, big))
-
-
 def _step(
     instance: Instance, decs: Optional[Sequence[ClassDecomposition]] = None
 ) -> tuple[tuple[RuleOutcome, ...], Optional[Instance], Optional[tuple[ClassDecomposition, ...]]]:
@@ -886,11 +861,12 @@ def _step(
     When no rule acts the records are () and the instance, the kernel,
     comes back.
 
-    Rules 6 to 8 share one classification. A step with arc swaps returns
-    them followed by the rule-8 deletion; a step without goes on deleting
-    by rule 8 (`_rr8_run`) and hands on exact decompositions of the next
-    instance's big classes, ordered by their smallest member. A step
-    handed them skips rules 1 to 6 (see the module docstring).
+    Rules 6 to 8 share one classification. Rule 8 starts with one
+    `arc_swap_normalize` of the first deletable class. A step with arc
+    swaps returns them followed by the rule-8 deletion; a step without goes
+    on deleting by rule 8 (`_rr8_run`) and hands on exact decompositions of
+    the next instance's big classes, ordered by their smallest member. A
+    step handed them skips rules 1 to 6 (see the module docstring).
     """
     if decs is None:
         for rule in (
@@ -923,10 +899,9 @@ def _step(
         if out.status != STATUS_NOT_APPLICABLE:
             return (out,), None, None
         return (), instance, None
-    dec = decs[deletable[0]]
-    if _find_swap(instance, dec) is None:
+    swapped, dec, swaps = arc_swap_normalize(instance, decs[deletable[0]])
+    if not swaps:
         return _rr8_run(instance, decs, deletable[0])
-    swapped, dec, swaps = arc_swap_normalize(instance, dec)
     out, v = _rule8(swapped, dec.masks, swapped.n)
     return swaps + (out,), swapped.drop([v]), None
 
@@ -934,16 +909,15 @@ def _step(
 def _rr8_run(
     instance: Instance, decs: Sequence[ClassDecomposition], first: int
 ) -> tuple[tuple[RuleOutcome, ...], Instance, tuple[ClassDecomposition, ...]]:
-    """Rule-8 deletions from ``decs[first]`` on, the class whose swap search
-    just found nothing, until a deletion crosses a threshold, a newly first
-    class has a swap, or no class is deletable (see the module docstring).
-    Returns the records, the instance less the deleted vertices, and the
+    """Rule-8 deletions from ``decs[first]`` on, the class in which
+    `arc_swap_normalize` just found no swap, until a deletion takes a
+    member's in- or out-degree in its class to k, a newly first class has
+    a swap, or no class is deletable (see the module docstring). Returns
+    the records, the instance less the deleted vertices, and the
     decompositions of its big classes."""
-    k, adj, big = instance.k, instance.tournament.adj, instance.n + 1
+    k, adj = instance.k, instance.tournament.adj
     masks = np.stack([dec.masks for dec in decs])
     counts = np.stack([dec.counts for dec in decs])
-    margins = np.stack([_margins(*pair, k) for pair in zip(masks, counts)])
-    sizes = masks[:, _Z].sum(axis=1)
     records: list[RuleOutcome] = []
     deleted: list[int] = []
     i, fresh = first, None
@@ -953,24 +927,21 @@ def _rr8_run(
         deleted.append(v)
         # v leaves its class and the core: the vertices it beats lose a
         # class and a core in-neighbour, the others a class out-neighbour.
+        # A threshold is crossed when a member's lowered degree is k.
         masks[:, :, v] = False
         beaten = adj[v]
-        unbeaten = ~beaten
         counts[i, _IN] -= beaten
-        counts[i, _OUT] -= unbeaten
+        counts[i, _OUT] -= ~beaten
         counts[i, _CORE_IN] -= beaten
-        margins[i, 0] -= beaten
-        margins[i, 1] -= unbeaten
-        margins[:, :, v] = big  # no count of a deleted vertex is read again
-        if not margins[i].all():
+        lowered = np.where(beaten, counts[i, _IN], counts[i, _OUT])
+        if (masks[i, _Z] & (lowered == k)).any():
             fresh = i
             break
-        sizes[i] -= 1
-        deletable = sizes >= deletion_class_size(k)
+        deletable = masks[:, _Z].sum(axis=1) >= deletion_class_size(k)
         if not deletable.any():
             break
-        j = int(np.where(deletable, masks[:, _Z].argmax(axis=1), big).argmin())
-        if j != i and _find_swap(instance, ClassDecomposition(masks[j], counts[j])) is not None:
+        j = int(np.where(deletable, masks[:, _Z].argmax(axis=1), instance.n).argmin())
+        if j != i and _find_swap(instance, masks[j]) is not None:
             break
         i = j
     nxt = instance.drop(deleted)

@@ -151,7 +151,6 @@ class ContractedTournament:
     """
 
     nodes: tuple[tuple[int, ...], ...]
-    node_color: tuple[int, ...]
     color_nodes: tuple[tuple[int, ...], ...]
     terminal_nodes: frozenset[int]
     mult: np.ndarray
@@ -160,10 +159,9 @@ class ContractedTournament:
 def contract(instance: Instance, coloring: tuple[int, ...], q: int) -> ContractedTournament:
     t, terminals = instance.tournament, instance.terminals
     nodes: list[tuple[int, ...]] = []
-    node_color: list[int] = []
     color_nodes: list[tuple[int, ...]] = []
     terminal_nodes: set[int] = set()
-    for color, members in enumerate(_class_members(coloring, q)):
+    for members in _class_members(coloring, q):
         ids = []
         if members:
             part = instance.drop(set(range(t.n)).difference(members)).tournament
@@ -175,7 +173,6 @@ def contract(instance: Instance, coloring: tuple[int, ...], q: int) -> Contracte
                         raise InternalInvariantError("terminal in a nontrivial component")
                     terminal_nodes.add(node_id)
                 nodes.append(vertices)
-                node_color.append(color)
                 ids.append(node_id)
         color_nodes.append(tuple(ids))
 
@@ -194,9 +191,7 @@ def contract(instance: Instance, coloring: tuple[int, ...], q: int) -> Contracte
     intra = sum(len(v) * (len(v) - 1) // 2 for v in nodes)
     if int(mult.sum()) + intra != t.n * (t.n - 1) // 2:
         raise InternalInvariantError("contraction lost arcs")
-    return ContractedTournament(
-        tuple(nodes), tuple(node_color), tuple(color_nodes), frozenset(terminal_nodes), mult
-    )
+    return ContractedTournament(tuple(nodes), tuple(color_nodes), frozenset(terminal_nodes), mult)
 
 
 def _axis_shape(q: int, axis: int, length: int) -> tuple[int, ...]:

@@ -79,6 +79,17 @@ class TestKernelizeCommand:
         assert all({"rule", "status", "note", "detail"} <= set(rec) for rec in trace)
         assert sorted(label for rec in trace for label in rec["detail"]["deleted"]) == [0, 3]
 
+    def test_trace_file_of_a_rule7_verdict(self, runner, tmp_instance_file, tmp_path):
+        # Rule 7 counts the wrong-direction fringe; its record's detail
+        # must hold plain integers for the trace to be written.
+        path = tmp_instance_file(families.rule7_instance())
+        trace_path = tmp_path / "trace.json"
+        result = runner.invoke(main, ["kernelize", path, "--trace", str(trace_path)])
+        assert result.exit_code == EXIT_TRIVIAL_NO, combined(result)
+        trace = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        assert trace[-1]["rule"] == "rr7"
+        assert trace[-1]["detail"]["r_less_tilde"] > 1 or trace[-1]["detail"]["r_greater_tilde"] > 1
+
     def test_json_report(self, runner, tmp_instance_file):
         path = tmp_instance_file(stubborn_instance())
         result = runner.invoke(main, ["kernelize", path, "--json"])

@@ -45,8 +45,10 @@ from sfast.graphs import (
 )
 from sfast.kernel import (
     BipartiteConflictGraph,
-    ClassDecomposition,
     RuleOutcome,
+    _PRIME,
+    _R_GREATER_TILDE,
+    _find_swap,
     _step,
     build_conflict_bipartite,
     class_decomposition,
@@ -433,12 +435,6 @@ class TestClassDecomposition:
             assert dec.counts[0, v] == sum(bool(t.adj[u, v]) for u in members)
             assert dec.counts[1, v] == sum(bool(t.adj[v, u]) for u in members)
             assert dec.counts[2, v] == sum(bool(t.adj[u, v]) for u in core)
-        # equality and hashing go by the masks alone
-        other = ClassDecomposition(np.array(dec.masks), np.zeros_like(dec.counts))
-        assert other == dec and hash(other) == hash(dec)
-        flipped = np.array(dec.masks)
-        flipped[0, 0] = ~flipped[0, 0]
-        assert ClassDecomposition(flipped, dec.counts) != dec
 
 
 class TestArcSwapAndRule8:
@@ -462,6 +458,22 @@ class TestArcSwapAndRule8:
         assert swap.next.k == instance.k
         changed = np.argwhere(instance.tournament.adj != swap.next.tournament.adj)
         assert len(changed) == 4
+
+    @pytest.mark.parametrize("hitters", [((4, 5), (6, 7)), ((4, 5), (5, 6))], ids=["swap", "none"])
+    def test_a_step_searches_once_per_swap_and_once_more(self, hitters, monkeypatch):
+        # One search per swap made and one that finds none, whether or not
+        # the step swaps; the step's first search is normalization's own.
+        calls = 0
+        search = sfast.kernel._find_swap
+
+        def counting(instance, masks):
+            nonlocal calls
+            calls += 1
+            return search(instance, masks)
+
+        monkeypatch.setattr(sfast.kernel, "_find_swap", counting)
+        records = _step(rule8_instance(*hitters))[0]
+        assert calls == sum(rec.rule == "arc-swap" for rec in records) + 1
 
     def test_overlapping_hitters_skip_the_swap(self):
         result = kernelize(rule8_instance((4, 5), (5, 6)))
@@ -739,7 +751,7 @@ class TestCarriedState:
             assert [tuple(sorted(dec.z)) for dec in decs] == big
             for dec in decs:
                 fresh = class_decomposition(cur, dec.z)
-                assert dec == fresh
+                assert np.array_equal(dec.masks, fresh.masks)
                 assert np.array_equal(dec.counts, fresh.counts)
         assert handed >= 2
         assert deleted >= 10
@@ -752,8 +764,8 @@ class TestCarriedState:
         found = []
         search = sfast.kernel._find_swap
 
-        def recording(instance, dec):
-            swap = search(instance, dec)
+        def recording(instance, masks):
+            swap = search(instance, masks)
             found.append(swap is not None)
             return swap
 
@@ -771,11 +783,56 @@ class TestCarriedState:
         monkeypatch.undo()
         assert kernelize(instance) == reference_kernelize(instance)
 
+    def test_a_run_ends_at_a_crossing_exactly_when_its_class_changes(self):
+        # A run stops after a deletion that takes a member's in- or
+        # out-degree in the class to k, and that is exactly a deletion
+        # after which a fresh decomposition of the class differs, less the
+        # deleted column, in a degree-derived row (z_prime to
+        # r_greater_tilde), outside vertices included. Any other run
+        # ends where the first deletable class is another one with a swap
+        # (once, on planted n=80 seed 0), or where no class is deletable.
+        # 60 runs end at a crossing here.
+        rows = slice(_PRIME, _R_GREATER_TILDE + 1)
+        crossings = swaps_ahead = 0
+        for n, s_count, seed in PLANTED_CORPORA + [(80, 4, 0)]:
+            cur, decs = planted(n, s_count, seed), None
+            while True:
+                records, nxt, decs = _step(cur, decs)
+                if not records or records[-1].status != "applied":
+                    break
+                if records[0].rule != "rr8":
+                    cur = nxt
+                    continue
+                for pos, rec in enumerate(records):
+                    v = cur.tournament.index_of()[rec.detail["deleted"][0]]
+                    classes = equivalence_classes(cur.tournament, cur.terminals).values()
+                    (members,) = (vs for vs in classes if v in vs)
+                    before = class_decomposition(cur, members).masks[rows]
+                    cur = successor(cur, rec)
+                    left = [u - (u > v) for u in members if u != v]
+                    after = class_decomposition(cur, left).masks[rows]
+                    changed = not np.array_equal(np.delete(before, v, axis=1), after)
+                    assert not changed or pos == len(records) - 1
+                if changed:
+                    crossings += 1
+                    continue
+                classes = equivalence_classes(cur.tournament, cur.terminals).values()
+                deletable = sorted(
+                    (vs for vs in classes if len(vs) >= deletion_class_size(cur.k)), key=min
+                )
+                if deletable:
+                    assert list(deletable[0]) != left
+                    swap = _find_swap(cur, class_decomposition(cur, deletable[0]).masks)
+                    assert swap is not None
+                    swaps_ahead += 1
+        assert crossings >= 50
+        assert swaps_ahead >= 1
+
     def test_carried_runs_rarely_decompose_or_search_for_swaps(self, monkeypatch):
         # Over the ten planted_kernel kernelizations a rule-8 run
         # decomposes a class afresh only when a deletion crosses a degree
         # threshold, and searches for swaps only on a class it has not
-        # settled: 64 and 150 calls, against 1034 and 1014 when every
+        # settled: 64 and 149 calls, against 1034 and 1014 when every
         # deletion redid both.
         calls = {"class_decomposition": 0, "_find_swap": 0}
         for name in calls:
@@ -1094,6 +1151,32 @@ def test_kernel_traces_match_their_pinned_digest():
     assert kernel_digest(instances) == (
         "fb502252f6a63d41b38f6c9eeba74d0ed3e44486cfc8eeecb6372975cb2761fd"
     )
+
+
+def test_every_trace_detail_is_plain_json():
+    # `sfast kernelize --trace` writes each record's detail with json.dumps,
+    # which refuses NumPy scalars. The witness instances reach every rule
+    # that decides or acts on them, the gated corpora rules 2, 3 and 8.
+    instances = [
+        make()
+        for make in (
+            rule5_instance,
+            rule6_instance,
+            rule7_instance,
+            rule8_instance,
+            stubborn_instance,
+            families.unrefuted_no_instance,
+        )
+    ]
+    instances += [triangle_instance(k=0)]
+    instances += [planted(50, 6, seed) for seed in range(20)]
+    instances += [planted(150, 10, seed) for seed in range(10)]
+    rules = set()
+    for instance in instances:
+        for rec in kernelize(instance).trace:
+            json.dumps(rec.detail)
+            rules.add(rec.rule)
+    assert rules == {"rr1", "rr2", "rr3", "rr5", "rr6", "rr7", "arc-swap", "rr8"}
 
 
 def test_kernelize_keeps_quadratic_memory():

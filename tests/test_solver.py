@@ -94,7 +94,6 @@ def synthetic_lattice(layout, seed):
     starts = np.cumsum([0] + sizes)
     return ContractedTournament(
         nodes=tuple(tuple(range(starts[i], starts[i + 1])) for i in range(total)),
-        node_color=tuple(node_color),
         color_nodes=tuple(color_nodes),
         terminal_nodes=frozenset(terminals),
         mult=mult,
@@ -352,7 +351,6 @@ class TestScaleGuard:
         )
         ct = ContractedTournament(
             nodes=tuple((i,) for i in range(total)),
-            node_color=tuple(i // per_color for i in range(total)),
             color_nodes=color_nodes,
             terminal_nodes=frozenset(),
             mult=np.zeros((total, total), dtype=np.int64),
@@ -372,7 +370,6 @@ class TestScaleGuard:
             adj[block, block] = transitive(per)
         ct = ContractedTournament(
             nodes=tuple((i,) for i in range(total)),
-            node_color=tuple(i // per for i in range(total)),
             color_nodes=tuple(tuple(range(c * per, (c + 1) * per)) for c in range(colors)),
             terminal_nodes=frozenset(range(total)),
             mult=adj.astype(np.int64),
