@@ -84,14 +84,19 @@ deletion that crosses a threshold, before deleting from a newly first class
 whose swap search finds a swap, or when no class is deletable. Then one
 `Instance.drop` builds the next step's instance, the masks and counts are
 cut to its columns, and a class whose threshold was crossed is decomposed
-afresh there. Rule-8 records name the deleted vertex and carry no instance,
-and `lift_solution` replays every record as a delta.
+afresh there.
+
+Every applied record is a delta in original labels: the vertex it deleted
+or the arcs it reversed. The trace holds no instance. Outside a rule-8 run,
+`_apply` builds the instance a record leaves by replaying that delta, so
+the driver executes exactly what its trace says; `lift_solution` replays
+the same deltas onto the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -139,7 +144,6 @@ __all__ = [
     "rr5_safe_partition",
     "rr6_many_types",
     "rr7_wrong_arcs",
-    "rr8_irrelevant_vertex",
     "rr9_vertex_bound",
     "vertex_bound",
 ]
@@ -169,14 +173,12 @@ def vertex_bound(k: int) -> int:
 class RuleOutcome:
     """What one rule did: applied, or a verdict.
 
-    An applied record names its change in original labels in ``detail``:
-    the vertex ``deleted`` (rr2, rr8) or the arcs ``reversed`` (rr3, rr5,
-    arc swaps); rr3 and rr5 spend one unit of k per arc. ``next`` is the
-    instance the rule left, except on rr8 records, where it is None: a run
-    of deletions builds one instance at its end, and `lift_solution` reads
-    only the deltas. The field stays, for the other rules, because callers
-    outside the kernel still read it (the benchmark's trace-size count
-    skips a None), until the trace holds deltas alone.
+    An applied record is a delta: ``detail`` names, in original labels, the
+    vertex ``deleted`` (rr2, rr8) or the arcs ``reversed`` (rr3, rr5, arc
+    swaps), and ``pre`` and ``post`` the vertex count, terminal count and k
+    before and after; rr3 and rr5 spend one unit of k per arc. ``next`` is
+    always None. It stays declared because the benchmark still reads it
+    (its trace-size count skips a None).
     """
 
     rule: str
@@ -214,11 +216,6 @@ _R_LESS_TILDE, _R_GREATER_TILDE, _RELEVANT, _IRRELEVANT = range(8, 12)
 _IN, _OUT, _CORE_IN = range(3)
 
 
-def _row_view(row: int) -> property:
-    """One row of `ClassDecomposition.masks`, read as a vertex set."""
-    return property(lambda self: frozenset(np.flatnonzero(self.masks[row]).tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class ClassDecomposition:
     """Degree-based split of one equivalence class and its surroundings.
@@ -232,8 +229,7 @@ class ClassDecomposition:
     remainder, candidates for deletion.
 
     ``masks`` holds the twelve sets as one read-only (12, n) boolean matrix
-    over the instance's vertices, a row per set in the order above, and
-    each set reads as a frozenset under its own name (``dec.z_prime``).
+    over the instance's vertices, a row per set in the order above.
     ``counts`` is a read-only (3, n) integer matrix whose rows give, for
     every vertex, the class members beating it, the class members it beats,
     and the z_prime vertices beating it. For a member the first two are its
@@ -244,19 +240,6 @@ class ClassDecomposition:
 
     masks: np.ndarray
     counts: np.ndarray = field(repr=False)
-
-    z = _row_view(_Z)
-    s1 = _row_view(_S1)
-    s2 = _row_view(_S2)
-    z_prime = _row_view(_PRIME)
-    z_minus = _row_view(_MINUS)
-    z_plus = _row_view(_PLUS)
-    r_less = _row_view(_R_LESS)
-    r_greater = _row_view(_R_GREATER)
-    r_less_tilde = _row_view(_R_LESS_TILDE)
-    r_greater_tilde = _row_view(_R_GREATER_TILDE)
-    z_relevant = _row_view(_RELEVANT)
-    z_irrelevant = _row_view(_IRRELEVANT)
 
     def __post_init__(self) -> None:
         self.masks.flags.writeable = False
@@ -275,27 +258,52 @@ class KernelResult:
     trace: tuple[RuleOutcome, ...]
 
 
-def _stats(instance: Instance) -> list[int]:
-    return [instance.n, len(instance.terminals), instance.k]
-
-
-def _arc_labels(t: Tournament, arcs: Iterable[Arc]) -> list[list[int]]:
-    return sorted([t.labels[u], t.labels[v]] for u, v in arcs)
-
-
 def _outcome(
     rule: str,
     status: str,
     instance: Instance,
-    next_instance: Optional[Instance] = None,
     note: str = "",
+    n: Optional[int] = None,
+    *,
+    deleted: Optional[int] = None,
+    arcs: Optional[Collection[Arc]] = None,
     **detail: object,
 ) -> RuleOutcome:
-    data: dict = {"pre": _stats(instance)}
-    if next_instance is not None:
-        data["post"] = _stats(next_instance)
+    """A record of ``rule`` on ``instance``, which has n vertices left (all
+    of them by default; a rule-8 run counts off the ones it deleted). An
+    applied record gives its delta in indices of ``instance``, the vertex
+    ``deleted`` or the ``arcs`` reversed, and keeps it in labels, under
+    ``deleted`` or ``reversed``, after the ``pre`` and ``post`` stats."""
+    s, k = len(instance.terminals), instance.k
+    pre = [instance.n if n is None else n, s, k]
+    labels = instance.tournament.labels
+    if deleted is not None:
+        post = [pre[0] - 1, s - (deleted in instance.terminals), k]
+        data: dict = {"pre": pre, "post": post, "deleted": [labels[deleted]]}
+    elif arcs is not None:
+        post = [pre[0], s, k - _spent(rule, arcs)]
+        pairs = sorted([labels[u], labels[v]] for u, v in arcs)
+        data = {"pre": pre, "post": post, "reversed": pairs}
+    else:
+        data = {"pre": pre}
     data.update(detail)
-    return RuleOutcome(rule=rule, status=status, next=next_instance, note=note, detail=data)
+    return RuleOutcome(rule, status, note=note, detail=data)
+
+
+def _spent(rule: str, arcs: Collection[Arc]) -> int:
+    """The units of k that ``rule`` spends reversing ``arcs``: one per arc,
+    none for an arc swap."""
+    return 0 if rule == "arc-swap" else len(arcs)
+
+
+def _apply(instance: Instance, rec: RuleOutcome) -> Instance:
+    """The instance that the applied record ``rec`` leaves from ``instance``."""
+    index = instance.tournament.labels.index
+    if "deleted" in rec.detail:
+        return instance.drop(map(index, rec.detail["deleted"]))
+    arcs = [(index(a), index(b)) for a, b in rec.detail["reversed"]]
+    k = instance.k - _spent(rec.rule, arcs)
+    return Instance(reverse_arcs(instance.tournament, arcs), instance.terminals, k)
 
 
 # -- Rules 1 to 4 -----------------------------------------------------------
@@ -327,14 +335,7 @@ def rr2_triangle_free_terminal(instance: Instance) -> RuleOutcome:
     if free.size == 0:
         return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
     s = terminals[free[0]]
-    return _outcome(
-        "rr2",
-        STATUS_APPLIED,
-        instance,
-        instance.drop([s]),
-        note="terminal on no triangle",
-        deleted=[t.labels[s]],
-    )
+    return _outcome("rr2", STATUS_APPLIED, instance, "terminal on no triangle", deleted=s)
 
 
 def rr3_many_triangles(instance: Instance) -> RuleOutcome:
@@ -359,15 +360,8 @@ def rr3_many_triangles(instance: Instance) -> RuleOutcome:
     if hits.size == 0:
         return _outcome("rr3", STATUS_NOT_APPLICABLE, instance)
     u, v = (int(x) for x in hits[0])
-    nxt = Instance(reverse_arcs(t, [(u, v)]), instance.terminals, k - 1)
-    return _outcome(
-        "rr3",
-        STATUS_APPLIED,
-        instance,
-        nxt,
-        note="arc on more than k terminal triangles",
-        reversed=_arc_labels(t, [(u, v)]),
-    )
+    note = "arc on more than k terminal triangles"
+    return _outcome("rr3", STATUS_APPLIED, instance, note, arcs=[(u, v)])
 
 
 def rr4_bounded_terminal(instance: Instance) -> RuleOutcome:
@@ -604,15 +598,8 @@ def rr5_safe_partition(instance: Instance) -> RuleOutcome:
             note="forced reversal batch exceeds budget",
             batch=len(batch),
         )
-    nxt = Instance(reverse_arcs(t, batch), terminals, k - len(batch))
-    return _outcome(
-        "rr5",
-        STATUS_APPLIED,
-        instance,
-        nxt,
-        note="reversed all safe-partition boundary arcs",
-        reversed=_arc_labels(t, batch),
-    )
+    note = "reversed all safe-partition boundary arcs"
+    return _outcome("rr5", STATUS_APPLIED, instance, note, arcs=batch)
 
 
 # -- Rules 6 to 8: equivalence classes --------------------------------------
@@ -807,37 +794,22 @@ def arc_swap_normalize(
         if swap is None:
             break
         arc_in, arc_out, pivot = swap
-        t = instance.tournament
-        nxt = Instance(reverse_arcs(t, [arc_in, arc_out]), instance.terminals, k)
-        records.append(
-            _outcome(
-                "arc-swap",
-                STATUS_APPLIED,
-                instance,
-                nxt,
-                note="rerouted a pivot to an anchor",
-                reversed=_arc_labels(t, [arc_in, arc_out]),
-                pivot=t.labels[pivot],
-            )
+        rec = _outcome(
+            "arc-swap",
+            STATUS_APPLIED,
+            instance,
+            "rerouted a pivot to an anchor",
+            arcs=[arc_in, arc_out],
+            pivot=instance.tournament.labels[pivot],
         )
-        instance = nxt
+        records.append(rec)
+        instance = _apply(instance, rec)
         dec = class_decomposition(instance, members)
     else:
         raise InternalInvariantError("swap loop exceeded its certified bound")
     if np.count_nonzero(dec.masks[_RELEVANT]) > 2 * k + 2:
         raise InternalInvariantError("relevant core still exceeds 2k+2 after swaps")
     return instance, dec, tuple(records)
-
-
-def rr8_irrelevant_vertex(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
-    """Delete the smallest vertex of the irrelevant core of a large class.
-
-    The record names the vertex and carries no successor instance, which
-    the driver builds once for a whole run of deletions (see `_rr8_run`).
-    """
-    if dec.size < deletion_class_size(instance.k):
-        return _outcome("rr8", STATUS_NOT_APPLICABLE, instance, note="class within bound")
-    return _rule8(instance, dec.masks, instance.n)[0]
 
 
 def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
@@ -877,8 +849,10 @@ def _step(
             rr5_safe_partition,
         ):
             out = rule(instance)
+            if out.status == STATUS_APPLIED:
+                return (out,), _apply(instance, out), None
             if out.status != STATUS_NOT_APPLICABLE:
-                return (out,), out.next, None
+                return (out,), None, None
         classes = equivalence_classes(instance.tournament, instance.terminals)
         out = rr6_many_types(instance, classes)
         if out.status != STATUS_NOT_APPLICABLE:
@@ -902,8 +876,8 @@ def _step(
     swapped, dec, swaps = arc_swap_normalize(instance, decs[deletable[0]])
     if not swaps:
         return _rr8_run(instance, decs, deletable[0])
-    out, v = _rule8(swapped, dec.masks, swapped.n)
-    return swaps + (out,), swapped.drop([v]), None
+    out = _rule8(swapped, dec.masks, swapped.n)[0]
+    return swaps + (out,), _apply(swapped, out), None
 
 
 def _rr8_run(
@@ -960,11 +934,8 @@ def _rule8(instance: Instance, masks: np.ndarray, n: int) -> tuple[RuleOutcome, 
     v = int(masks[_IRRELEVANT].argmax())
     if not masks[_IRRELEVANT, v]:
         raise InternalInvariantError("large class with empty irrelevant core")
-    stats = [len(instance.terminals), instance.k]
-    label = instance.tournament.labels[v]
-    detail = {"pre": [n, *stats], "post": [n - 1, *stats], "deleted": [label]}
     note = "deleted an irrelevant core vertex"
-    return RuleOutcome("rr8", STATUS_APPLIED, note=note, detail=detail), v
+    return _outcome("rr8", STATUS_APPLIED, instance, note, n, deleted=v), v
 
 
 def kernelize(instance: Instance) -> KernelResult:
@@ -1046,9 +1017,8 @@ def lift_solution(
 
     The applied records are replayed as deltas onto one writable copy of the
     input matrix: a vertex deleted (rr2, rr8) or arcs reversed (rr3, rr5,
-    arc swaps), with k spent by rr3 and rr5, one per arc; a record that
-    names a vertex already gone or an arc not there is rejected. The
-    records' ``next`` instances are not read. The walk back then
+    arc swaps), with k spent as `_spent` says; a record that names a vertex
+    already gone or an arc not there is rejected. The walk back then
     undoes one delta per step and keeps the alive vertices' scores
     (out-degrees among the alive vertices) current: a vertex put back adds
     its column and gets its row's count, O(n), and an arc turned back moves
@@ -1098,7 +1068,7 @@ def lift_solution(
                     raise InternalInvariantError(f"{rec.rule} record reverses an absent arc")
                 adj[a, b], adj[b, a] = False, True
             moves.append(arcs)
-            spent = 0 if rec.rule == "arc-swap" else len(arcs)
+            spent = _spent(rec.rule, arcs)
         else:
             raise InternalInvariantError(f"unliftable trace rule {rec.rule!r}")
         budgets.append(budgets[-1] - spent)

@@ -25,8 +25,11 @@ through the first rule-8 record, drops the rest, and steps afresh. So each
 deletion of a batched rule-8 run must match rule 8 applied from scratch,
 record for record. `successor` replays one applied record's delta (the
 vertex it deleted or the arcs it reversed) onto the instance before it,
-with a deletion of its own: rule-8 records carry no successor instance, and
-every other record's must equal the replay.
+with a deletion and a budget rule of its own, and checks that the record
+carries no successor instance.
+
+`decomposition_sets` reads a `ClassDecomposition`'s mask rows as the named
+frozensets that `reference_class_decomposition` returns.
 
 `reference_parse_instance` reads an instance file one line at a time, with
 `str.split` and `int` on every field, and `reference_serialize_instance`
@@ -233,6 +236,29 @@ def reference_minimalize_solution(instance, solution_labels):
     return current
 
 
+DECOMPOSITION_ROWS = (
+    "z",
+    "s1",
+    "s2",
+    "z_prime",
+    "z_minus",
+    "z_plus",
+    "r_less",
+    "r_greater",
+    "r_less_tilde",
+    "r_greater_tilde",
+    "z_relevant",
+    "z_irrelevant",
+)
+
+
+def decomposition_sets(dec) -> dict[str, frozenset[int]]:
+    """The twelve vertex sets of a `ClassDecomposition`, read off the rows
+    of its masks, under the names of `reference_class_decomposition`."""
+    rows = zip(DECOMPOSITION_ROWS, dec.masks)
+    return {name: frozenset(np.flatnonzero(row).tolist()) for name, row in rows}
+
+
 def successor(instance, rec) -> Instance:
     """The instance that the applied record ``rec`` leaves from ``instance``."""
     index = instance.tournament.index_of()
@@ -245,10 +271,7 @@ def successor(instance, rec) -> Instance:
         arcs = [(index[a], index[b]) for a, b in rec.detail["reversed"]]
         spent = len(arcs) if rec.rule in ("rr3", "rr5") else 0
         nxt = Instance(reverse_arcs(instance.tournament, arcs), instance.terminals, instance.k - spent)
-    if rec.rule == "rr8":
-        assert rec.next is None
-    else:
-        assert nxt == rec.next, rec.rule
+    assert rec.next is None, rec.rule
     return nxt
 
 

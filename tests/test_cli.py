@@ -118,6 +118,19 @@ class TestSolveCommand:
         assert result.exit_code == 0
         assert "valid: 1 arcs within budget 1" in result.output
 
+    def test_planted_3000_solves_and_verifies(self, runner, tmp_path):
+        # The largest instance a test solves: a 50 MB file, generated,
+        # solved and checked through the commands.
+        path, out = str(tmp_path / "p3000.sfast"), str(tmp_path / "p3000.sol")
+        args = ["--n", "3000", "--terminals", "10", "--planted", "3", "--seed", "0"]
+        assert runner.invoke(main, ["gen", *args, "-o", path]).exit_code == 0
+        result = runner.invoke(main, ["solve", path, "-o", out])
+        assert result.exit_code == 0
+        assert "minimum solution: 3 arcs after 0 trials" in result.output
+        check = runner.invoke(main, ["verify", path, out])
+        assert check.exit_code == 0
+        assert "valid: 3 arcs within budget 3" in check.output
+
     def test_kernel_refutation_exits_twenty(self, runner, tmp_instance_file):
         path = tmp_instance_file(rule6_instance())
         result = runner.invoke(main, ["solve", path])

@@ -23,6 +23,7 @@ from families import (
 )
 from invariants import assert_kernel_exhausted
 from reference import (
+    decomposition_sets,
     reference_class_decomposition,
     reference_conflict_packing,
     reference_equivalence_classes,
@@ -68,7 +69,6 @@ from sfast.kernel import (
     rr5_safe_partition,
     rr6_many_types,
     rr7_wrong_arcs,
-    rr8_irrelevant_vertex,
     rr9_vertex_bound,
     vertex_bound,
 )
@@ -107,13 +107,15 @@ class TestRule2:
         out = rr2_triangle_free_terminal(transitive_instance(4, {1, 2}, 1))
         assert out.status == "applied"
         assert out.detail["deleted"] == [1]
-        assert out.next.n == 3
-        assert out.next.k == 1
+        nxt = successor(transitive_instance(4, {1, 2}, 1), out)
+        assert nxt.n == 3
+        assert nxt.k == 1
 
     def test_child_keeps_labels_of_survivors(self):
-        out = rr2_triangle_free_terminal(transitive_instance(4, {1, 2}, 1))
-        assert out.next.tournament.labels == (0, 2, 3)
-        assert {out.next.tournament.labels[s] for s in out.next.terminals} == {2}
+        instance = transitive_instance(4, {1, 2}, 1)
+        nxt = successor(instance, rr2_triangle_free_terminal(instance))
+        assert nxt.tournament.labels == (0, 2, 3)
+        assert {nxt.tournament.labels[s] for s in nxt.terminals} == {2}
 
     def test_not_applicable_when_every_terminal_rides_a_triangle(self):
         assert rr2_triangle_free_terminal(triangle_instance()).status == "not-applicable"
@@ -146,9 +148,10 @@ class TestRule3:
         out = rr3_many_triangles(instance)
         assert out.status == "applied"
         assert out.detail["reversed"] == [list(eligible[0])]
-        assert out.next.k == instance.k - 1
+        nxt = successor(instance, out)
+        assert nxt.k == instance.k - 1
         u, v = eligible[0]
-        assert out.next.tournament.adj[v, u]
+        assert nxt.tournament.adj[v, u]
 
     def test_threshold_scales_with_the_budget(self):
         assert rr3_many_triangles(triangle_instance(k=1)).status == "not-applicable"
@@ -321,16 +324,17 @@ class TestRule5:
         first = result.trace[0]
         assert first.rule == "rr5" and first.status == "applied"
         assert first.detail["reversed"] == [[4, 0], [9, 5]]
-        assert first.next.k == 1
+        assert successor(rule5_instance(), first).k == 1
         assert result.status == "reduced"
 
     def test_batch_arcs_point_backward_in_the_original(self):
         instance = rule5_instance()
         out = rr5_safe_partition(instance)
         assert out.status == "applied"
+        nxt = successor(instance, out)
         for u, v in out.detail["reversed"]:
             assert instance.tournament.adj[u, v]
-            assert not out.next.tournament.adj[u, v]
+            assert not nxt.tournament.adj[u, v]
 
     @pytest.mark.parametrize("seed", range(15))
     def test_witness_survives_relabeling(self, seed):
@@ -394,16 +398,16 @@ class TestClassDecomposition:
         classes = equivalence_classes(instance.tournament, instance.terminals)
         members = classes[frozenset({0})]
         assert len(members) >= decomposition_class_size(instance.k)
-        dec = class_decomposition(instance, members)
-        assert dec.z == frozenset(range(1, 13))
-        assert dec.s1 == frozenset({0})
-        assert dec.s2 == frozenset()
-        assert dec.z_prime == frozenset(range(3, 11))
-        assert dec.z_minus == frozenset({1, 2})
-        assert dec.z_plus == frozenset({11, 12})
-        assert dec.r_less == frozenset({13, 14})
-        assert dec.r_less_tilde == frozenset({13, 14})
-        assert dec.r_greater == frozenset()
+        sets = decomposition_sets(class_decomposition(instance, members))
+        assert sets["z"] == frozenset(range(1, 13))
+        assert sets["s1"] == frozenset({0})
+        assert sets["s2"] == frozenset()
+        assert sets["z_prime"] == frozenset(range(3, 11))
+        assert sets["z_minus"] == frozenset({1, 2})
+        assert sets["z_plus"] == frozenset({11, 12})
+        assert sets["r_less"] == frozenset({13, 14})
+        assert sets["r_less_tilde"] == frozenset({13, 14})
+        assert sets["r_greater"] == frozenset()
 
     def test_rule7_fires_on_the_witness(self):
         instance = rule7_instance()
@@ -421,16 +425,16 @@ class TestClassDecomposition:
         assert result.status == "trivial-no"
         assert result.trace[-1].rule == "rr7"
 
-    def test_masks_views_and_counts(self):
+    def test_masks_and_counts(self):
         instance = rule7_instance()
         t, n = instance.tournament, instance.n
         members = equivalence_classes(t, instance.terminals)[frozenset({0})]
         dec = class_decomposition(instance, members)
         assert dec.masks.shape == (12, n) and dec.masks.dtype == bool
         assert not dec.masks.flags.writeable and not dec.counts.flags.writeable
-        assert isinstance(dec.z_irrelevant, frozenset)
-        assert dec.size == len(dec.z) == len(members)
-        core = sorted(dec.z_prime)
+        sets = decomposition_sets(dec)
+        assert dec.size == len(sets["z"]) == len(members)
+        core = sorted(sets["z_prime"])
         for v in range(n):
             assert dec.counts[0, v] == sum(bool(t.adj[u, v]) for u in members)
             assert dec.counts[1, v] == sum(bool(t.adj[v, u]) for u in members)
@@ -454,9 +458,11 @@ class TestArcSwapAndRule8:
     def test_swap_preserves_the_budget_and_flips_two_arcs(self):
         instance = rule8_instance()
         result = kernelize(instance)
-        swap = next(rec for rec in result.trace if rec.rule == "arc-swap")
-        assert swap.next.k == instance.k
-        changed = np.argwhere(instance.tournament.adj != swap.next.tournament.adj)
+        swap = result.trace[0]
+        assert swap.rule == "arc-swap"
+        nxt = successor(instance, swap)
+        assert nxt.k == instance.k
+        changed = np.argwhere(instance.tournament.adj != nxt.tournament.adj)
         assert len(changed) == 4
 
     @pytest.mark.parametrize("hitters", [((4, 5), (6, 7)), ((4, 5), (5, 6))], ids=["swap", "none"])
@@ -481,18 +487,18 @@ class TestArcSwapAndRule8:
         assert result.kernel.n == 21
 
     def test_rule8_deletes_the_smallest_irrelevant_core_vertex(self):
-        # The driver's runs build these records themselves; the public rule
-        # must give the same one on a compact instance.
+        # A class of 19 is the smallest deletable one at k = 2, so the step
+        # deletes one vertex, and the class less a member is not deletable.
         instance = rule8_instance((4, 5), (5, 6))
         dec = class_decomposition(instance, range(1, 20))
-        out = rr8_irrelevant_vertex(instance, dec)
-        assert out.status == "applied" and out.next is None
-        v = min(dec.z_irrelevant)
+        (out,) = _step(instance)[0]
+        assert out.rule == "rr8" and out.status == "applied" and out.next is None
+        v = min(decomposition_sets(dec)["z_irrelevant"])
         assert out.detail == {"pre": [22, 1, 2], "post": [21, 1, 2], "deleted": [v]}
         assert out == kernelize(instance).trace[0]
+        assert successor(instance, out) == instance.drop([v])
         smaller = instance.drop([19])
-        dec = class_decomposition(smaller, range(1, 19))
-        assert rr8_irrelevant_vertex(smaller, dec).status == "not-applicable"
+        assert kernelize(smaller).trace == ()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_witness_survives_relabeling(self, seed):
@@ -647,8 +653,10 @@ class TestKernelizeDriver:
             expected = reference_equivalence_classes(t, terminals)
             assert list(classes.items()) == list(expected.items())
         for instance, dec in decomposed:
-            expected = reference_outside_split(instance, sorted(dec.z), sorted(dec.z_prime))
-            split = (dec.r_less, dec.r_greater, dec.r_less_tilde, dec.r_greater_tilde)
+            sets = decomposition_sets(dec)
+            expected = reference_outside_split(instance, sorted(sets["z"]), sorted(sets["z_prime"]))
+            names = ("r_less", "r_greater", "r_less_tilde", "r_greater_tilde")
+            split = tuple(sets[name] for name in names)
             assert split == tuple(frozenset(vs) for vs in expected)
 
     def test_stubborn_instance_is_reduced_untouched(self):
@@ -748,9 +756,10 @@ class TestCarriedState:
                 (vs for vs in classes.values() if len(vs) >= decomposition_class_size(cur.k)),
                 key=min,
             )
-            assert [tuple(sorted(dec.z)) for dec in decs] == big
-            for dec in decs:
-                fresh = class_decomposition(cur, dec.z)
+            members = [sorted(decomposition_sets(dec)["z"]) for dec in decs]
+            assert list(map(tuple, members)) == big
+            for dec, vs in zip(decs, members):
+                fresh = class_decomposition(cur, vs)
                 assert np.array_equal(dec.masks, fresh.masks)
                 assert np.array_equal(dec.counts, fresh.counts)
         assert handed >= 2
@@ -861,7 +870,7 @@ def assert_same_decomposition(instance, members):
         assert str(got.value) == str(exc)
         return False
     dec = class_decomposition(instance, members)
-    assert {name: getattr(dec, name) for name in expected} == expected
+    assert decomposition_sets(dec) == expected
     return True
 
 
@@ -1192,6 +1201,22 @@ def test_kernelize_keeps_quadratic_memory():
         tracemalloc.stop()
     assert result.status == "reduced"
     assert peak < 48 * n * n
+
+
+def test_reversal_records_keep_no_instance():
+    # Twenty rr3 reversals. Records that kept the instance they leave
+    # would retain about 20 n^2 bytes; deltas retain a small fraction.
+    n = 200
+    instance = generate_random(GeneratorSpec(n, n, 0, k=20))
+    tracemalloc.start()
+    try:
+        result = kernelize(instance)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [rec.rule for rec in result.trace] == ["rr3"] * 20 + ["rr1"]
+    assert all(rec.next is None for rec in result.trace)
+    assert retained < 2 * n * n
 
 
 def _minimalize_terminals(n, rng):
