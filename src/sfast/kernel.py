@@ -91,6 +91,17 @@ or the arcs it reversed. The trace holds no instance. Outside a rule-8 run,
 `_apply` builds the instance a record leaves by replaying that delta, so
 the driver executes exactly what its trace says; `lift_solution` replays
 the same deltas onto the input.
+
+The lift verifies the kernel's solution and the solution after every
+undone record, except that a stretch of consecutive rule-8 records is
+verified once, at its top (the record earliest in the trace). Undoing a
+rule-8 record revives one vertex and keeps the arcs, k and the solution,
+and a cycle of an induced subtournament is a cycle of the whole one, so
+the top check passes exactly when every check inside the stretch would.
+Likewise the lift minimalizes once per reversal: reviving a vertex keeps
+a minimal solution minimal, as every arc's S-cycle survives, and a set
+that is no solution no solution, so a second minimalization between two
+undone reversals would return its input unchanged.
 """
 
 from __future__ import annotations
@@ -1024,18 +1035,31 @@ def lift_solution(
     its column and gets its row's count, O(n), and an arc turned back moves
     its two ends' scores, O(1).
 
-    Every step's solution is verified exactly, the kernel's first: each arc
-    must be present with both ends alive, the solution must fit that step's
-    k, and no alive terminal may lie on a cycle once the solution's arcs are
+    The kernel's solution is verified exactly, and so is the solution after
+    every undone rr2, rr3, rr5 and arc-swap record: each arc must be
+    present with both ends alive, the solution must fit that step's k, and
+    no alive terminal may lie on a cycle once the solution's arcs are
     reversed. Reversing an arc (u, v) takes one from u's score and gives it
     to v, and the result is again a tournament on the alive vertices, so by
     Landau's theorem its strong components, and with them the terminals on
     a cycle, follow from those scores by one sort (`graphs._landau`). A
-    failure means the trace or the rule algebra is broken and raises
-    InternalInvariantError; an arc absent from the kernel raises
-    InvalidArcError. A compact tournament is built only for the
-    `minimalize_solution` calls at rr2 and arc-swap steps, and the lifted
-    solution passes `verify_solution` on the input at the end.
+    stretch of consecutive rr8 records is verified once, after its last
+    undo (at the record earliest in the trace). Each undo inside it revives
+    one vertex and keeps the arcs, k and the solution, and a cycle of an
+    induced subtournament is a cycle of the whole one, so that check passes
+    exactly when every check inside the stretch would; a failure raises the
+    same "lift through rr8" error. A failure means the trace or the rule
+    algebra is broken and raises InternalInvariantError; an arc absent from
+    the kernel raises InvalidArcError.
+
+    `minimalize_solution` runs at rr2 and arc-swap undos, but only once per
+    reversal: after it runs, the solution stays minimal until an rr3, rr5
+    or arc-swap record is undone. Reviving a vertex keeps a minimal set
+    minimal, since every arc's S-cycle survives, and keeps a set that is no
+    solution no solution, so a second call before the next reversal would
+    return its input unchanged. A compact tournament is built only for
+    those calls, and the lifted solution passes `verify_solution` on the
+    input at the end.
     """
     t = original.tournament
     index = t.index_of()
@@ -1097,10 +1121,12 @@ def lift_solution(
 
     current = {(int(u), int(v)) for u, v in kernel_solution_labels}
     check(current, budgets[-1], "kernel solution")
+    minimal = False
     for i in reversed(range(len(steps))):
         rec, move = steps[i], moves[i]
-        if rec.rule in ("rr2", "arc-swap"):
+        if rec.rule in ("rr2", "arc-swap") and not minimal:
             current = minimalize_solution(child(budgets[i + 1]), current)
+            minimal = True
         if isinstance(move, int):
             alive[move] = True
             scores += adj[:, move]
@@ -1116,7 +1142,9 @@ def lift_solution(
             # works upstairs as it is
             if cancelled or rec.rule != "arc-swap":
                 current = current - {(v, u) for u, v in cancelled} | (pair - cancelled)
-        check(current, budgets[i], rec.rule)
+            minimal = False
+        if rec.rule != "rr8" or i == 0 or steps[i - 1].rule != "rr8":
+            check(current, budgets[i], rec.rule)
     if not verify_solution(original, [(index[u], index[v]) for u, v in current]):
         raise InternalInvariantError("lifted solution fails the input")
     return frozenset(current)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -259,35 +259,32 @@ def generate_planted(spec: GeneratorSpec) -> tuple[Instance, frozenset[Arc]]:
     rng = random.Random(spec.seed)
     order = list(range(n))
     rng.shuffle(order)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
     terminals = frozenset(range(spec.s_count))
-    term_positions = sorted(pos[s] for s in terminals)
+    is_term = np.arange(n) < spec.s_count
 
-    def spans_terminal(lo: int, hi: int) -> bool:
-        return bisect_right(term_positions, hi - 1) > bisect_left(term_positions, lo + 1)
+    # A pair of non-terminals spans a terminal exactly when a different
+    # number of terminals precedes its two ends in the order, so the pairs
+    # left to chance are those of one gap between consecutive terminals.
+    before = np.cumsum(is_term[order]) - is_term[order]
+    gap = np.where(is_term, -1, before[pos])
+    free = np.triu(gap[:, None] == gap[None, :], 1) & (gap >= 0)[:, None]
+    adj = pos[:, None] < pos[None, :]
+    # One draw per free pair, in (u, v) order; a draw of 0.5 or more turns
+    # the pair against the order.
+    rows, cols = np.nonzero(free)
+    back = np.fromiter((rng.random() >= 0.5 for _ in range(len(rows))), dtype=bool, count=len(rows))
+    rows, cols = rows[back], cols[back]
+    adj[rows, cols], adj[cols, rows] = adj[cols, rows], adj[rows, cols]
 
-    adj = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        for v in range(u + 1, n):
-            a, b = (u, v) if pos[u] < pos[v] else (v, u)
-            forced = a in terminals or b in terminals or spans_terminal(pos[a], pos[b])
-            if forced or rng.random() < 0.5:
-                adj[a, b] = True
-            else:
-                adj[b, a] = True
-
-    flipped = rng.sample(list(itertools.combinations(range(n), 2)), spec.planted_k)
+    # Pair index i is the i-th of itertools.combinations(range(n), 2).
+    starts = [u * (2 * n - u - 1) // 2 for u in range(n)]
     planted: set[Arc] = set()
-    for u, v in flipped:
-        if adj[u, v]:
-            adj[u, v] = False
-            adj[v, u] = True
-            planted.add((v, u))
-        else:
-            adj[v, u] = False
-            adj[u, v] = True
-            planted.add((u, v))
+    for i in rng.sample(range(pairs), spec.planted_k):
+        u = bisect_right(starts, i) - 1
+        v = i - starts[u] + u + 1
+        planted.add((v, u) if adj[u, v] else (u, v))
+        adj[u, v], adj[v, u] = adj[v, u], adj[u, v]
     instance = Instance(Tournament(adj), terminals, spec.planted_k)
     return instance, frozenset(planted)

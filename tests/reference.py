@@ -31,6 +31,11 @@ carries no successor instance.
 `decomposition_sets` reads a `ClassDecomposition`'s mask rows as the named
 frozensets that `reference_class_decomposition` returns.
 
+`reference_generate_planted` is the planted generator orienting one pair
+at a time and sampling the planted pairs from a list of all pairs; the
+whole-array generator must draw the same random stream and return the
+same matrix and planted arcs.
+
 `reference_parse_instance` reads an instance file one line at a time, with
 `str.split` and `int` on every field, and `reference_serialize_instance`
 formats one arc at a time; the array parser and serializer must agree with
@@ -46,6 +51,10 @@ must match in value and in witness order.
 """
 
 from __future__ import annotations
+
+import itertools
+import random
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -66,6 +75,7 @@ from sfast.kernel import (
     _step,
     decomposition_class_size,
 )
+from sfast.oracle import GeneratorSpec
 from sfast.solver import _LATTICE_CAP, SolverScaleError
 
 
@@ -292,6 +302,52 @@ def reference_kernelize(instance) -> KernelResult:
         for rec in records:
             cur = successor(cur, rec)
     raise InternalInvariantError("kernelization failed to settle within its cap")
+
+
+def reference_generate_planted(spec: GeneratorSpec) -> tuple[Instance, frozenset]:
+    """`generate_planted` orienting one pair at a time and sampling the
+    planted pairs from a list of every pair."""
+    if spec.planted_k is None:
+        raise ValueError("planted instances need planted_k")
+    n = spec.n
+    pairs = n * (n - 1) // 2
+    if not (0 <= spec.planted_k <= pairs):
+        raise ValueError("planted_k out of range")
+    rng = random.Random(spec.seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    terminals = frozenset(range(spec.s_count))
+    term_positions = sorted(pos[s] for s in terminals)
+
+    def spans_terminal(lo: int, hi: int) -> bool:
+        return bisect_right(term_positions, hi - 1) > bisect_left(term_positions, lo + 1)
+
+    adj = np.zeros((n, n), dtype=bool)
+    for u in range(n):
+        for v in range(u + 1, n):
+            a, b = (u, v) if pos[u] < pos[v] else (v, u)
+            forced = a in terminals or b in terminals or spans_terminal(pos[a], pos[b])
+            if forced or rng.random() < 0.5:
+                adj[a, b] = True
+            else:
+                adj[b, a] = True
+
+    flipped = rng.sample(list(itertools.combinations(range(n), 2)), spec.planted_k)
+    planted = set()
+    for u, v in flipped:
+        if adj[u, v]:
+            adj[u, v] = False
+            adj[v, u] = True
+            planted.add((v, u))
+        else:
+            adj[v, u] = False
+            adj[u, v] = True
+            planted.add((u, v))
+    instance = Instance(Tournament(adj), terminals, spec.planted_k)
+    return instance, frozenset(planted)
 
 
 def reference_conflict_packing(t, terminals) -> tuple[tuple[int, int, int], ...]:

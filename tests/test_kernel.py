@@ -11,6 +11,7 @@ import pytest
 import families
 import sfast.graphs
 import sfast.kernel
+import sfast.solver
 from families import (
     all_tournaments,
     random_tournament,
@@ -1051,9 +1052,10 @@ class TestLifting:
         assert lift_solution(triangle_instance(k=2), trace, []) == {(0, 1), (1, 2)}
 
 
-def deletion(label):
-    """A hand-built rule-8 record: the delta alone, as `kernelize` writes it."""
-    return RuleOutcome("rr8", "applied", detail={"deleted": [label]})
+def deletion(label, rule="rr8"):
+    """A hand-built record of a rule that deleted ``label`` (rule 8 unless
+    ``rule`` says otherwise): the delta alone, as `kernelize` writes it."""
+    return RuleOutcome(rule, "applied", detail={"deleted": [label]})
 
 
 def reversal(rule, *arcs):
@@ -1098,6 +1100,85 @@ def test_lift_step_checks_agree_with_verify_solution():
                     lift_solution(instance, trace, arcs)
             seen[expected] += 1
     assert min(seen[None], seen["rr8"], seen["kernel solution"]) >= 20, seen
+
+
+def test_lift_checks_once_per_stretch_of_rule8_records(monkeypatch):
+    # The lift checks the kernel's solution, the solution after every
+    # undone record other than rr8, and a stretch of consecutive rr8
+    # records once, at its top. A check per rr8 undo made about 113
+    # Landau passes per planted_kernel lift.
+    lifts = []
+
+    def recording_lift(*args):
+        lifts.append(args)
+        return lift_solution(*args)
+
+    monkeypatch.setattr(sfast.solver, "lift_solution", recording_lift)
+    for seed in range(10):
+        solve_report(planted(150, 10, seed))
+    calls = 0
+    landau = sfast.kernel._landau
+
+    def counting_landau(scores):
+        nonlocal calls
+        calls += 1
+        return landau(scores)
+
+    monkeypatch.setattr(sfast.kernel, "_landau", counting_landau)
+    assert len(lifts) >= 10
+    total = deletions = 0
+    for original, trace, solution in lifts:
+        rules = [rec.rule for rec in trace if rec.status == "applied"]
+        stretches = sum(b == "rr8" != a for a, b in zip([None] + rules, rules))
+        calls = 0
+        lift_solution(original, trace, solution)
+        assert 0 < calls <= len(rules) - rules.count("rr8") + stretches + 1
+        total += calls
+        deletions += rules.count("rr8")
+    assert total * 4 < deletions
+
+
+def test_lift_minimalizes_again_after_each_reversal_undo():
+    # Undoing the rr2 record of vertex 1 minimalizes the empty kernel
+    # solution. Undoing the rr3 record then brings back (1, 2), which the
+    # transitive input never needs, so the undo of vertex 0 must minimalize
+    # afresh. Any lift of a trace rr2, rr3, rr2 ends inclusion-minimal.
+    instance = transitive_instance(4, range(4), 1)
+    trace = [deletion(0, "rr2"), reversal("rr3", (1, 2)), deletion(1, "rr2")]
+    assert lift_solution(instance, trace, []) == frozenset()
+    # As rule 2 does, the trace deletes vertices on no cycle where they go,
+    # so every lift of a kernel solution succeeds.
+    rng = random.Random(20)
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randrange(5, 9)
+        t = Tournament(_near_order_tournament(n, rng.randrange(1, 4), rng)[0])
+        terminals = frozenset(rng.sample(range(n), rng.randrange(1, n + 1)))
+        instance = Instance(t, terminals, n * n)
+        free = [v for v in range(n) if is_s_acyclic(t, {v})]
+        if not free:
+            continue
+        x = rng.choice(free)
+        arc = rng.choice([(u, v) for u, v in t.arcs() if x not in (u, v)])
+        trace = [deletion(x, "rr2"), reversal("rr3", arc)]
+        kernel = successor(successor(instance, trace[0]), trace[1])
+        kt = kernel.tournament
+        free = [kt.labels[v] for v in range(kt.n) if is_s_acyclic(kt, {v})]
+        if not free:
+            continue
+        trace.append(deletion(rng.choice(free), "rr2"))
+        kernel = successor(kernel, trace[2])
+        labels = kernel.tournament.labels
+        order = np.argsort(-kernel.tournament.adj.sum(axis=1), kind="stable").tolist()
+        backward = s_backward_arcs(kernel.tournament, kernel.terminals, order)
+        solution = {(labels[u], labels[v]) for u, v in backward}
+        lifted = lift_solution(instance, trace, solution)
+        assert minimalize_solution(instance, lifted) == lifted
+        if (arc[1], arc[0]) in solution:
+            seen["cancelled"] += 1
+        else:
+            seen["kept" if arc in lifted else "dropped"] += 1
+    assert min(seen["cancelled"], seen["kept"], seen["dropped"]) >= 10, seen
 
 
 def test_kernelize_builds_a_compact_instance_only_where_a_rule_needs_one(monkeypatch):
@@ -1291,7 +1372,7 @@ def test_minimalize_matches_the_one_tarjan_pass_per_arc_reference(n):
 
 @pytest.mark.parametrize(
     "n, s_count, seeds, calls",
-    [(50, 6, range(20), 87), (150, 10, range(10), 90)],
+    [(50, 6, range(20), 36), (150, 10, range(10), 23)],
     ids=["planted_dp", "planted_kernel"],
 )
 def test_minimalize_matches_the_reference_on_every_lift_call(n, s_count, seeds, calls, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 
 import sfast.oracle as oracle_module
 from families import random_tournament
+from reference import reference_generate_planted
 from sfast.graphs import Instance, verify_solution
 from sfast.oracle import (
     GeneratorSpec,
@@ -143,3 +144,18 @@ class TestGenerators:
     def test_planted_requires_planted_k(self):
         with pytest.raises(ValueError):
             generate_planted(GeneratorSpec(n=3, s_count=1, seed=0, k=1))
+
+    @pytest.mark.parametrize(
+        "n, s_count, seed, planted_k",
+        [(0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 2, 0), (2, 0, 3, 1), (2, 1, 4, 1), (2, 2, 5, 0)]
+        + [(3, s, seed, 3) for s in range(4) for seed in (6, 7)]
+        + [(n, s, seed, 3) for n in (5, 9, 17) for s in (0, 1, n // 2, n) for seed in (8, 9)]
+        + [(40, 6, 10, 40 * 39 // 2), (50, 6, 11, 3), (150, 10, 12, 3)],
+    )
+    def test_planted_matches_the_pair_at_a_time_reference(self, n, s_count, seed, planted_k):
+        # Same random stream: the same matrix and the same planted arcs.
+        spec = GeneratorSpec(n=n, s_count=s_count, seed=seed, planted_k=planted_k)
+        instance, planted = generate_planted(spec)
+        expected, expected_planted = reference_generate_planted(spec)
+        assert instance == expected
+        assert planted == expected_planted
