@@ -438,37 +438,30 @@ def packing_ordering(
     All backward arcs of the result relative to the uncovered terminals are
     packing arcs, which is asserted.
     """
-    s1 = sorted(s for s in terminals if s not in packing.covered)
+    s1 = np.setdiff1d(np.fromiter(terminals, np.intp), list(packing.covered))
     residual = Instance(t, frozenset(terminals), 0).drop(packing.covered)  # k is unused
     if not is_s_acyclic(residual.tournament, residual.terminals):
         raise InternalInvariantError("packing is not maximal: residual terminal triangle")
 
-    indeg = {s: sum(1 for r in s1 if t.adj[r, s]) for s in s1}
-    if sorted(indeg.values()) != list(range(len(s1))):
+    # An uncovered terminal's rank is its in-degree among the others.
+    rank = t.adj[np.ix_(s1, s1)].sum(axis=0)
+    if not np.array_equal(np.sort(rank), np.arange(s1.size)):
         raise InternalInvariantError("uncovered terminals do not order transitively")
-    order_s1 = sorted(s1, key=lambda s: indeg[s])
-    prefix_sets = [set()]
-    for s in order_s1:
-        prefix_sets.append(prefix_sets[-1] | {s})
+    others = np.setdiff1d(np.arange(t.n), s1)
+    # rows[i, j]: the rank-i terminal beats others[j], whose slot is its
+    # in-degree from them; its beaters must be the ranks below its slot.
+    rows = t.adj[np.ix_(s1[np.argsort(rank)], others)]
+    slot = rows.sum(axis=0)
+    if (rows != (np.arange(s1.size)[:, None] < slot)).any():
+        raise InternalInvariantError("vertex has no unambiguous slot")
 
-    bags: list[list[int]] = [[] for _ in range(len(s1) + 1)]
-    s1_set = set(s1)
-    for v in range(t.n):
-        if v in s1_set:
-            continue
-        in_nbrs = {s for s in s1 if t.adj[s, v]}
-        slot = len(in_nbrs)
-        if in_nbrs != prefix_sets[slot]:
-            raise InternalInvariantError("vertex has no unambiguous slot")
-        bags[slot].append(v)
+    # The vertices of slot i go before the rank-i terminal, in index order.
+    keys = np.empty(t.n, dtype=np.intp)
+    keys[others] = 2 * slot
+    keys[s1] = 2 * rank + 1
+    sigma = np.argsort(keys, kind="stable").tolist()
 
-    sigma: list[int] = []
-    for i, s in enumerate(order_s1):
-        sigma.extend(bags[i])
-        sigma.append(s)
-    sigma.extend(bags[len(s1)])
-
-    stray = s_backward_arcs(t, s1_set, sigma) - packing.packed_arcs
+    stray = s_backward_arcs(t, set(s1.tolist()), sigma) - packing.packed_arcs
     if stray:
         raise InternalInvariantError(f"unpacked backward arcs {sorted(stray)}")
     return tuple(sigma)
@@ -483,16 +476,14 @@ def build_conflict_bipartite(
     triangle. Maximality plus exhausted rules 1-2 leave no isolated terminal.
     """
     left = tuple(sorted(packing.packed_arcs))
-    right = tuple(sorted(s for s in terminals if s not in packing.covered))
-    edges = []
-    for u, v in left:
-        edges.append(
-            tuple(j for j, y in enumerate(right) if t.adj[v, y] and t.adj[y, u])
-        )
-    seen = set(j for js in edges for j in js)
-    if len(seen) != len(right):
+    right = np.setdiff1d(np.fromiter(terminals, np.intp), list(packing.covered))
+    u, v = np.array(left, dtype=np.intp).reshape(-1, 2).T
+    # closes[i, j]: packed arc (u, v) and terminal y close v -> y -> u.
+    closes = t.adj[np.ix_(v, right)] & t.adj[np.ix_(right, u)].T
+    if not closes.any(axis=0).all():
         raise InternalInvariantError("isolated uncovered terminal in conflict graph")
-    return BipartiteConflictGraph(left, right, tuple(edges))
+    edges = tuple(tuple(np.flatnonzero(row).tolist()) for row in closes)
+    return BipartiteConflictGraph(left, tuple(right.tolist()), edges)
 
 
 def max_matching_min_vertex_cover(
@@ -507,19 +498,28 @@ def max_matching_min_vertex_cover(
     match_l = [-1] * nl
     match_r = [-1] * nr
 
-    def augment(i: int, seen: list[bool]) -> bool:
-        for j in graph.edges[i]:
-            if seen[j]:
+    for root in range(nl):
+        # A depth-first search for an augmenting path from the free left
+        # vertex root: path holds its left vertices, via the right vertex
+        # each one took, and scans the edges each left vertex has left.
+        seen = [False] * nr
+        path, via, scans = [root], [], [iter(graph.edges[root])]
+        while scans:
+            j = next((j for j in scans[-1] if not seen[j]), None)
+            if j is None:
+                scans.pop()
+                path.pop()
+                del via[-1:]  # the root took no right vertex
                 continue
             seen[j] = True
-            if match_r[j] == -1 or augment(match_r[j], seen):
-                match_l[i] = j
-                match_r[j] = i
-                return True
-        return False
-
-    for i in range(nl):
-        augment(i, [False] * nr)
+            via.append(j)
+            if match_r[j] == -1:
+                for i, j in zip(path, via):
+                    match_l[i] = j
+                    match_r[j] = i
+                break
+            path.append(match_r[j])
+            scans.append(iter(graph.edges[match_r[j]]))
 
     reach_l = [match_l[i] == -1 for i in range(nl)]
     reach_r = [False] * nr
@@ -578,23 +578,15 @@ def rr5_safe_partition(instance: Instance) -> RuleOutcome:
     if not singles:
         raise InternalInvariantError("no singleton terminals despite |S| > 4k")
 
-    single_set = set(singles)
-    part = np.zeros(t.n, dtype=int)
-    current = 0
-    for pos, v in enumerate(sigma):
-        if v in single_set:
-            current += 1
-            part[pos] = current
-            current += 1
-        else:
-            part[pos] = current
-    sub = t.adj[np.ix_(sigma, sigma)]
-    later, earlier = np.nonzero(np.tril(sub, k=-1))
+    # Each singleton is a part of its own, and the stretches between them
+    # are the other parts: a position's label counts the singletons up to
+    # and including it, twice, less one at a singleton.
+    order = np.array(sigma, dtype=np.intp)
+    single = _term_mask(t.n, singles)[order]
+    part = 2 * np.cumsum(single) - single
+    later, earlier = np.nonzero(np.tril(t.adj[np.ix_(order, order)], k=-1))
     crossing = part[later] != part[earlier]
-    batch = frozenset(
-        (int(sigma[i]), int(sigma[j]))
-        for i, j in zip(later[crossing], earlier[crossing])
-    )
+    batch = frozenset(zip(order[later[crossing]].tolist(), order[earlier[crossing]].tolist()))
     if not batch:
         raise InternalInvariantError("no boundary-crossing backward arcs")
     if batch - packing.packed_arcs:

@@ -37,6 +37,8 @@ __all__ = [
 # branch-and-bound; above this branching depth it refuses outright.
 _ENUMERATION_BUDGET = 200_000
 _BRANCHING_DEPTH_CAP = 12
+# The ordering oracle enumerates all n! orders, so it refuses larger n.
+_ORDERING_CAP = 9
 
 
 class OracleScaleError(ValueError):
@@ -197,16 +199,14 @@ def _backward_counts(
     return (sub & lower[None, :, :] & qualifies).sum(axis=(1, 2))
 
 
-def oracle_min_reversal_orderings(
-    t: Tournament, terminals: frozenset[int] | set[int], n_cap: int = 9
-) -> int:
+def oracle_min_reversal_orderings(t: Tournament, terminals: frozenset[int] | set[int]) -> int:
     """Minimum terminal-backward arc count over all vertex orderings.
 
     Reversing the backward arcs of the best ordering is an optimal reversal
-    solution, so this is the reversal optimum. Guarded at n <= n_cap.
+    solution, so this is the reversal optimum. Guarded at n <= 9.
     """
-    if t.n > n_cap:
-        raise OracleScaleError(f"n={t.n} exceeds the ordering oracle cap {n_cap}")
+    if t.n > _ORDERING_CAP:
+        raise OracleScaleError(f"n={t.n} exceeds the ordering oracle cap {_ORDERING_CAP}")
     if t.n <= 1:
         return 0
     is_term = np.zeros(t.n, dtype=bool)

@@ -75,6 +75,25 @@ def rule5_instance() -> Instance:
     return Instance(Tournament(adj), frozenset(range(13)), 3)
 
 
+def rule5_chain(m: int, s: int) -> Instance:
+    """m blocks of s+1 vertices in transitive order, every vertex a
+    terminal, budget m; each block's first-to-last arc is flipped.
+
+    Every cycle stays inside a block and uses its flipped arc, which lies on
+    s-1 terminal triangles. Rule 3 waits for s-1 > m, rule 4 for
+    m(s+1) >= (m+1)^2 and rule 5 needs m(s+1) > 4m, so rule 5 acts for
+    4 <= s <= m+1: it reverses the m flipped arcs, and rule 1 then finds
+    the instance acyclic at k = 0.
+    """
+    n = m * (s + 1)
+    adj = transitive(n)
+    for first in range(0, n, s + 1):
+        last = first + s
+        adj[first, last] = False
+        adj[last, first] = True
+    return Instance(Tournament(adj), frozenset(range(n)), m)
+
+
 # Rule 6 needs more than 5k+1 type classes. At k = 1 that is impossible: a
 # non-prefix type has a hole h below a filled slot j, the triangle caps then
 # force it to beat every vertex whose type contains s_h and to lose to every

@@ -9,7 +9,13 @@ in-neighbourhood, and `reference_outside_split` sorts the outside vertices
 of a class decomposition into the four r-sets one at a time, and
 `reference_conflict_packing` looks for each greedy packing triangle one row
 at a time; the kernel computes all three with whole-array passes and must
-agree with these loops.
+agree with these loops. `reference_packing_ordering` slots rule 5's vertices
+one at a time, comparing each in-neighbourhood among the uncovered
+terminals with a prefix set of their order, where the kernel compares whole
+rows with one mask and sorts once; `reference_conflict_edges` tests rule 5's
+conflict edges one pair at a time, where the kernel reads them off one
+matrix; and `reference_matching` augments by recursion, where the kernel
+keeps an explicit stack, in the same scan order, so the matchings are equal.
 
 `reference_class_decomposition` builds a class decomposition from sorted
 vertex lists and frozensets, the form the kernel kept before its masks; the
@@ -66,6 +72,7 @@ from sfast.graphs import (
     Tournament,
     is_s_acyclic,
     reverse_arcs,
+    s_backward_arcs,
     _term_mask,
 )
 from sfast.instancefile import InstanceFormatError
@@ -380,6 +387,74 @@ def reference_conflict_packing(t, terminals) -> tuple[tuple[int, int, int], ...]
             a += 1
             b_from = 0
     return tuple(triangles)
+
+
+def reference_packing_ordering(t, terminals, packing) -> tuple[int, ...]:
+    """Rule 5's vertex order, built from growing prefix sets and one bag of
+    vertices per slot. The same invariant errors as `packing_ordering`."""
+    s1 = sorted(s for s in terminals if s not in packing.covered)
+    residual = Instance(t, frozenset(terminals), 0).drop(packing.covered)
+    if not is_s_acyclic(residual.tournament, residual.terminals):
+        raise InternalInvariantError("packing is not maximal: residual terminal triangle")
+
+    indeg = {s: sum(1 for r in s1 if t.adj[r, s]) for s in s1}
+    if sorted(indeg.values()) != list(range(len(s1))):
+        raise InternalInvariantError("uncovered terminals do not order transitively")
+    order_s1 = sorted(s1, key=lambda s: indeg[s])
+    prefix_sets = [set()]
+    for s in order_s1:
+        prefix_sets.append(prefix_sets[-1] | {s})
+
+    bags: list[list[int]] = [[] for _ in range(len(s1) + 1)]
+    s1_set = set(s1)
+    for v in range(t.n):
+        if v in s1_set:
+            continue
+        in_nbrs = {s for s in s1 if t.adj[s, v]}
+        slot = len(in_nbrs)
+        if in_nbrs != prefix_sets[slot]:
+            raise InternalInvariantError("vertex has no unambiguous slot")
+        bags[slot].append(v)
+
+    sigma: list[int] = []
+    for i, s in enumerate(order_s1):
+        sigma.extend(bags[i])
+        sigma.append(s)
+    sigma.extend(bags[len(s1)])
+
+    stray = s_backward_arcs(t, s1_set, sigma) - packing.packed_arcs
+    if stray:
+        raise InternalInvariantError(f"unpacked backward arcs {sorted(stray)}")
+    return tuple(sigma)
+
+
+def reference_conflict_edges(t, terminals, packing) -> tuple[tuple[int, ...], ...]:
+    """Each packed arc's uncovered terminals closing a triangle with it."""
+    right = sorted(s for s in terminals if s not in packing.covered)
+    return tuple(
+        tuple(j for j, y in enumerate(right) if t.adj[v, y] and t.adj[y, u])
+        for u, v in sorted(packing.packed_arcs)
+    )
+
+
+def reference_matching(graph) -> tuple[tuple[int, int], ...]:
+    """Kuhn's augmenting paths by recursion, left vertices and edges in index
+    order; the recursion is as deep as the longest augmenting path."""
+    match_l = [-1] * len(graph.left)
+    match_r = [-1] * len(graph.right)
+
+    def augment(i, seen):
+        for j in graph.edges[i]:
+            if not seen[j]:
+                seen[j] = True
+                if match_r[j] == -1 or augment(match_r[j], seen):
+                    match_l[i], match_r[j] = j, i
+                    return True
+        return False
+
+    for i in range(len(graph.left)):
+        augment(i, [False] * len(graph.right))
+    return tuple((i, j) for i, j in enumerate(match_l) if j != -1)
 
 
 def _tokens(text: str):

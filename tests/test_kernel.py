@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -16,6 +17,7 @@ from families import (
     all_tournaments,
     random_tournament,
     relabel,
+    rule5_chain,
     rule5_instance,
     rule6_instance,
     rule7_instance,
@@ -26,11 +28,14 @@ from invariants import assert_kernel_exhausted
 from reference import (
     decomposition_sets,
     reference_class_decomposition,
+    reference_conflict_edges,
     reference_conflict_packing,
     reference_equivalence_classes,
     reference_kernelize,
+    reference_matching,
     reference_minimalize_solution,
     reference_outside_split,
+    reference_packing_ordering,
     s_triangles_through_arc,
     successor,
 )
@@ -47,6 +52,7 @@ from sfast.graphs import (
 )
 from sfast.kernel import (
     BipartiteConflictGraph,
+    ConflictPacking,
     RuleOutcome,
     _PRIME,
     _R_GREATER_TILDE,
@@ -75,6 +81,15 @@ from sfast.kernel import (
 )
 from sfast.oracle import GeneratorSpec, generate_planted, generate_random, oracle_min_deletion
 from sfast.solver import solve_report
+
+
+RULE5_BASES = {
+    "witness": rule5_instance,
+    **{
+        f"chain-{m}-{s}": functools.partial(rule5_chain, m, s)
+        for m, s in ((4, 4), (4, 5), (6, 7), (10, 6), (25, 4))
+    },
+}
 
 
 def triangle_instance(k=1, terminals=frozenset({0})):
@@ -278,6 +293,46 @@ class TestPackingOrdering:
 
         assert s_backward_arcs(t, uncovered, sigma) <= packing.packed_arcs
 
+    @pytest.mark.parametrize("base", sorted(RULE5_BASES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relabelings_keep_the_reference_order_and_the_record(self, base, seed):
+        instance = RULE5_BASES[base]()
+        shuffled, perm = relabel(instance, seed)
+        t, terminals = shuffled.tournament, shuffled.terminals
+        packing = conflict_packing(t, terminals)
+        sigma = packing_ordering(t, terminals, packing)
+        assert sigma == reference_packing_ordering(t, terminals, packing)
+        graph = build_conflict_bipartite(t, terminals, packing)
+        assert graph.edges == reference_conflict_edges(t, terminals, packing)
+        assert max_matching_min_vertex_cover(graph)[0] == reference_matching(graph)
+        # The record of a relabeled instance is the original's, relabeled.
+        expected, got = rr5_safe_partition(instance), rr5_safe_partition(shuffled)
+        assert (got.rule, got.status, got.note) == (expected.rule, "applied", expected.note)
+        moved = sorted([perm[u], perm[v]] for u, v in expected.detail["reversed"])
+        assert got.detail == {**expected.detail, "reversed": moved}
+
+    def test_fabricated_packings_raise_the_reference_errors(self):
+        # A packing that is not the greedy one reaches the invariant checks.
+        raised = Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = rng.randint(0, 9)
+            t = random_tournament(n, seed)
+            terminals = frozenset(v for v in range(n) if rng.random() < 0.6)
+            arcs = [(u, v) for u in range(n) for v in range(n) if t.adj[u, v]]
+            packed = frozenset(a for a in arcs if rng.random() < 0.3)
+            covered = frozenset(v for v in range(n) if rng.random() < 0.4)
+            packing = ConflictPacking((), packed, covered)
+            outcomes = []
+            for order in (packing_ordering, reference_packing_ordering):
+                try:
+                    outcomes.append(order(t, terminals, packing))
+                except InternalInvariantError as err:
+                    outcomes.append(str(err))
+            assert outcomes[0] == outcomes[1]
+            raised[type(outcomes[0]).__name__] += 1
+        assert raised["str"] >= 50 and raised["tuple"] >= 50
+
 
 class TestMatchingAndCover:
     @staticmethod
@@ -294,6 +349,7 @@ class TestMatchingAndCover:
     def test_koenig_pair_against_networkx(self, seed):
         graph = self.random_bipartite(seed)
         matching, cover_arcs, cover_terms = max_matching_min_vertex_cover(graph)
+        assert matching == reference_matching(graph)
 
         pairs = {(i, j) for i, j in matching}
         assert all(j in graph.edges[i] for i, j in pairs)
@@ -317,6 +373,18 @@ class TestMatchingAndCover:
         )
         assert len(matching) == len(reference) // 2
         assert len(cover_arcs) + len(cover_terms) == len(matching)
+
+    def test_a_1200_step_augmenting_path_needs_no_recursion(self):
+        # Left i is joined to rights i and i+1, the last left to right 0.
+        # The last left vertex is matched along an alternating path through
+        # every other one, deeper than Python's default recursion limit.
+        n = 1200
+        edges = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
+        left = tuple((i, n + i) for i in range(n))
+        graph = BipartiteConflictGraph(left, tuple(range(n)), edges)
+        matching, cover_arcs, cover_terms = max_matching_min_vertex_cover(graph)
+        assert matching == tuple((i, (i + 1) % n) for i in range(n))
+        assert len(cover_arcs) + len(cover_terms) == n
 
 
 class TestRule5:
@@ -343,6 +411,19 @@ class TestRule5:
         result = kernelize(shuffled)
         assert result.status == "reduced"
         assert result.trace[0].rule == "rr5"
+
+    @pytest.mark.parametrize("m", [4, 5, 6])
+    def test_chain_acts_in_its_window_and_reverses_the_flipped_arcs(self, m):
+        for s in range(2, m + 4):
+            instance = rule5_chain(m, s)
+            first = kernelize(instance).trace[:1]
+            if not 4 <= s <= m + 1:
+                assert [rec.rule for rec in first] != ["rr5"]
+                continue
+            n = instance.n
+            flipped = [[f + s, f] for f in range(0, n, s + 1)]
+            assert first == (rr5_safe_partition(instance),)
+            assert first[0].detail == {"pre": [n, n, m], "post": [n, n, 0], "reversed": flipped}
 
     def test_window_is_empty_below_budget_three(self):
         # Rule 5 wants more than 4k terminals, rule 4 already refuses
@@ -1404,6 +1485,15 @@ def test_planted_instances_solve_without_tarjan(seed, monkeypatch):
     report = solve_report(instance)
     assert report.certified
     assert report.size <= len(planted)
+    assert verify_solution(instance, report.solution, mode="reversal")
+
+
+def test_rule5_chain_at_1400_vertices_is_solved_through_rule5():
+    instance, _ = relabel(rule5_chain(200, 6), 0)
+    report = solve_report(instance)
+    trace = [(rec.rule, rec.status) for rec in report.kernel.trace]
+    assert trace == [("rr5", "applied"), ("rr1", "trivial-yes")]
+    assert report.certified and report.size == 200
     assert verify_solution(instance, report.solution, mode="reversal")
 
 
