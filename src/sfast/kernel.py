@@ -40,30 +40,29 @@ the deletion. So each such decomposition is carried over as it is, less
 v's column.
 
 Z itself is decomposed afresh only when the deletion crosses a degree
-threshold. Its decomposition keeps, for every vertex, the class members
-beating it, the class members it beats and the core members beating it
-(see ClassDecomposition). Deleting v, a core member, takes one from the
-first and the third count of every vertex that v beats and one from the
-second count of every other vertex, and the seven degree-derived sets,
-z_prime to r_greater_tilde, follow from these counts by thresholds: k + 1
-on a member's in- and out-degree in the class, k + 1 and 1 on an outside
-vertex's in- and out-degree from the core. A count that falls by one
-crosses k + 1 exactly when it falls to k, so the run stops after a
-deletion that takes a member's in-degree (if v beats it) or out-degree (if
-not) to k. No other count crosses, because v was irrelevant: it beat no
-sink (z_minus and r_less), and no source (z_plus and r_greater) beat it.
-So an r_less vertex keeps its in-degree from the core, and an r_greater
-vertex its out-degree from the core, and neither of these falls to 0.
-The other one falling to k would leave both at most k, but they add up to
-the core size, which exceeds 2k: the class keeps at least 6k + 6 members,
-at most 4k + 2 of them off the core. A fringe member likewise keeps its
-other degree above k, as its two degrees add up to the class size less
-one. So a crossing takes a core member off the core, and then Z is
-decomposed afresh. Otherwise none of the seven sets changes, and Z's
-decomposition is carried less v and is settled. Its relevant core stands
-as well, as the core, the sinks and the sources are the same vertices
-less v, with the same arcs among them. The core in-degrees stay exact, as
-the core lost only v.
+threshold. The seven degree-derived sets, z_prime to r_greater_tilde,
+follow by thresholds from four degrees: k + 1 on a member's in- and
+out-degree in the class, k + 1 and 1 on an outside vertex's in- and
+out-degree from the core. Deleting v, a core member, takes one from the
+in-degrees of the vertices that v beats and one from the out-degrees of
+the others. A degree that falls by one crosses k + 1 exactly when it
+falls to k, so the run stops after a deletion that takes a member's
+in-degree (if v beats it) or out-degree (if not) to k. For that the
+decomposition keeps one count, the class members beating each vertex
+(see ClassDecomposition): a member's in-degree, and its out-degree is the
+class size less that count less one. No other degree crosses, because v
+was irrelevant: it beat no sink (z_minus and r_less), and no source
+(z_plus and r_greater) beat it. So an r_less vertex keeps its in-degree
+from the core, and an r_greater vertex its out-degree from the core, and
+neither of these falls to 0. The other one falling to k would leave both
+at most k, but they add up to the core size, which exceeds 2k: the class
+keeps at least 6k + 6 members, at most 4k + 2 of them off the core. A
+fringe member likewise keeps its other degree above k, as its two degrees
+add up to the class size less one. So a crossing takes a core member off
+the core, and then Z is decomposed afresh. Otherwise none of the seven
+sets changes, and Z's decomposition is carried less v and is settled. Its
+relevant core stands as well, as the core, the sinks and the sources are
+the same vertices less v, with the same arcs among them.
 
 Rule 8's swap search is skipped when it would run on a settled class. The
 search that preceded the deletion of v found no swap on Z; it ran there, or
@@ -82,26 +81,15 @@ sizes, the smallest members, the anchors and the pivots are those of the
 compact instance, as renumbering keeps the order. The loop stops after a
 deletion that crosses a threshold, before deleting from a newly first class
 whose swap search finds a swap, or when no class is deletable. Then one
-`Instance.drop` builds the next step's instance, the masks and counts are
-cut to its columns, and a class whose threshold was crossed is decomposed
-afresh there.
+`Instance.drop` builds the next step's instance, the masks and the counts
+are cut to its columns, and a class whose threshold was crossed is
+decomposed afresh there.
 
 Every applied record is a delta in original labels: the vertex it deleted
 or the arcs it reversed. The trace holds no instance. Outside a rule-8 run,
 `_apply` builds the instance a record leaves by replaying that delta, so
 the driver executes exactly what its trace says; `lift_solution` replays
 the same deltas onto the input.
-
-The lift verifies the kernel's solution and the solution after every
-undone record, except that a stretch of consecutive rule-8 records is
-verified once, at its top (the record earliest in the trace). Undoing a
-rule-8 record revives one vertex and keeps the arcs, k and the solution,
-and a cycle of an induced subtournament is a cycle of the whole one, so
-the top check passes exactly when every check inside the stretch would.
-Likewise the lift minimalizes once per reversal: reviving a vertex keeps
-a minimal solution minimal, as every arc's S-cycle survives, and a set
-that is no solution no solution, so a second minimalization between two
-undone reversals would return its input unchanged.
 """
 
 from __future__ import annotations
@@ -221,40 +209,37 @@ class BipartiteConflictGraph:
 
 
 # The rows of `ClassDecomposition.masks`, one per vertex set.
-_Z, _S1, _S2, _PRIME, _MINUS, _PLUS, _R_LESS, _R_GREATER = range(8)
-_R_LESS_TILDE, _R_GREATER_TILDE, _RELEVANT, _IRRELEVANT = range(8, 12)
-# The rows of `ClassDecomposition.counts`.
-_IN, _OUT, _CORE_IN = range(3)
+_Z, _PRIME, _MINUS, _PLUS, _R_LESS, _R_GREATER = range(6)
+_R_LESS_TILDE, _R_GREATER_TILDE, _RELEVANT, _IRRELEVANT = range(6, 10)
 
 
 @dataclass(frozen=True, eq=False)
 class ClassDecomposition:
     """Degree-based split of one equivalence class and its surroundings.
 
-    z is the class; s1/s2 the terminals beating/beaten by it. z_prime holds
-    the class members with both in- and out-degree >= k+1 inside the class,
-    z_minus/z_plus the low in-/out-degree rest. r_* classify the non-terminal
-    vertices outside the class by their degrees into z_prime; the tilde
-    variants additionally touch z_prime. z_relevant are the z_prime vertices
-    adjacent to low-degree material in the wrong direction; z_irrelevant the
-    remainder, candidates for deletion.
+    z is the class. z_prime holds the class members with both in- and
+    out-degree >= k+1 inside the class, z_minus/z_plus the low
+    in-/out-degree rest. r_* classify the non-terminal vertices outside the
+    class by their degrees into z_prime; the tilde variants additionally
+    touch z_prime. z_relevant are the z_prime vertices adjacent to
+    low-degree material in the wrong direction; z_irrelevant the remainder,
+    candidates for deletion.
 
-    ``masks`` holds the twelve sets as one read-only (12, n) boolean matrix
+    ``masks`` holds the ten sets as one read-only (10, n) boolean matrix
     over the instance's vertices, a row per set in the order above.
-    ``counts`` is a read-only (3, n) integer matrix whose rows give, for
-    every vertex, the class members beating it, the class members it beats,
-    and the z_prime vertices beating it. For a member the first two are its
-    in-class in- and out-degree, and for an outside vertex the third is its
-    in-degree from the core, so the seven rows z_prime to r_greater_tilde
-    follow from the counts, given the class and its terminals.
+    ``indeg`` is a read-only length-n integer row that gives, for every
+    vertex, the class members beating it. For a member that is its in-class
+    in-degree, and its in-class out-degree is the class size less that
+    less one, so `_rr8_run` can tell from this one count when a deletion
+    moves a member across a threshold of z_prime, z_minus or z_plus.
     """
 
     masks: np.ndarray
-    counts: np.ndarray = field(repr=False)
+    indeg: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         self.masks.flags.writeable = False
-        self.counts.flags.writeable = False
+        self.indeg.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -610,8 +595,9 @@ def rr5_safe_partition(instance: Instance) -> RuleOutcome:
 
 def equivalence_classes(
     t: Tournament, terminals: frozenset[int] | set[int]
-) -> dict[frozenset[int], tuple[int, ...]]:
-    """Non-terminal vertices grouped by their terminal in-neighbourhood."""
+) -> list[tuple[int, ...]]:
+    """Non-terminal vertices grouped by their terminal in-neighbourhood, as
+    ascending tuples ordered by their smallest members."""
     term = _term_mask(t.n, terminals)
     s, rest = np.flatnonzero(term), np.flatnonzero(~term)
     # Each vertex is keyed by its terminal in-column, packed into bytes.
@@ -619,14 +605,10 @@ def equivalence_classes(
     groups: dict[bytes, list[int]] = {}
     for v, col in zip(rest.tolist(), packed):
         groups.setdefault(col.tobytes(), []).append(v)
-    return {
-        frozenset(s[t.adj[s, vs[0]]].tolist()): tuple(vs) for vs in groups.values()
-    }
+    return [tuple(vs) for vs in groups.values()]
 
 
-def rr6_many_types(
-    instance: Instance, classes: dict[frozenset[int], tuple[int, ...]]
-) -> RuleOutcome:
+def rr6_many_types(instance: Instance, classes: Sequence[tuple[int, ...]]) -> RuleOutcome:
     """More than 5k+1 distinct classes certify a no-instance.
 
     ``classes`` is the instance's `equivalence_classes`.
@@ -640,39 +622,6 @@ def rr6_many_types(
             classes=len(classes),
         )
     return _outcome("rr6", STATUS_NOT_APPLICABLE, instance)
-
-
-def _split_class(
-    z: np.ndarray, indeg: np.ndarray, outdeg: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """z_prime, z_minus and z_plus from the in-class degrees."""
-    prime = z & (indeg >= k + 1) & (outdeg >= k + 1)
-    fringe = z & ~prime
-    minus = fringe & (indeg <= k)
-    plus = fringe & (outdeg <= k)
-    if (minus & plus).any():
-        raise InternalInvariantError("low in- and out-degree overlap in the class")
-    if np.count_nonzero(fringe) > 4 * k + 2:
-        raise InternalInvariantError("low-degree fringe exceeds 4k+2")
-    return prime, minus, plus
-
-
-def _split_outside(
-    rest: np.ndarray, core_in: np.ndarray, core_size: int, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """r_less, r_greater, r_less_tilde and r_greater_tilde from the core
-    in-degrees. An outside vertex beats every core vertex that does not
-    beat it, so its out-degree into the core is the core size less its
-    in-degree."""
-    core_out = core_size - core_in
-    high_in = core_in >= k + 1
-    high_out = core_out >= k + 1
-    if (rest & high_in & high_out).any():
-        raise InternalInvariantError("outside vertex with high degree both ways")
-    if (rest & ~high_in & ~high_out).any():
-        raise InternalInvariantError("outside vertex with low degree both ways")
-    r_less, r_greater = rest & ~high_in, rest & high_in
-    return r_less, r_greater, r_less & (core_in >= 1), r_greater & (core_out >= 1)
 
 
 def class_decomposition(instance: Instance, members: Iterable[int]) -> ClassDecomposition:
@@ -692,7 +641,6 @@ def class_decomposition(instance: Instance, members: Iterable[int]) -> ClassDeco
     type_cols = t.adj[term][:, z_idx]
     if not (type_cols == type_cols[:, :1]).all():
         raise ValueError("members do not share a terminal in-neighbourhood")
-    s1 = term & t.adj[:, z_idx[0]]
     z = np.zeros(t.n, dtype=bool)
     z[z_idx] = True
 
@@ -700,20 +648,32 @@ def class_decomposition(instance: Instance, members: Iterable[int]) -> ClassDeco
     # not beat it, and an outside vertex every member that does not beat it.
     indeg = t.adj[z_idx].sum(axis=0)
     outdeg = z_idx.size - indeg - z
-    prime, minus, plus = _split_class(z, indeg, outdeg, k)
+    prime = z & (indeg >= k + 1) & (outdeg >= k + 1)
+    fringe = z & ~prime
+    minus, plus = fringe & (indeg <= k), fringe & (outdeg <= k)
+    if (minus & plus).any():
+        raise InternalInvariantError("low in- and out-degree overlap in the class")
+    if np.count_nonzero(fringe) > 4 * k + 2:
+        raise InternalInvariantError("low-degree fringe exceeds 4k+2")
 
+    # Likewise an outside vertex's out-degree into the core is the core
+    # size less its in-degree from the core.
     core_rows = t.adj[prime]
     core_in = core_rows.sum(axis=0)
-    r_sets = _split_outside(~term & ~z, core_in, core_rows.shape[0], k)
+    core_out = core_rows.shape[0] - core_in
+    rest, high_in, high_out = ~term & ~z, core_in >= k + 1, core_out >= k + 1
+    if (rest & high_in & high_out).any():
+        raise InternalInvariantError("outside vertex with high degree both ways")
+    if (rest & ~high_in & ~high_out).any():
+        raise InternalInvariantError("outside vertex with low degree both ways")
+    r_less, r_greater = rest & ~high_in, rest & high_in
 
     # A core vertex is relevant when it beats a sink or a source beats it.
-    sinks, sources = minus | r_sets[0], plus | r_sets[1]
-    relevant = prime & t.adj[sources].any(axis=0)
-    relevant[prime] |= (core_rows & sinks).any(axis=1)
-    masks = np.stack(
-        (z, s1, term & ~s1, prime, minus, plus, *r_sets, relevant, prime & ~relevant)
-    )
-    return ClassDecomposition(masks, np.stack((indeg, outdeg, core_in)))
+    relevant = prime & t.adj[plus | r_greater].any(axis=0)
+    relevant[prime] |= (core_rows & (minus | r_less)).any(axis=1)
+    tilde = (r_less & (core_in >= 1), r_greater & (core_out >= 1))
+    masks = np.stack((z, prime, minus, plus, r_less, r_greater, *tilde, relevant, prime & ~relevant))
+    return ClassDecomposition(masks, indeg)
 
 
 def rr7_wrong_arcs(instance: Instance, dec: ClassDecomposition) -> RuleOutcome:
@@ -737,39 +697,36 @@ def _find_swap(instance: Instance, masks: np.ndarray) -> Optional[tuple[Arc, Arc
     """First normalization swap in the class decomposed as ``masks``, or
     None: ((q, z), (z, p), z) with q, p in the relevant core and z a
     low-degree pivot whose core arcs point the wrong way.
+
+    The sinks are searched first, then the sources. The core members that
+    beat a sink form the side; its k+1 smallest are the anchors and the
+    rest the far members. The first sink z that a far member beats is the
+    pivot, q the first far member beating it and p the first anchor it
+    beats. The sources' search is the sinks' search in the reversed
+    tournament, and the swap ((p, z), (z, q), z) it finds there is
+    ((q, z), (z, p), z) here.
     """
-    t, k = instance.tournament, instance.k
-
-    sinks = np.flatnonzero(masks[_MINUS] | masks[_R_LESS])
-    sources = np.flatnonzero(masks[_PLUS] | masks[_R_GREATER])
+    k, adj = instance.k, instance.tournament.adj
     zp = np.flatnonzero(masks[_PRIME])
-
-    if zp.size and sinks.size:
-        side1 = zp[t.adj[zp][:, sinks].any(axis=1)]
-        anchors, far = side1[: k + 1], side1[k + 1 :]
-        if far.size:
-            for v in sinks.tolist():
-                ins = far[t.adj[far, v]]
-                if not ins.size:
-                    continue
-                outs = anchors[t.adj[v, anchors]]
-                if not outs.size:
-                    raise InternalInvariantError("pivot dominates every anchor")
-                return ((int(ins[0]), v), (v, int(outs[0])), v)
-
-    if zp.size and sources.size:
-        side2 = zp[t.adj[sources][:, zp].any(axis=0)]
-        anchors, far = side2[: k + 1], side2[k + 1 :]
-        if far.size:
-            for v in sources.tolist():
-                outs = far[t.adj[v, far]]
-                if not outs.size:
-                    continue
-                ins = anchors[t.adj[anchors, v]]
-                if not ins.size:
-                    raise InternalInvariantError("pivot dominated by every anchor")
-                return ((int(ins[0]), v), (v, int(outs[0])), v)
-
+    sides = (
+        (adj, masks[_MINUS] | masks[_R_LESS], "pivot dominates every anchor"),
+        (adj.T, masks[_PLUS] | masks[_R_GREATER], "pivot dominated by every anchor"),
+    )
+    for a, pivots, error in sides:
+        pivots = np.flatnonzero(pivots)
+        side = zp[a[zp][:, pivots].any(axis=1)]
+        anchors, far = side[: k + 1], side[k + 1 :]
+        if not far.size:
+            continue
+        for z in pivots.tolist():
+            ins = far[a[far, z]]
+            if not ins.size:
+                continue
+            outs = anchors[a[z, anchors]]
+            if not outs.size:
+                raise InternalInvariantError(error)
+            q, p = int(ins[0]), int(outs[0])
+            return ((q, z), (z, p), z) if a is adj else ((p, z), (z, q), z)
     return None
 
 
@@ -860,10 +817,7 @@ def _step(
         out = rr6_many_types(instance, classes)
         if out.status != STATUS_NOT_APPLICABLE:
             return (out,), None, None
-        big = sorted(
-            (vs for vs in classes.values() if len(vs) >= decomposition_class_size(instance.k)),
-            key=min,
-        )
+        big = [vs for vs in classes if len(vs) >= decomposition_class_size(instance.k)]
         decs = [class_decomposition(instance, vs) for vs in big]
     for dec in decs:
         out = rr7_wrong_arcs(instance, dec)
@@ -894,7 +848,7 @@ def _rr8_run(
     decompositions of its big classes."""
     k, adj = instance.k, instance.tournament.adj
     masks = np.stack([dec.masks for dec in decs])
-    counts = np.stack([dec.counts for dec in decs])
+    indeg = np.stack([dec.indeg for dec in decs])
     records: list[RuleOutcome] = []
     deleted: list[int] = []
     i, fresh = first, None
@@ -902,19 +856,18 @@ def _rr8_run(
         out, v = _rule8(instance, masks[i], instance.n - len(deleted))
         records.append(out)
         deleted.append(v)
-        # v leaves its class and the core: the vertices it beats lose a
-        # class and a core in-neighbour, the others a class out-neighbour.
-        # A threshold is crossed when a member's lowered degree is k.
+        # v leaves its class, so the vertices it beats lose an in-neighbour
+        # there and the other members an out-neighbour. A threshold is
+        # crossed when a member's lowered degree is k.
         masks[:, :, v] = False
         beaten = adj[v]
-        counts[i, _IN] -= beaten
-        counts[i, _OUT] -= ~beaten
-        counts[i, _CORE_IN] -= beaten
-        lowered = np.where(beaten, counts[i, _IN], counts[i, _OUT])
+        indeg[i] -= beaten
+        sizes = masks[:, _Z].sum(axis=1)
+        lowered = np.where(beaten, indeg[i], sizes[i] - indeg[i] - 1)
         if (masks[i, _Z] & (lowered == k)).any():
             fresh = i
             break
-        deletable = masks[:, _Z].sum(axis=1) >= deletion_class_size(k)
+        deletable = sizes >= deletion_class_size(k)
         if not deletable.any():
             break
         j = int(np.where(deletable, masks[:, _Z].argmax(axis=1), instance.n).argmin())
@@ -922,12 +875,12 @@ def _rr8_run(
             break
         i = j
     nxt = instance.drop(deleted)
-    masks, counts = np.delete(masks, deleted, axis=2), np.delete(counts, deleted, axis=2)
+    masks, indeg = np.delete(masks, deleted, axis=2), np.delete(indeg, deleted, axis=1)
     if fresh is not None:
         dec = class_decomposition(nxt, np.flatnonzero(masks[fresh, _Z]))
-        masks[fresh], counts[fresh] = dec.masks, dec.counts
+        masks[fresh], indeg[fresh] = dec.masks, dec.indeg
     order = np.argsort(masks[:, _Z].argmax(axis=1))
-    return tuple(records), nxt, tuple(map(ClassDecomposition, masks[order], counts[order]))
+    return tuple(records), nxt, tuple(map(ClassDecomposition, masks[order], indeg[order]))
 
 
 def _rule8(instance: Instance, masks: np.ndarray, n: int) -> tuple[RuleOutcome, int]:

@@ -37,6 +37,8 @@ __all__ = [
 # branch-and-bound; above this branching depth it refuses outright.
 _ENUMERATION_BUDGET = 200_000
 _BRANCHING_DEPTH_CAP = 12
+# Coins drawn per `getrandbits` call: 512 KiB of random bits.
+_COIN_BLOCK = 1 << 16
 # The ordering oracle enumerates all n! orders, so it refuses larger n.
 _ORDERING_CAP = 9
 
@@ -226,19 +228,35 @@ def oracle_min_reversal_orderings(t: Tournament, terminals: frozenset[int] | set
     return best
 
 
+def _coins(rng: random.Random, m: int) -> np.ndarray:
+    """m draws of ``rng.random() < 0.5``, leaving rng where m calls of
+    ``random()`` would.
+
+    `random()` reads two 32-bit words and is below 0.5 exactly when the top
+    bit of the first is 0. ``getrandbits(64 * c)`` returns the next 2c words,
+    the first lowest, so its little-endian bytes hold c draws. Drawing
+    `_COIN_BLOCK` at a time bounds the memory that one call takes.
+    """
+    coins = np.empty(m, dtype=bool)
+    for lo in range(0, m, _COIN_BLOCK):
+        c = min(_COIN_BLOCK, m - lo)
+        words = np.frombuffer(rng.getrandbits(64 * c).to_bytes(8 * c, "little"), dtype="<u4")
+        coins[lo : lo + c] = words[::2] < 1 << 31
+    return coins
+
+
 def generate_random(spec: GeneratorSpec) -> Instance:
     """A uniformly random tournament with the first s_count vertices terminal."""
     if spec.k is None:
         raise ValueError("random instances need an explicit budget k")
     rng = random.Random(spec.seed)
     n = spec.n
+    # One draw per pair u < v, in (u, v) order (a boolean mask fills in row
+    # order): u -> v when it is below 0.5, else v -> u.
+    above = np.triu(np.ones((n, n), dtype=bool), 1)
     adj = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < 0.5:
-                adj[u, v] = True
-            else:
-                adj[v, u] = True
+    adj[above] = _coins(rng, n * (n - 1) // 2)
+    adj |= (above & ~adj).T
     return Instance(Tournament(adj), frozenset(range(spec.s_count)), spec.k)
 
 
@@ -274,7 +292,7 @@ def generate_planted(spec: GeneratorSpec) -> tuple[Instance, frozenset[Arc]]:
     # One draw per free pair, in (u, v) order; a draw of 0.5 or more turns
     # the pair against the order.
     rows, cols = np.nonzero(free)
-    back = np.fromiter((rng.random() >= 0.5 for _ in range(len(rows))), dtype=bool, count=len(rows))
+    back = ~_coins(rng, rows.size)
     rows, cols = rows[back], cols[back]
     adj[rows, cols], adj[cols, rows] = adj[cols, rows], adj[rows, cols]
 

@@ -47,7 +47,7 @@ def assert_kernel_exhausted(kernel: Instance) -> None:
     classes = equivalence_classes(t, terminals)
     assert rr6_many_types(kernel, classes).status == STATUS_NOT_APPLICABLE
     assert len(classes) <= 5 * k + 1
-    for members in classes.values():
+    for members in classes:
         assert len(members) < deletion_class_size(k)
         if len(members) >= decomposition_class_size(k):
             dec = class_decomposition(kernel, members)

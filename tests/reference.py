@@ -19,7 +19,11 @@ keeps an explicit stack, in the same scan order, so the matchings are equal.
 
 `reference_class_decomposition` builds a class decomposition from sorted
 vertex lists and frozensets, the form the kernel kept before its masks; the
-mask-backed one must give the same twelve sets and raise the same errors.
+mask-backed one must give the same ten sets and raise the same errors.
+`reference_find_swap` searches the sinks and then the sources with two
+loops of their own, where `_find_swap` runs the sink search twice, the
+second time in the reversed tournament; both must find the same swap or
+raise the same error.
 
 `reference_minimalize_solution` is the lift's greedy prune with one Tarjan
 pass over the whole pruned digraph per solution arc; the reachability
@@ -37,10 +41,11 @@ carries no successor instance.
 `decomposition_sets` reads a `ClassDecomposition`'s mask rows as the named
 frozensets that `reference_class_decomposition` returns.
 
-`reference_generate_planted` is the planted generator orienting one pair
-at a time and sampling the planted pairs from a list of all pairs; the
-whole-array generator must draw the same random stream and return the
-same matrix and planted arcs.
+`reference_generate_random` and `reference_generate_planted` are the
+generators orienting one pair at a time with one `random()` call each, the
+planted one sampling the planted pairs from a list of all pairs; the
+generators, which draw their coins with one `getrandbits` call, must
+leave the same random stream and return the same matrix and planted arcs.
 
 `reference_parse_instance` reads an instance file one line at a time, with
 `str.split` and `int` on every field, and `reference_serialize_instance`
@@ -79,6 +84,11 @@ from sfast.instancefile import InstanceFormatError
 from sfast.kernel import (
     STATUS_APPLIED,
     KernelResult,
+    _MINUS,
+    _PLUS,
+    _PRIME,
+    _R_GREATER,
+    _R_LESS,
     _step,
     decomposition_class_size,
 )
@@ -176,10 +186,6 @@ def reference_class_decomposition(instance, members) -> dict[str, frozenset[int]
         type_cols = t.adj[term_sorted][:, z_arr]
         if not (type_cols == type_cols[:, :1]).all():
             raise ValueError("members do not share a terminal in-neighbourhood")
-        s1 = frozenset(s for i, s in enumerate(term_sorted) if type_cols[i, 0])
-    else:
-        s1 = frozenset()
-    s2 = frozenset(terminals) - s1
 
     inside = t.adj[z_arr][:, z_arr]
     indeg = inside.sum(axis=0)
@@ -226,8 +232,6 @@ def reference_class_decomposition(instance, members) -> dict[str, frozenset[int]
         relevant |= t.adj[sources][:, zp_arr].any(axis=0)
     return dict(
         z=frozenset(z_list),
-        s1=s1,
-        s2=s2,
         z_prime=frozenset(z_prime),
         z_minus=frozenset(z_minus),
         z_plus=frozenset(z_plus),
@@ -238,6 +242,43 @@ def reference_class_decomposition(instance, members) -> dict[str, frozenset[int]
         z_relevant=frozenset(zp_arr[relevant].tolist()),
         z_irrelevant=frozenset(zp_arr[~relevant].tolist()),
     )
+
+
+def reference_find_swap(instance, masks):
+    """`_find_swap` with the source side written out as its own loop."""
+    t, k = instance.tournament, instance.k
+
+    sinks = np.flatnonzero(masks[_MINUS] | masks[_R_LESS])
+    sources = np.flatnonzero(masks[_PLUS] | masks[_R_GREATER])
+    zp = np.flatnonzero(masks[_PRIME])
+
+    if zp.size and sinks.size:
+        side1 = zp[t.adj[zp][:, sinks].any(axis=1)]
+        anchors, far = side1[: k + 1], side1[k + 1 :]
+        if far.size:
+            for v in sinks.tolist():
+                ins = far[t.adj[far, v]]
+                if not ins.size:
+                    continue
+                outs = anchors[t.adj[v, anchors]]
+                if not outs.size:
+                    raise InternalInvariantError("pivot dominates every anchor")
+                return ((int(ins[0]), v), (v, int(outs[0])), v)
+
+    if zp.size and sources.size:
+        side2 = zp[t.adj[sources][:, zp].any(axis=0)]
+        anchors, far = side2[: k + 1], side2[k + 1 :]
+        if far.size:
+            for v in sources.tolist():
+                outs = far[t.adj[v, far]]
+                if not outs.size:
+                    continue
+                ins = anchors[t.adj[anchors, v]]
+                if not ins.size:
+                    raise InternalInvariantError("pivot dominated by every anchor")
+                return ((int(ins[0]), v), (v, int(outs[0])), v)
+
+    return None
 
 
 def reference_minimalize_solution(instance, solution_labels):
@@ -255,8 +296,6 @@ def reference_minimalize_solution(instance, solution_labels):
 
 DECOMPOSITION_ROWS = (
     "z",
-    "s1",
-    "s2",
     "z_prime",
     "z_minus",
     "z_plus",
@@ -270,7 +309,7 @@ DECOMPOSITION_ROWS = (
 
 
 def decomposition_sets(dec) -> dict[str, frozenset[int]]:
-    """The twelve vertex sets of a `ClassDecomposition`, read off the rows
+    """The ten vertex sets of a `ClassDecomposition`, read off the rows
     of its masks, under the names of `reference_class_decomposition`."""
     rows = zip(DECOMPOSITION_ROWS, dec.masks)
     return {name: frozenset(np.flatnonzero(row).tolist()) for name, row in rows}
@@ -309,6 +348,22 @@ def reference_kernelize(instance) -> KernelResult:
         for rec in records:
             cur = successor(cur, rec)
     raise InternalInvariantError("kernelization failed to settle within its cap")
+
+
+def reference_generate_random(spec: GeneratorSpec) -> Instance:
+    """`generate_random` orienting one pair at a time, one draw per pair."""
+    if spec.k is None:
+        raise ValueError("random instances need an explicit budget k")
+    rng = random.Random(spec.seed)
+    n = spec.n
+    adj = np.zeros((n, n), dtype=bool)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.5:
+                adj[u, v] = True
+            else:
+                adj[v, u] = True
+    return Instance(Tournament(adj), frozenset(range(spec.s_count)), spec.k)
 
 
 def reference_generate_planted(spec: GeneratorSpec) -> tuple[Instance, frozenset]:

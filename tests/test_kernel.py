@@ -31,6 +31,7 @@ from reference import (
     reference_conflict_edges,
     reference_conflict_packing,
     reference_equivalence_classes,
+    reference_find_swap,
     reference_kernelize,
     reference_matching,
     reference_minimalize_solution,
@@ -54,8 +55,10 @@ from sfast.kernel import (
     BipartiteConflictGraph,
     ConflictPacking,
     RuleOutcome,
+    _MINUS,
     _PRIME,
     _R_GREATER_TILDE,
+    _R_LESS,
     _find_swap,
     _step,
     build_conflict_bipartite,
@@ -446,9 +449,19 @@ class TestRule6:
     def test_types_partition_the_non_terminals(self):
         instance = rule7_instance()
         classes = equivalence_classes(instance.tournament, instance.terminals)
-        members = sorted(v for vs in classes.values() for v in vs)
+        members = sorted(v for vs in classes for v in vs)
         assert members == sorted(set(range(15)) - {0})
-        assert set(classes) == {frozenset({0}), frozenset()}
+        assert classes == [tuple(range(1, 13)), (13, 14)]
+        assert [bool(instance.tournament.adj[0, vs[0]]) for vs in classes] == [True, False]
+
+    @pytest.mark.parametrize("n, s_count", [(12, 1), (30, 3), (60, 6)])
+    def test_classes_are_ascending_tuples_by_smallest_member(self, n, s_count):
+        for seed in range(10):
+            t = random_tournament(n, 1000 * n + seed)
+            terminals = frozenset(random.Random(seed).sample(range(n), s_count))
+            expected = reference_equivalence_classes(t, terminals)
+            # The reference's classes are ascending tuples.
+            assert equivalence_classes(t, terminals) == sorted(expected.values(), key=min)
 
     def test_witness_has_too_many_types(self):
         instance = rule6_instance()
@@ -478,12 +491,11 @@ class TestClassDecomposition:
     def test_rule7_witness_decomposes_as_designed(self):
         instance = rule7_instance()
         classes = equivalence_classes(instance.tournament, instance.terminals)
-        members = classes[frozenset({0})]
+        members = classes[0]
         assert len(members) >= decomposition_class_size(instance.k)
+        assert instance.tournament.adj[0, list(members)].all()
         sets = decomposition_sets(class_decomposition(instance, members))
         assert sets["z"] == frozenset(range(1, 13))
-        assert sets["s1"] == frozenset({0})
-        assert sets["s2"] == frozenset()
         assert sets["z_prime"] == frozenset(range(3, 11))
         assert sets["z_minus"] == frozenset({1, 2})
         assert sets["z_plus"] == frozenset({11, 12})
@@ -494,7 +506,7 @@ class TestClassDecomposition:
     def test_rule7_fires_on_the_witness(self):
         instance = rule7_instance()
         classes = equivalence_classes(instance.tournament, instance.terminals)
-        dec = class_decomposition(instance, classes[frozenset({0})])
+        dec = class_decomposition(instance, classes[0])
         assert rr7_wrong_arcs(instance, dec).status == "trivial-no"
 
     def test_rule7_witness_really_is_a_no_instance(self):
@@ -510,17 +522,17 @@ class TestClassDecomposition:
     def test_masks_and_counts(self):
         instance = rule7_instance()
         t, n = instance.tournament, instance.n
-        members = equivalence_classes(t, instance.terminals)[frozenset({0})]
+        members = equivalence_classes(t, instance.terminals)[0]
         dec = class_decomposition(instance, members)
-        assert dec.masks.shape == (12, n) and dec.masks.dtype == bool
-        assert not dec.masks.flags.writeable and not dec.counts.flags.writeable
+        assert dec.masks.shape == (10, n) and dec.masks.dtype == bool
+        assert dec.indeg.shape == (n,)
+        assert not dec.masks.flags.writeable and not dec.indeg.flags.writeable
         sets = decomposition_sets(dec)
         assert dec.size == len(sets["z"]) == len(members)
-        core = sorted(sets["z_prime"])
         for v in range(n):
-            assert dec.counts[0, v] == sum(bool(t.adj[u, v]) for u in members)
-            assert dec.counts[1, v] == sum(bool(t.adj[v, u]) for u in members)
-            assert dec.counts[2, v] == sum(bool(t.adj[u, v]) for u in core)
+            assert dec.indeg[v] == sum(bool(t.adj[u, v]) for u in members)
+        for v in members:
+            assert dec.size - dec.indeg[v] - 1 == sum(bool(t.adj[v, u]) for u in members)
 
 
 class TestArcSwapAndRule8:
@@ -733,7 +745,7 @@ class TestKernelizeDriver:
         assert classified and decomposed
         for t, terminals, classes in classified:
             expected = reference_equivalence_classes(t, terminals)
-            assert list(classes.items()) == list(expected.items())
+            assert classes == list(expected.values())
         for instance, dec in decomposed:
             sets = decomposition_sets(dec)
             expected = reference_outside_split(instance, sorted(sets["z"]), sorted(sets["z_prime"]))
@@ -805,7 +817,7 @@ class TestCarriedState:
         # step with arc swaps hands on nothing. Whenever a step hands on
         # decompositions, rules 1 to 6 must indeed be inapplicable to the
         # replayed instance, and the decompositions must be fresh ones of
-        # its big classes, in order, counts included.
+        # its big classes, in order, in-degree counts included.
         cur = planted(n, s_count, seed)
         decs = None
         handed = swapped = deleted = 0
@@ -834,16 +846,13 @@ class TestCarriedState:
                 assert rule(cur).status == "not-applicable"
             classes = equivalence_classes(cur.tournament, cur.terminals)
             assert rr6_many_types(cur, classes).status == "not-applicable"
-            big = sorted(
-                (vs for vs in classes.values() if len(vs) >= decomposition_class_size(cur.k)),
-                key=min,
-            )
+            big = [vs for vs in classes if len(vs) >= decomposition_class_size(cur.k)]
             members = [sorted(decomposition_sets(dec)["z"]) for dec in decs]
             assert list(map(tuple, members)) == big
             for dec, vs in zip(decs, members):
                 fresh = class_decomposition(cur, vs)
                 assert np.array_equal(dec.masks, fresh.masks)
-                assert np.array_equal(dec.counts, fresh.counts)
+                assert np.array_equal(dec.indeg, fresh.indeg)
         assert handed >= 2
         assert deleted >= 10
         assert swapped == swaps
@@ -896,7 +905,7 @@ class TestCarriedState:
                     continue
                 for pos, rec in enumerate(records):
                     v = cur.tournament.index_of()[rec.detail["deleted"][0]]
-                    classes = equivalence_classes(cur.tournament, cur.terminals).values()
+                    classes = equivalence_classes(cur.tournament, cur.terminals)
                     (members,) = (vs for vs in classes if v in vs)
                     before = class_decomposition(cur, members).masks[rows]
                     cur = successor(cur, rec)
@@ -907,7 +916,7 @@ class TestCarriedState:
                 if changed:
                     crossings += 1
                     continue
-                classes = equivalence_classes(cur.tournament, cur.terminals).values()
+                classes = equivalence_classes(cur.tournament, cur.terminals)
                 deletable = sorted(
                     (vs for vs in classes if len(vs) >= deletion_class_size(cur.k)), key=min
                 )
@@ -941,7 +950,7 @@ class TestCarriedState:
 
 
 def assert_same_decomposition(instance, members):
-    """class_decomposition gives the reference's twelve sets, or raises its
+    """class_decomposition gives the reference's ten sets, or raises its
     exception type with its message; True when it decomposed."""
     try:
         expected = reference_class_decomposition(instance, members)
@@ -981,7 +990,7 @@ class TestClassDecompositionReference:
             instance = planted(n, s_count, seed)
             result = kernelize(instance)
             for cur in chain(instance, result.trace):
-                for members in equivalence_classes(cur.tournament, cur.terminals).values():
+                for members in equivalence_classes(cur.tournament, cur.terminals):
                     if len(members) >= decomposition_class_size(cur.k):
                         decomposed += assert_same_decomposition(cur, members)
         assert decomposed >= 100
@@ -998,7 +1007,7 @@ class TestClassDecompositionReference:
                 t = Tournament(_near_order_tournament(n, n // 4, rng)[0])
                 terminals = frozenset(rng.sample(range(n), s_count))
                 instance = Instance(t, terminals, k)
-                for members in equivalence_classes(t, terminals).values():
+                for members in equivalence_classes(t, terminals):
                     if len(members) >= decomposition_class_size(k):
                         if assert_same_decomposition(instance, members):
                             decomposed += 1
@@ -1020,6 +1029,65 @@ class TestClassDecompositionReference:
         with pytest.raises((ValueError, InternalInvariantError), match=message):
             class_decomposition(instance, members)
         assert not assert_same_decomposition(instance, members)
+
+
+def swap_outcome(search, instance, masks):
+    """A swap search's result, or the message of the error it raised."""
+    try:
+        return search(instance, masks)
+    except InternalInvariantError as exc:
+        return str(exc)
+
+
+class TestFindSwap:
+    """`_find_swap`, which searches the sources as the sinks of the reversed
+    tournament, against the two-sided search it replaced."""
+
+    def test_every_big_class_along_kernelizations(self):
+        # Both planted corpora and near-ordered tournaments (4 % of the
+        # pairs turned backward), each with the instances its trace leaves.
+        # 2581 classes; swaps found: 21 on a sink, 16 on a source.
+        instances = [planted(n, s_count, seed) for n, s_count, seed in PLANTED_CORPORA]
+        rng = random.Random(1)
+        for _ in range(300):
+            n = rng.randrange(30, 121)
+            adj = _near_order_tournament(n, round(0.02 * n * (n - 1)), rng)[0]
+            terminals = frozenset(rng.sample(range(n), rng.randint(1, 5)))
+            instances.append(Instance(Tournament(adj), terminals, rng.randint(1, 3)))
+        searched, sides = 0, Counter()
+        for instance in instances:
+            for cur in chain(instance, kernelize(instance).trace):
+                for members in equivalence_classes(cur.tournament, cur.terminals):
+                    if len(members) < decomposition_class_size(cur.k):
+                        continue
+                    try:
+                        masks = class_decomposition(cur, members).masks
+                    except (ValueError, InternalInvariantError):
+                        continue
+                    got = swap_outcome(_find_swap, cur, masks)
+                    assert got == swap_outcome(reference_find_swap, cur, masks)
+                    searched += 1
+                    if got is not None:
+                        sinks = masks[_MINUS] | masks[_R_LESS]
+                        sides["sink" if sinks[got[2]] else "source"] += 1
+        assert searched >= 2000
+        assert sides["sink"] >= 1 and sides["source"] >= 1
+
+    def test_same_errors_on_arbitrary_masks(self):
+        # Masks drawn at random break the decomposition's guarantees, so
+        # both searches also meet pivots that no anchor answers.
+        seen = Counter()
+        rng = np.random.default_rng(0)
+        for seed in range(300):
+            n = 12 + seed % 9
+            instance = Instance(random_tournament(n, seed), frozenset(), 1 + seed % 3)
+            masks = np.zeros((10, n), dtype=bool)
+            masks[_PRIME : _R_LESS + 2] = rng.random((5, n)) < 0.3
+            got = swap_outcome(_find_swap, instance, masks)
+            assert got == swap_outcome(reference_find_swap, instance, masks)
+            seen[got if isinstance(got, str) else type(got).__name__] += 1
+        assert seen["pivot dominates every anchor"] and seen["pivot dominated by every anchor"]
+        assert seen["tuple"] and seen["NoneType"]
 
 
 class TestLifting:

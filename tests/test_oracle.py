@@ -9,7 +9,7 @@ import pytest
 
 import sfast.oracle as oracle_module
 from families import random_tournament
-from reference import reference_generate_planted
+from reference import reference_generate_planted, reference_generate_random
 from sfast.graphs import Instance, verify_solution
 from sfast.oracle import (
     GeneratorSpec,
@@ -116,6 +116,21 @@ class TestGenerators:
     def test_random_needs_a_budget(self):
         with pytest.raises(ValueError):
             generate_random(GeneratorSpec(n=4, s_count=2, seed=0))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 300])
+    def test_random_matches_the_pair_at_a_time_reference(self, n):
+        spec = GeneratorSpec(n=n, s_count=min(n, 3), seed=n, k=2)
+        assert generate_random(spec) == reference_generate_random(spec)
+
+    @pytest.mark.parametrize("m, block", [(0, 4), (1, 4), (9, 4), (70_000, 1 << 16)])
+    def test_coins_are_the_draws_below_one_half(self, m, block, monkeypatch):
+        # The same draws, and the generator left in the same state, across
+        # block boundaries too.
+        monkeypatch.setattr(oracle_module, "_COIN_BLOCK", block)
+        rng, expected = random.Random(m), random.Random(m)
+        coins = oracle_module._coins(rng, m)
+        assert coins.tolist() == [expected.random() < 0.5 for _ in range(m)]
+        assert rng.getstate() == expected.getstate()
 
     def test_spec_validates_terminal_count(self):
         with pytest.raises(ValueError):
