@@ -8,6 +8,15 @@ Applied rules leave trace records (in original vertex labels) that
 `lift_solution` walks backward to translate kernel solutions into solutions
 of the input.
 
+A step that applies rule 2 deletes every terminal on no cycle at once, in
+ascending order, with one record each: the records the one-at-a-time rule
+would leave over as many steps. A vertex on no cycle is a strong component
+of its own, and deleting it leaves the other components as they are, so
+the terminals on no cycle after a deletion are those before it less the
+deleted one. Nor can rule 1 act in between, as k does not change and was
+positive. So rule 2 would delete the same terminals in the same order, and
+each record's counts are those of the instance it would have seen.
+
 A step that applies rule 8 with no arc swap goes on deleting (`_rr8_run`)
 and hands the next step the decompositions of the big classes that are
 left. Deleting v, an irrelevant core vertex of its class Z, keeps rules 1
@@ -68,19 +77,32 @@ Rule 8's swap search is skipped when it would run on a settled class. The
 search that preceded the deletion of v found no swap on Z; it ran there, or
 Z was settled then too. Nor did v lie on either side set, the core members
 that beat a sink or that a source beats. So the side sets, their k+1
-smallest members (the anchors) and the rest (the far members) are the
-same, with the same arcs to the same pivots, and the search would again
-find nothing. The relevant core is unchanged as well, so its 2k+2 bound
-holds. A step of any other rule, or with arc swaps, hands on nothing, and
-the next step runs every rule.
+smallest members (the anchors) and the rest (the far members) are the same,
+with the same arcs to the same pivots, and the search would again find
+nothing. The relevant core is unchanged as well, so its 2k+2 bound holds. A
+class Y whose search found no swap stays settled while the run deletes
+outside it, too: Y's decomposition is carried exactly, less the deleted
+vertices, so its side sets, its far members and its pivots can only lose
+vertices, and no far member that beats a pivot can appear. As the run ends
+at the first crossing, every class stays settled once searched, and a run
+searches each class at most once, when it first becomes first. A step of
+any other rule, or with arc swaps, hands on nothing, and the next step runs
+every rule.
 
 The run is a loop inside one step. It deletes in rule 8's order, from the
-first deletable class by its smallest alive member, and reads the step's
-instance with the deleted vertices cleared from every mask column: the
-sizes, the smallest members, the anchors and the pivots are those of the
-compact instance, as renumbering keeps the order. The loop stops after a
-deletion that crosses a threshold, before deleting from a newly first class
-whose swap search finds a swap, or when no class is deletable. Then one
+first deletable class by its smallest alive member. The sizes, the smallest
+members, the anchors and the pivots it reads are those of the compact
+instance, as renumbering keeps the order. A class's irrelevant core only
+loses the vertices the run deletes from it, in ascending order, so the run
+takes each core once and steps a cursor along it. It keeps the class sizes
+and smallest alive members as ints: a deletion takes one from its class's
+size and moves that class's smallest member only when it deleted that
+member. Per deletion it clears the deleted vertex from its own class's
+member row and updates that class's degree count, the two arrays the
+threshold test reads; another class's masks lose the deleted columns just
+before that class's swap search. The loop stops after a deletion that
+crosses a threshold, before deleting from a newly first class whose swap
+search finds a swap, or when no class is deletable. Then one
 `Instance.drop` builds the next step's instance, the masks and the counts
 are cut to its columns, and a class whose threshold was crossed is
 decomposed afresh there.
@@ -95,7 +117,7 @@ the same deltas onto the input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -260,17 +282,21 @@ def _outcome(
     instance: Instance,
     note: str = "",
     n: Optional[int] = None,
+    s: Optional[int] = None,
     *,
     deleted: Optional[int] = None,
     arcs: Optional[Collection[Arc]] = None,
     **detail: object,
 ) -> RuleOutcome:
-    """A record of ``rule`` on ``instance``, which has n vertices left (all
-    of them by default; a rule-8 run counts off the ones it deleted). An
-    applied record gives its delta in indices of ``instance``, the vertex
-    ``deleted`` or the ``arcs`` reversed, and keeps it in labels, under
-    ``deleted`` or ``reversed``, after the ``pre`` and ``post`` stats."""
-    s, k = len(instance.terminals), instance.k
+    """A record of ``rule`` on ``instance``, which has n vertices and s
+    terminals left (all of them by default; a rule-2 sweep or a rule-8 run
+    counts off the ones it deleted). An applied record gives its delta in
+    indices of ``instance``, the vertex ``deleted`` or the ``arcs``
+    reversed, and keeps it in labels, under ``deleted`` or ``reversed``,
+    after the ``pre`` and ``post`` stats."""
+    k = instance.k
+    if s is None:
+        s = len(instance.terminals)
     pre = [instance.n if n is None else n, s, k]
     labels = instance.tournament.labels
     if deleted is not None:
@@ -294,12 +320,19 @@ def _spent(rule: str, arcs: Collection[Arc]) -> int:
 
 def _apply(instance: Instance, rec: RuleOutcome) -> Instance:
     """The instance that the applied record ``rec`` leaves from ``instance``."""
-    index = instance.tournament.labels.index
     if "deleted" in rec.detail:
-        return instance.drop(map(index, rec.detail["deleted"]))
+        return _drop(instance, (rec,))
+    index = instance.tournament.labels.index
     arcs = [(index(a), index(b)) for a, b in rec.detail["reversed"]]
     k = instance.k - _spent(rec.rule, arcs)
     return Instance(reverse_arcs(instance.tournament, arcs), instance.terminals, k)
+
+
+def _drop(instance: Instance, records: Iterable[RuleOutcome]) -> Instance:
+    """The instance that the deletion ``records`` leave from ``instance``,
+    built by one `Instance.drop`."""
+    index = instance.tournament.index_of()
+    return instance.drop([index[label] for rec in records for label in rec.detail["deleted"]])
 
 
 # -- Rules 1 to 4 -----------------------------------------------------------
@@ -323,15 +356,19 @@ def rr1_sanity(instance: Instance) -> RuleOutcome:
     )
 
 
-def rr2_triangle_free_terminal(instance: Instance) -> RuleOutcome:
-    """Delete the smallest terminal lying on no cycle (so on no triangle)."""
-    t = instance.tournament
-    terminals = sorted(instance.terminals)
-    free = np.flatnonzero(~_landau(t.adj.sum(axis=1))[2][terminals])
-    if free.size == 0:
-        return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
-    s = terminals[free[0]]
-    return _outcome("rr2", STATUS_APPLIED, instance, "terminal on no triangle", deleted=s)
+def rr2_triangle_free_terminal(instance: Instance) -> tuple[RuleOutcome, ...]:
+    """Delete every terminal lying on no cycle (so on no triangle), in
+    ascending order: one record per terminal, () when there is none. The
+    sweep is the one-at-a-time rule run to exhaustion (see the module
+    docstring)."""
+    on_cycle = _landau(instance.tournament.adj.sum(axis=1))[2]
+    free = np.flatnonzero(_term_mask(instance.n, instance.terminals) & ~on_cycle).tolist()
+    n, s = instance.n, len(instance.terminals)
+    note = "terminal on no triangle"
+    return tuple(
+        _outcome("rr2", STATUS_APPLIED, instance, note, n - j, s - j, deleted=v)
+        for j, v in enumerate(free)
+    )
 
 
 def rr3_many_triangles(instance: Instance) -> RuleOutcome:
@@ -793,21 +830,22 @@ def _step(
     When no rule acts the records are () and the instance, the kernel,
     comes back.
 
-    Rules 6 to 8 share one classification. Rule 8 starts with one
-    `arc_swap_normalize` of the first deletable class. A step with arc
-    swaps returns them followed by the rule-8 deletion; a step without goes
-    on deleting by rule 8 (`_rr8_run`) and hands on exact decompositions of
-    the next instance's big classes, ordered by their smallest member. A
-    step handed them skips rules 1 to 6 (see the module docstring).
+    Rule 2 deletes every free terminal in one sweep. Rules 6 to 8 share one
+    classification. Rule 8 starts with one `arc_swap_normalize` of the
+    first deletable class. A step with arc swaps returns them followed by
+    the rule-8 deletion; a step without goes on deleting by rule 8
+    (`_rr8_run`) and hands on exact decompositions of the next instance's
+    big classes, ordered by their smallest member. A step handed them skips
+    rules 1 to 6 (see the module docstring).
     """
     if decs is None:
-        for rule in (
-            rr1_sanity,
-            rr2_triangle_free_terminal,
-            rr3_many_triangles,
-            rr4_bounded_terminal,
-            rr5_safe_partition,
-        ):
+        out = rr1_sanity(instance)
+        if out.status != STATUS_NOT_APPLICABLE:
+            return (out,), None, None
+        sweep = rr2_triangle_free_terminal(instance)
+        if sweep:
+            return sweep, _drop(instance, sweep), None
+        for rule in (rr3_many_triangles, rr4_bounded_terminal, rr5_safe_partition):
             out = rule(instance)
             if out.status == STATUS_APPLIED:
                 return (out,), _apply(instance, out), None
@@ -833,7 +871,7 @@ def _step(
     swapped, dec, swaps = arc_swap_normalize(instance, decs[deletable[0]])
     if not swaps:
         return _rr8_run(instance, decs, deletable[0])
-    out = _rule8(swapped, dec.masks, swapped.n)[0]
+    out = _rule8(swapped, _core(dec.masks), swapped.n)[0]
     return swaps + (out,), _apply(swapped, out), None
 
 
@@ -849,30 +887,41 @@ def _rr8_run(
     k, adj = instance.k, instance.tournament.adj
     masks = np.stack([dec.masks for dec in decs])
     indeg = np.stack([dec.indeg for dec in decs])
+    sizes = masks[:, _Z].sum(axis=1).tolist()
+    smallest = masks[:, _Z].argmax(axis=1).tolist()
+    cores = list(map(_core, masks))
+    settled = {first}
+    big = deletion_class_size(k)
     records: list[RuleOutcome] = []
     deleted: list[int] = []
     i, fresh = first, None
     while True:
-        out, v = _rule8(instance, masks[i], instance.n - len(deleted))
+        out, v = _rule8(instance, cores[i], instance.n - len(deleted))
         records.append(out)
         deleted.append(v)
         # v leaves its class, so the vertices it beats lose an in-neighbour
         # there and the other members an out-neighbour. A threshold is
-        # crossed when a member's lowered degree is k.
-        masks[:, :, v] = False
+        # crossed when a member's lowered degree is k: its in-degree if v
+        # beats it, else the class size less its in-degree less one.
+        z, count = masks[i, _Z], indeg[i]
+        z[v] = False
         beaten = adj[v]
-        indeg[i] -= beaten
-        sizes = masks[:, _Z].sum(axis=1)
-        lowered = np.where(beaten, indeg[i], sizes[i] - indeg[i] - 1)
-        if (masks[i, _Z] & (lowered == k)).any():
+        count -= beaten
+        sizes[i] -= 1
+        if (z & (count == np.where(beaten, k, sizes[i] - 1 - k))).any():
             fresh = i
             break
-        deletable = sizes >= deletion_class_size(k)
-        if not deletable.any():
+        if v == smallest[i]:
+            smallest[i] = int(z.argmax())
+        deletable = [c for c, size in enumerate(sizes) if size >= big]
+        if not deletable:
             break
-        j = int(np.where(deletable, masks[:, _Z].argmax(axis=1), instance.n).argmin())
-        if j != i and _find_swap(instance, masks[j]) is not None:
-            break
+        j = min(deletable, key=smallest.__getitem__)
+        if j not in settled:
+            masks[j][:, deleted] = False
+            if _find_swap(instance, masks[j]) is not None:
+                break
+            settled.add(j)
         i = j
     nxt = instance.drop(deleted)
     masks, indeg = np.delete(masks, deleted, axis=2), np.delete(indeg, deleted, axis=1)
@@ -883,12 +932,18 @@ def _rr8_run(
     return tuple(records), nxt, tuple(map(ClassDecomposition, masks[order], indeg[order]))
 
 
-def _rule8(instance: Instance, masks: np.ndarray, n: int) -> tuple[RuleOutcome, int]:
-    """Rule 8's record for deleting the smallest irrelevant core vertex of
-    the class with the decomposition ``masks``, from the instance with n of
-    its vertices still alive, and that vertex."""
-    v = int(masks[_IRRELEVANT].argmax())
-    if not masks[_IRRELEVANT, v]:
+def _core(masks: np.ndarray) -> Iterator[int]:
+    """A cursor along the irrelevant core of the class decomposed as
+    ``masks``, in ascending order."""
+    return iter(np.flatnonzero(masks[_IRRELEVANT]).tolist())
+
+
+def _rule8(instance: Instance, core: Iterator[int], n: int) -> tuple[RuleOutcome, int]:
+    """Rule 8's record for deleting the next vertex of ``core``, the
+    smallest irrelevant core vertex of its class still alive, from the
+    instance with n of its vertices still alive, and that vertex."""
+    v = next(core, None)
+    if v is None:
         raise InternalInvariantError("large class with empty irrelevant core")
     note = "deleted an irrelevant core vertex"
     return _outcome("rr8", STATUS_APPLIED, instance, note, n, deleted=v), v

@@ -22,6 +22,7 @@ from .graphs import (
     Tournament,
     has_s_triangle,
     is_s_acyclic,
+    s_backward_arcs,
 )
 
 __all__ = [
@@ -168,9 +169,12 @@ def oracle_min_deletion(
         return 0 if k_max >= 0 else None
     if k_max <= 0:
         return None
-    # Deleting every arc is a solution, so no budget past m changes the answer.
+    # The S-backward arcs of any vertex order are a solution, here those of
+    # the order by descending score, so no budget past their count changes
+    # the answer; the subset count and the branching depth read the cap.
     m = t.arc_count()
-    k_max = min(k_max, m)
+    order = np.argsort(-t.adj.sum(axis=1), kind="stable")
+    k_max = min(k_max, len(s_backward_arcs(t, terminals, order)))
     s, a, b = tri
     tri_arcs = [(s, a), (a, b), (b, s)]
     candidates = sum(

@@ -47,6 +47,22 @@ def transitive(n: int) -> np.ndarray:
     return adj
 
 
+def near_ordered(seed: int) -> Instance:
+    """A transitive tournament on 30 to 120 vertices in which each pair at
+    most five apart is flipped with probability 4%, with 1 to 5 terminals
+    and k from 1 to 3, under a seeded vertex permutation. Its cycles are
+    short and few, so rule 2 often frees several terminals at once, and
+    its classes are big, so rule 8 runs."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(30, 121))
+    adj = transitive(n)
+    u, v = np.triu_indices(n, 1)
+    flip = (v - u <= 5) & (rng.random(u.size) < 0.04)
+    adj[u[flip], v[flip]], adj[v[flip], u[flip]] = False, True
+    terminals = frozenset(rng.choice(n, int(rng.integers(1, 6)), replace=False).tolist())
+    return relabel(Instance(Tournament(adj), terminals, int(rng.integers(1, 4))), seed)[0]
+
+
 def relabel(instance: Instance, seed: int) -> tuple[Instance, list[int]]:
     """Isomorphic copy under a seeded vertex permutation (old -> new)."""
     n = instance.n

@@ -29,8 +29,8 @@ def assert_kernel_exhausted(kernel: Instance) -> None:
     if has_s_triangle(t, terminals) is None:
         assert not terminals
 
+    assert rr2_triangle_free_terminal(kernel) == ()
     for rule in (
-        rr2_triangle_free_terminal,
         rr3_many_triangles,
         rr4_bounded_terminal,
         rr5_safe_partition,

@@ -30,10 +30,17 @@ pass over the whole pruned digraph per solution arc; the reachability
 searches of `minimalize_solution` must return the same arc set.
 
 `reference_kernelize` is the driver loop with every step run from rule 1
-and at most one rule-8 deletion per step: it keeps a fresh step's records
-through the first rule-8 record, drops the rest, and steps afresh. So each
-deletion of a batched rule-8 run must match rule 8 applied from scratch,
-record for record. `successor` replays one applied record's delta (the
+and at most one rule-2 or rule-8 deletion per step: it keeps a fresh
+step's records through the first rule-2 or rule-8 record, drops the rest,
+and steps afresh. So each deletion of a rule-2 sweep or a batched rule-8
+run must match the rule applied from scratch, record for record.
+`reference_rr2` is rule 2 as one deletion per step, the smallest free
+terminal or not-applicable, and `reference_rr8_run` is the rule-8 run that
+clears every deleted column of every class and recounts the class sizes
+and smallest members after each deletion, and searches a class for a swap
+each time it becomes first; a sweep must equal `reference_rr2` stepped to
+exhaustion, and a run must return the same records, instance and
+decompositions. `successor` replays one applied record's delta (the
 vertex it deleted or the arcs it reversed) onto the instance before it,
 with a deletion and a budget rule of its own, and checks that the record
 carries no successor instance.
@@ -78,19 +85,28 @@ from sfast.graphs import (
     is_s_acyclic,
     reverse_arcs,
     s_backward_arcs,
+    _landau,
     _term_mask,
 )
 from sfast.instancefile import InstanceFormatError
 from sfast.kernel import (
     STATUS_APPLIED,
+    STATUS_NOT_APPLICABLE,
+    ClassDecomposition,
     KernelResult,
+    _IRRELEVANT,
     _MINUS,
     _PLUS,
     _PRIME,
     _R_GREATER,
     _R_LESS,
+    _Z,
+    _find_swap,
+    _outcome,
     _step,
+    class_decomposition,
     decomposition_class_size,
+    deletion_class_size,
 )
 from sfast.oracle import GeneratorSpec
 from sfast.solver import _LATTICE_CAP, SolverScaleError
@@ -340,6 +356,8 @@ def reference_kernelize(instance) -> KernelResult:
         rules = [rec.rule for rec in records]
         if "rr8" in rules:
             records = records[: rules.index("rr8") + 1]
+        if "rr2" in rules:
+            records = records[:1]
         trace.extend(records)
         if not records:
             return KernelResult("reduced", cur, tuple(trace))
@@ -348,6 +366,64 @@ def reference_kernelize(instance) -> KernelResult:
         for rec in records:
             cur = successor(cur, rec)
     raise InternalInvariantError("kernelization failed to settle within its cap")
+
+
+def reference_rr2(instance):
+    """Rule 2 deleting one terminal per step: the smallest terminal on no
+    cycle, or not-applicable."""
+    t = instance.tournament
+    terminals = sorted(instance.terminals)
+    free = np.flatnonzero(~_landau(t.adj.sum(axis=1))[2][terminals])
+    if free.size == 0:
+        return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
+    s = terminals[free[0]]
+    return _outcome("rr2", STATUS_APPLIED, instance, "terminal on no triangle", deleted=s)
+
+
+def reference_rr8_run(instance, decs, first):
+    """The rule-8 run that updates every class's masks and recounts the
+    sizes and smallest members after each deletion, and searches a class
+    for a swap whenever it becomes first."""
+    k, adj = instance.k, instance.tournament.adj
+    masks = np.stack([dec.masks for dec in decs])
+    indeg = np.stack([dec.indeg for dec in decs])
+    records = []
+    deleted = []
+    i, fresh = first, None
+    while True:
+        out, v = _reference_rule8(instance, masks[i], instance.n - len(deleted))
+        records.append(out)
+        deleted.append(v)
+        masks[:, :, v] = False
+        beaten = adj[v]
+        indeg[i] -= beaten
+        sizes = masks[:, _Z].sum(axis=1)
+        lowered = np.where(beaten, indeg[i], sizes[i] - indeg[i] - 1)
+        if (masks[i, _Z] & (lowered == k)).any():
+            fresh = i
+            break
+        deletable = sizes >= deletion_class_size(k)
+        if not deletable.any():
+            break
+        j = int(np.where(deletable, masks[:, _Z].argmax(axis=1), instance.n).argmin())
+        if j != i and _find_swap(instance, masks[j]) is not None:
+            break
+        i = j
+    nxt = instance.drop(deleted)
+    masks, indeg = np.delete(masks, deleted, axis=2), np.delete(indeg, deleted, axis=1)
+    if fresh is not None:
+        dec = class_decomposition(nxt, np.flatnonzero(masks[fresh, _Z]))
+        masks[fresh], indeg[fresh] = dec.masks, dec.indeg
+    order = np.argsort(masks[:, _Z].argmax(axis=1))
+    return tuple(records), nxt, tuple(map(ClassDecomposition, masks[order], indeg[order]))
+
+
+def _reference_rule8(instance, masks, n):
+    v = int(masks[_IRRELEVANT].argmax())
+    if not masks[_IRRELEVANT, v]:
+        raise InternalInvariantError("large class with empty irrelevant core")
+    note = "deleted an irrelevant core vertex"
+    return _outcome("rr8", STATUS_APPLIED, instance, note, n, deleted=v), v
 
 
 def reference_generate_random(spec: GeneratorSpec) -> Instance:

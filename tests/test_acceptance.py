@@ -95,7 +95,7 @@ def checked_step(instance, tally, decs=None):
     2, so neither may apply to its instance."""
     if decs is not None:
         assert rr1_sanity(instance).status == "not-applicable"
-        assert rr2_triangle_free_terminal(instance).status == "not-applicable"
+        assert rr2_triangle_free_terminal(instance) == ()
     records, nxt, decs = _step(instance, decs)
     if not records:
         return (), None, None

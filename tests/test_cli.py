@@ -293,6 +293,18 @@ class TestOracleCommand:
         assert result.exit_code == 0
         assert result.output.strip() == "1"
 
+    @pytest.mark.parametrize("seed, optimum", [(1, 5), (2, 4), (3, 6)])
+    def test_a_cap_past_the_optimum_answers_as_a_tight_one(self, runner, tmp_path, seed, optimum):
+        # At --kmax 28 the subset count and the branching depth would both
+        # be out of reach; the S-backward arcs of the score order (8, 5 and
+        # 10 here) cap the search first.
+        path = tmp_path / "o.sfast"
+        args = ["--n", "8", "--terminals", "3", "--k", "3", "--seed", str(seed)]
+        assert runner.invoke(main, ["gen", *args, "-o", str(path)]).exit_code == 0
+        answers = [runner.invoke(main, ["oracle", "--kmax", cap, str(path)]) for cap in ("28", "12")]
+        assert [r.exit_code for r in answers] == [0, 0]
+        assert [r.output.strip() for r in answers] == [str(optimum)] * 2
+
     def test_orderings_method_agrees(self, runner, tmp_instance_file):
         path = tmp_instance_file(stubborn_instance())
         result = runner.invoke(main, ["oracle", path, "--method", "orderings"])

@@ -37,6 +37,8 @@ from reference import (
     reference_minimalize_solution,
     reference_outside_split,
     reference_packing_ordering,
+    reference_rr2,
+    reference_rr8_run,
     s_triangles_through_arc,
     successor,
 )
@@ -122,22 +124,39 @@ class TestRule1:
 
 
 class TestRule2:
-    def test_deletes_the_smallest_triangle_free_terminal(self):
-        out = rr2_triangle_free_terminal(transitive_instance(4, {1, 2}, 1))
-        assert out.status == "applied"
-        assert out.detail["deleted"] == [1]
-        nxt = successor(transitive_instance(4, {1, 2}, 1), out)
-        assert nxt.n == 3
-        assert nxt.k == 1
+    def test_deletes_every_triangle_free_terminal_in_ascending_order(self):
+        first, second = rr2_triangle_free_terminal(transitive_instance(4, {1, 2}, 1))
+        assert first.status == second.status == "applied"
+        assert first.detail == {"pre": [4, 2, 1], "post": [3, 1, 1], "deleted": [1]}
+        assert second.detail == {"pre": [3, 1, 1], "post": [2, 0, 1], "deleted": [2]}
 
     def test_child_keeps_labels_of_survivors(self):
         instance = transitive_instance(4, {1, 2}, 1)
-        nxt = successor(instance, rr2_triangle_free_terminal(instance))
-        assert nxt.tournament.labels == (0, 2, 3)
-        assert {nxt.tournament.labels[s] for s in nxt.terminals} == {2}
+        records, nxt, decs = _step(instance)
+        assert [rec.rule for rec in records] == ["rr2", "rr2"] and decs is None
+        assert successor(successor(instance, records[0]), records[1]) == nxt
+        assert nxt.tournament.labels == (0, 3)
+        assert nxt.terminals == frozenset() and nxt.k == 1
+
+    def test_keeps_the_terminals_on_a_cycle(self):
+        # 0 -> 1 -> 2 -> 0 beat the sink 3: terminal 3 goes, 0 stays.
+        arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]
+        instance = Instance(Tournament.from_arcs(4, arcs), frozenset({0, 3}), 1)
+        (out,) = rr2_triangle_free_terminal(instance)
+        assert out.detail["deleted"] == [3]
+        nxt = _step(instance)[1]
+        assert nxt.tournament.labels == (0, 1, 2)
+        assert nxt.terminals == frozenset({0})
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (40, 3)])
+    def test_one_step_deletes_every_terminal_of_a_transitive_instance(self, n, k):
+        records, nxt, _ = _step(transitive_instance(n, range(n), k))
+        assert [rec.detail["deleted"] for rec in records] == [[v] for v in range(n)]
+        assert [rec.detail["pre"] for rec in records] == [[n - j, n - j, k] for j in range(n)]
+        assert nxt.n == 0 and nxt.k == k
 
     def test_not_applicable_when_every_terminal_rides_a_triangle(self):
-        assert rr2_triangle_free_terminal(triangle_instance()).status == "not-applicable"
+        assert rr2_triangle_free_terminal(triangle_instance()) == ()
 
 
 class TestRule3:
@@ -836,9 +855,9 @@ class TestCarriedState:
                 continue
             handed += 1
             assert {rec.rule for rec in records} == {"rr8"}
+            assert rr2_triangle_free_terminal(cur) == ()
             for rule in (
                 rr1_sanity,
-                rr2_triangle_free_terminal,
                 rr3_many_triangles,
                 rr4_bounded_terminal,
                 rr5_safe_partition,
@@ -931,10 +950,12 @@ class TestCarriedState:
     def test_carried_runs_rarely_decompose_or_search_for_swaps(self, monkeypatch):
         # Over the ten planted_kernel kernelizations a rule-8 run
         # decomposes a class afresh only when a deletion crosses a degree
-        # threshold, and searches for swaps only on a class it has not
-        # settled: 64 and 149 calls, against 1034 and 1014 when every
-        # deletion redid both.
-        calls = {"class_decomposition": 0, "_find_swap": 0}
+        # threshold, and searches a class for swaps at most once: 64 and 66
+        # calls, against 1034 and 1014 when every deletion redid both, and
+        # 149 searches when a run searched a class each time it became
+        # first. Rule-2 sweeps and rule-8 runs take 100 steps, against 167
+        # when rule 2 deleted one terminal per step.
+        calls = {"class_decomposition": 0, "_find_swap": 0, "_step": 0}
         for name in calls:
             original = getattr(sfast.kernel, name)
 
@@ -946,7 +967,108 @@ class TestCarriedState:
         for seed in range(10):
             kernelize(planted(150, 10, seed))
         assert calls["class_decomposition"] <= 80
-        assert calls["_find_swap"] <= 160
+        assert calls["_find_swap"] <= 80
+        assert calls["_step"] <= 100
+
+
+def stepped_corpus():
+    """Both planted corpora, random_budget, and 300 near-ordered
+    tournaments."""
+    yield from (planted(n, s_count, seed) for n, s_count, seed in PLANTED_CORPORA)
+    yield from (generate_random(GeneratorSpec(12, 2, seed, k=6)) for seed in range(12))
+    yield from map(families.near_ordered, range(300))
+
+
+class TestSweepsAndRuns:
+    """A rule-2 sweep is rule 2 stepped one terminal at a time, and a rule-8
+    run returns what the run that updates every class after each deletion
+    returns (`reference_rr2`, `reference_rr8_run`)."""
+
+    def test_every_step_matches_the_one_at_a_time_loops(self, monkeypatch):
+        counts = Counter()
+        run = sfast.kernel._rr8_run
+
+        def checked_run(instance, decs, first):
+            got = run(instance, decs, first)
+            records, nxt, handed = reference_rr8_run(instance, decs, first)
+            assert got[0] == records and got[1] == nxt
+            assert len(got[2]) == len(handed)
+            for dec, expected in zip(got[2], handed):
+                assert np.array_equal(dec.masks, expected.masks)
+                assert np.array_equal(dec.indeg, expected.indeg)
+            counts["runs"] += 1
+            counts["run deletions"] += len(records)
+            return got
+
+        monkeypatch.setattr(sfast.kernel, "_rr8_run", checked_run)
+        for instance in stepped_corpus():
+            cur, decs = instance, None
+            while True:
+                records, nxt, decs = _step(cur, decs)
+                if records and records[0].rule == "rr2":
+                    stepped = []
+                    while (out := reference_rr2(cur)).status == "applied":
+                        assert rr1_sanity(cur).status == "not-applicable"
+                        stepped.append(out)
+                        cur = successor(cur, out)
+                    assert records == tuple(stepped) and nxt == cur
+                    counts["sweeps"] += 1
+                    counts["sweeps of several"] += len(records) > 1
+                if not records or records[-1].status != "applied":
+                    break
+                cur = nxt
+        # 328 sweeps (193 of several terminals) and 387 runs of 9999 deletions.
+        assert counts["sweeps"] >= 300 and counts["sweeps of several"] >= 150
+        assert counts["runs"] >= 350 and counts["run deletions"] >= 9000
+
+    @pytest.mark.parametrize("m", [21, 81])
+    def test_a_run_searches_each_class_for_a_swap_at_most_once(self, m, monkeypatch):
+        # The run starts on the class that normalization has just searched,
+        # and searches another class only the first time it becomes first.
+        # Here the two classes take turns: the first run deletes the
+        # vertices 0 to m - 5 in order, so it switches class after every
+        # deletion, and a search per switch would search each class again.
+        classes = searched = None
+        run, search = sfast.kernel._rr8_run, sfast.kernel._find_swap
+
+        def counting_run(instance, decs, first):
+            nonlocal classes, searched
+            classes = [np.flatnonzero(dec.masks[0]) for dec in decs]
+            searched = [first]
+            try:
+                return run(instance, decs, first)
+            finally:
+                classes = searched = None
+
+        def counting_search(instance, masks):
+            if classes is not None:
+                v = masks[0].argmax()
+                (c,) = (c for c, members in enumerate(classes) if v in members)
+                assert c not in searched
+                searched.append(c)
+            return search(instance, masks)
+
+        monkeypatch.setattr(sfast.kernel, "_rr8_run", counting_run)
+        monkeypatch.setattr(sfast.kernel, "_find_swap", counting_search)
+        result = kernelize(alternating_classes(m))
+        assert result.status == "reduced" and result.kernel.n == 25
+
+
+def alternating_classes(m):
+    """Terminal 2m over two classes of m members, the even vertices, which
+    it beats, and the odd ones, which beat it and every even vertex but
+    the last. Within each class, vertex i beats the next (m - 1) // 2 in
+    cyclic order. At k = 1 rule 8 deletes from the classes in turn."""
+    n = 2 * m + 1
+    evens, odds = np.arange(0, n - 1, 2), np.arange(1, n - 1, 2)
+    gap = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    adj = np.zeros((n, n), dtype=bool)
+    for part in (evens, odds):
+        adj[np.ix_(part, part)] = (gap >= 1) & (gap <= (m - 1) // 2)
+    adj[np.ix_(odds, evens)] = True
+    adj[n - 1, evens] = adj[odds, n - 1] = True
+    adj[evens[-1], odds[-1]], adj[odds[-1], evens[-1]] = True, False
+    return Instance(Tournament(adj), frozenset({n - 1}), 1)
 
 
 def assert_same_decomposition(instance, members):

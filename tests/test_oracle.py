@@ -79,8 +79,8 @@ def test_budget_zero_with_a_terminal_cycle():
 
 
 def test_a_cap_past_the_arc_count_answers_at_once():
-    # Deleting all three arcs is a solution, so a cap of 10**20 counts as 3
-    # instead of summing and enumerating subset sizes up to it.
+    # The score order's one S-backward arc is a solution, so a cap of 10**20
+    # counts as 1 instead of summing and enumerating subset sizes up to it.
     from sfast.graphs import Tournament
 
     t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
