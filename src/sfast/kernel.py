@@ -8,33 +8,29 @@ Applied rules leave trace records (in original vertex labels) that
 `lift_solution` walks backward to translate kernel solutions into solutions
 of the input.
 
-A step that applies rule 2 deletes every terminal on no cycle at once, in
-ascending order, with one record each: the records the one-at-a-time rule
-would leave over as many steps. A vertex on no cycle is a strong component
-of its own, and deleting it leaves the other components as they are, so
-the terminals on no cycle after a deletion are those before it less the
-deleted one. Nor can rule 1 act in between, as k does not change and was
-positive. So rule 2 would delete the same terminals in the same order, and
-each record's counts are those of the instance it would have seen.
+A step that applies rule 2 deletes every vertex on no terminal cycle at
+once, in ascending order, with one record each: the records the
+one-at-a-time rule would leave over as many steps. A cycle never leaves its
+strong component, and by Camion's theorem a strong tournament has a
+Hamiltonian cycle, so a vertex lies on a terminal cycle exactly when its
+component holds a terminal and more than one vertex. Deleting a vertex on
+no terminal cycle leaves every other component as it is, and what is left
+of its own component, which held no terminal or only that vertex, holds no
+terminal. So the vertices on no terminal cycle after a deletion are those
+before it less the deleted one, and one pass over `_landau`'s components
+finds them all. Nor can rule 1 act in between, as k does not change and
+was positive. So rule 2 would delete the same vertices in the same order,
+and each record's counts are those of the instance it would have seen.
 
 A step that applies rule 8 with no arc swap goes on deleting (`_rr8_run`)
 and hands the next step the decompositions of the big classes that are
-left. Deleting v, an irrelevant core vertex of its class Z, keeps rules 1
-to 6 inapplicable, so a step handed them goes straight to rule 7:
-
-- Rule 1: k is unchanged, and it is positive, as rule 1 did not act
-  before the deletion.
-- Rule 2: every terminal stays on a triangle. Take a terminal triangle
-  through v, with terminal s and third vertex x. The members of Z share
-  their arcs with s, so x lies outside Z. If x is a terminal, any other
-  member of Z closes the same triangle. Otherwise x is in Z's r_greater
-  when v -> x and in its r_less when x -> v, since a sink that v beats
-  or a source that beats v would make v relevant. Either way at least two
-  core vertices point at x the same way as v, and another one closes the
-  triangle.
-- Rules 3 to 6: each rule-3 triangle count only loses its triangles
-  through v, rules 4 and 5 read only |S| and k, and no other vertex
-  changes its terminal in-neighbourhood, so the class count stays put.
+left. A step handed them runs rules 1 and 2 as every step does; a rule-2
+sweep drops them, and the step after it runs every rule. Otherwise the step
+goes straight to rule 7, as deleting v, an irrelevant core vertex of its
+class Z, keeps rules 3 to 6 inapplicable: each rule-3 triangle count only
+loses its triangles through v, rules 4 and 5 read only |S| and k, and no
+other vertex changes its terminal in-neighbourhood, so the class count
+stays put.
 
 A big class Y other than Z keeps its in-class degrees, its core and its
 r-sets less v. Its relevant core stays too: v is no wrong-direction
@@ -357,18 +353,25 @@ def rr1_sanity(instance: Instance) -> RuleOutcome:
 
 
 def rr2_triangle_free_terminal(instance: Instance) -> tuple[RuleOutcome, ...]:
-    """Delete every terminal lying on no cycle (so on no triangle), in
-    ascending order: one record per terminal, () when there is none. The
-    sweep is the one-at-a-time rule run to exhaustion (see the module
+    """Delete every vertex on no terminal cycle, in ascending order: one
+    record per vertex, () when there is none. These are the vertices alone
+    in their strong component or in one without a terminal, and the sweep
+    is the one-at-a-time rule run to exhaustion (see the module
     docstring)."""
-    on_cycle = _landau(instance.tournament.adj.sum(axis=1))[2]
-    free = np.flatnonzero(_term_mask(instance.n, instance.terminals) & ~on_cycle).tolist()
+    order, ends, on_cycle = _landau(instance.tournament.adj.sum(axis=1))
+    term = _term_mask(instance.n, instance.terminals)
+    # A position's component is the count of components that end before it.
+    comp = np.cumsum(ends) - ends
+    held = np.empty(instance.n, dtype=bool)
+    held[order] = (np.bincount(comp, weights=term[order]) > 0)[comp]
+    free = np.flatnonzero(~(held & on_cycle)).tolist()
     n, s = instance.n, len(instance.terminals)
-    note = "terminal on no triangle"
-    return tuple(
-        _outcome("rr2", STATUS_APPLIED, instance, note, n - j, s - j, deleted=v)
-        for j, v in enumerate(free)
-    )
+    note = "on no terminal cycle"
+    records = []
+    for j, v in enumerate(free):
+        records.append(_outcome("rr2", STATUS_APPLIED, instance, note, n - j, s, deleted=v))
+        s -= v in instance.terminals
+    return tuple(records)
 
 
 def rr3_many_triangles(instance: Instance) -> RuleOutcome:
@@ -830,21 +833,22 @@ def _step(
     When no rule acts the records are () and the instance, the kernel,
     comes back.
 
-    Rule 2 deletes every free terminal in one sweep. Rules 6 to 8 share one
-    classification. Rule 8 starts with one `arc_swap_normalize` of the
-    first deletable class. A step with arc swaps returns them followed by
-    the rule-8 deletion; a step without goes on deleting by rule 8
-    (`_rr8_run`) and hands on exact decompositions of the next instance's
-    big classes, ordered by their smallest member. A step handed them skips
-    rules 1 to 6 (see the module docstring).
+    Rule 2 deletes every vertex on no terminal cycle in one sweep. Rules 6
+    to 8 share one classification. Rule 8 starts with one
+    `arc_swap_normalize` of the first deletable class. A step with arc
+    swaps returns them followed by the rule-8 deletion; a step without goes
+    on deleting by rule 8 (`_rr8_run`) and hands on exact decompositions of
+    the next instance's big classes, ordered by their smallest member. A
+    step handed them runs rules 1 and 2 and skips rules 3 to 6 (see the
+    module docstring).
     """
+    out = rr1_sanity(instance)
+    if out.status != STATUS_NOT_APPLICABLE:
+        return (out,), None, None
+    sweep = rr2_triangle_free_terminal(instance)
+    if sweep:
+        return sweep, _drop(instance, sweep), None
     if decs is None:
-        out = rr1_sanity(instance)
-        if out.status != STATUS_NOT_APPLICABLE:
-            return (out,), None, None
-        sweep = rr2_triangle_free_terminal(instance)
-        if sweep:
-            return sweep, _drop(instance, sweep), None
         for rule in (rr3_many_triangles, rr4_bounded_terminal, rr5_safe_partition):
             out = rule(instance)
             if out.status == STATUS_APPLIED:
@@ -1036,19 +1040,22 @@ def lift_solution(
     its two ends' scores, O(1).
 
     The kernel's solution is verified exactly, and so is the solution after
-    every undone rr2, rr3, rr5 and arc-swap record: each arc must be
-    present with both ends alive, the solution must fit that step's k, and
-    no alive terminal may lie on a cycle once the solution's arcs are
-    reversed. Reversing an arc (u, v) takes one from u's score and gives it
-    to v, and the result is again a tournament on the alive vertices, so by
-    Landau's theorem its strong components, and with them the terminals on
-    a cycle, follow from those scores by one sort (`graphs._landau`). A
-    stretch of consecutive rr8 records is verified once, after its last
-    undo (at the record earliest in the trace). Each undo inside it revives
-    one vertex and keeps the arcs, k and the solution, and a cycle of an
-    induced subtournament is a cycle of the whole one, so that check passes
-    exactly when every check inside the stretch would; a failure raises the
-    same "lift through rr8" error. A failure means the trace or the rule
+    every undone rr3, rr5 and arc-swap record: each arc must be present
+    with both ends alive, the solution must fit that step's k, and no alive
+    terminal may lie on a cycle once the solution's arcs are reversed.
+    Reversing an arc (u, v) takes one from u's score and gives it to v, and
+    the result is again a tournament on the alive vertices, so by Landau's
+    theorem its strong components, and with them the terminals on a cycle,
+    follow from those scores by one sort (`graphs._landau`). A stretch of
+    consecutive deletions, rr2 and rr8 records alike, is verified once,
+    after its last undo (at the record earliest in the trace). Each undo
+    inside it revives one vertex and keeps the arcs, k and the solution,
+    and a cycle of an induced subtournament is a cycle of the whole one, so
+    that check passes exactly when every check inside the stretch would; a
+    failure raises the "lift through" error of the stretch's earliest
+    record. The one undo that may change the solution inside a stretch is
+    an rr2 undo that minimalizes it (below), so the solution is also
+    verified just before that. A failure means the trace or the rule
     algebra is broken and raises InternalInvariantError; an arc absent from
     the kernel raises InvalidArcError.
 
@@ -1143,7 +1150,10 @@ def lift_solution(
             if cancelled or rec.rule != "arc-swap":
                 current = current - {(v, u) for u, v in cancelled} | (pair - cancelled)
             minimal = False
-        if rec.rule != "rr8" or i == 0 or steps[i - 1].rule != "rr8":
+        # A deletion is checked with the next undo when that one revives a
+        # vertex too and will not minimalize the solution first.
+        waits = isinstance(move, int) and i > 0 and isinstance(moves[i - 1], int)
+        if not waits or (steps[i - 1].rule == "rr2" and not minimal):
             check(current, budgets[i], rec.rule)
     if not verify_solution(original, [(index[u], index[v]) for u, v in current]):
         raise InternalInvariantError("lifted solution fails the input")

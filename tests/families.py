@@ -160,13 +160,17 @@ def rule7_instance(a: int = 3, b: int = 4) -> Instance:
     The outsiders 13 and 14 beat the whole chain except for one core vertex
     each (a and b), which puts both in the low-in-degree outside slice with a
     wrong-direction arc, one more than the budget allows. Distinct a and b
-    keep every arc on a single terminal triangle so rule 3 stays quiet.
+    keep every arc on a single terminal triangle so rule 3 stays quiet. The
+    chain's last vertex beats its first, so the chain past the last core
+    hitter lies on a terminal cycle too, 0 -> 12 -> 1 -> a -> 13 -> 0, and
+    rule 2 keeps it; the two ends stay off the core.
     """
     if not (3 <= a <= 10 and 3 <= b <= 10 and a != b):
         raise ValueError("core hitters must be distinct vertices of 3..10")
     n = 15
     adj = np.zeros((n, n), dtype=bool)
     adj[1:13, 1:13] = transitive(12)
+    adj[1, 12], adj[12, 1] = False, True
     adj[0, 1:13] = True
     for r, z in ((13, a), (14, b)):
         adj[r, 0] = True
@@ -187,6 +191,9 @@ def rule8_instance(
     wrong-direction arcs, exactly the budget: rule 7 stays quiet. With four
     distinct core hitters the relevant set has size 4 > k+1 and one arc swap
     fires before rule 8 deletes; with overlapping pairs rule 8 acts directly.
+    As in `rule7_instance`, the chain's last vertex beats its first, so that
+    every vertex lies on a terminal cycle, while the terminal keeps 20 and
+    21 as its only in-neighbours: reversing (20, 0) and (21, 0) solves it.
     """
     core = set(first) | set(second)
     if not core <= set(range(4, 17)):
@@ -196,6 +203,7 @@ def rule8_instance(
     n = 22
     adj = np.zeros((n, n), dtype=bool)
     adj[1:20, 1:20] = transitive(19)
+    adj[1, 19], adj[19, 1] = False, True
     adj[0, 1:20] = True
     for r, hitters in ((20, first), (21, second)):
         adj[r, 0] = True

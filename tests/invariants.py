@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from sfast.graphs import Instance, has_s_triangle
+from sfast.graphs import Instance, has_s_triangle, strongly_connected_components
 from sfast.kernel import (
     STATUS_NOT_APPLICABLE,
     class_decomposition,
@@ -24,10 +24,14 @@ def assert_kernel_exhausted(kernel: Instance) -> None:
     """Every rule refuses the kernel, and the numeric bounds they enforce hold."""
     t, terminals, k = kernel.tournament, kernel.terminals, kernel.k
     assert k >= 0
-    # a kernel can be terminal-acyclic only when rule 2 removed every
-    # terminal, leaving nothing for rule 1 to decide at a positive budget
+    # Every vertex lies on a terminal cycle: each strong component holds a
+    # terminal and another vertex. So a kernel is terminal-acyclic only when
+    # rule 2 removed every vertex, leaving nothing for rule 1 to decide at
+    # a positive budget.
+    for comp in strongly_connected_components(t):
+        assert len(comp) > 1 and terminals & set(comp), comp
     if has_s_triangle(t, terminals) is None:
-        assert not terminals
+        assert kernel.n == 0
 
     assert rr2_triangle_free_terminal(kernel) == ()
     for rule in (

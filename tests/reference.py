@@ -34,16 +34,16 @@ and at most one rule-2 or rule-8 deletion per step: it keeps a fresh
 step's records through the first rule-2 or rule-8 record, drops the rest,
 and steps afresh. So each deletion of a rule-2 sweep or a batched rule-8
 run must match the rule applied from scratch, record for record.
-`reference_rr2` is rule 2 as one deletion per step, the smallest free
-terminal or not-applicable, and `reference_rr8_run` is the rule-8 run that
-clears every deleted column of every class and recounts the class sizes
-and smallest members after each deletion, and searches a class for a swap
-each time it becomes first; a sweep must equal `reference_rr2` stepped to
-exhaustion, and a run must return the same records, instance and
-decompositions. `successor` replays one applied record's delta (the
-vertex it deleted or the arcs it reversed) onto the instance before it,
-with a deletion and a budget rule of its own, and checks that the record
-carries no successor instance.
+`reference_rr2` is rule 2 as one deletion per step, the smallest vertex on
+no terminal cycle by Tarjan's strong components, or not-applicable, and
+`reference_rr8_run` is the rule-8 run that clears every deleted column of
+every class and recounts the class sizes and smallest members after each
+deletion, and searches a class for a swap each time it becomes first; a
+sweep must equal `reference_rr2` stepped to exhaustion, and a run must
+return the same records, instance and decompositions. `successor` replays
+one applied record's delta (the vertex it deleted or the arcs it reversed)
+onto the instance before it, with a deletion and a budget rule of its own,
+and checks that the record carries no successor instance.
 
 `decomposition_sets` reads a `ClassDecomposition`'s mask rows as the named
 frozensets that `reference_class_decomposition` returns.
@@ -85,7 +85,8 @@ from sfast.graphs import (
     is_s_acyclic,
     reverse_arcs,
     s_backward_arcs,
-    _landau,
+    _successor_lists,
+    _tarjan,
     _term_mask,
 )
 from sfast.instancefile import InstanceFormatError
@@ -369,15 +370,15 @@ def reference_kernelize(instance) -> KernelResult:
 
 
 def reference_rr2(instance):
-    """Rule 2 deleting one terminal per step: the smallest terminal on no
-    cycle, or not-applicable."""
-    t = instance.tournament
-    terminals = sorted(instance.terminals)
-    free = np.flatnonzero(~_landau(t.adj.sum(axis=1))[2][terminals])
-    if free.size == 0:
+    """Rule 2 deleting one vertex per step: the smallest vertex whose strong
+    component, as Tarjan's search finds it, has one vertex or no terminal,
+    or not-applicable."""
+    comps = _tarjan(_successor_lists(instance.tournament.adj))
+    terminals = instance.terminals
+    free = [v for comp in comps if len(comp) == 1 or not terminals & set(comp) for v in comp]
+    if not free:
         return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
-    s = terminals[free[0]]
-    return _outcome("rr2", STATUS_APPLIED, instance, "terminal on no triangle", deleted=s)
+    return _outcome("rr2", STATUS_APPLIED, instance, "on no terminal cycle", deleted=min(free))
 
 
 def reference_rr8_run(instance, decs, first):

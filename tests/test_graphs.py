@@ -300,8 +300,9 @@ def test_triangle_detection_matches_acyclicity_exhaustively():
 @pytest.mark.parametrize("n", [50, 150, 600])
 def test_triangle_search_matches_the_terminal_loop(n, kind):
     # The score-based search returns the same triangle as trying the terminals
-    # one at a time: the smallest terminal, then the smallest (a, b). Rule 2
-    # deletes every terminal the one-at-a-time search finds on no triangle.
+    # one at a time: the smallest terminal, then the smallest (a, b). Of the
+    # terminals, rule 2 deletes those the one-at-a-time search finds on no
+    # triangle.
     for seed in range(2):
         t = sample_tournament(kind, n, seed)
         rng = random.Random(seed)
@@ -314,7 +315,8 @@ def test_triangle_search_matches_the_terminal_loop(n, kind):
             assert has_s_triangle(t, terminals) == reference_has_s_triangle(t, terminals)
             free = [s for s in sorted(terminals) if reference_has_s_triangle(t, {s}) is None]
             sweep = rr2_triangle_free_terminal(Instance(t, terminals, 1))
-            assert [rec.detail["deleted"][0] for rec in sweep] == free
+            deleted = [rec.detail["deleted"][0] for rec in sweep]
+            assert [v for v in deleted if v in terminals] == free
 
 
 @at_large_sizes
