@@ -99,7 +99,8 @@ def kernelize_cmd(ctx, input_file: str, output: Optional[str], trace_path: Optio
     elif result.kernel is not None:
         click.echo(
             f"reduced: {instance.n} vertices to {result.kernel.n}, "
-            f"budget {instance.k} to {result.kernel.k}, {len(trace)} rule applications"
+            f"budget {instance.k} to {result.kernel.k}, {len(trace)} rule "
+            f"application{'' if len(trace) == 1 else 's'}"
         )
     else:
         click.echo(f"{result.status} ({result.trace[-1].note})")

@@ -9,28 +9,26 @@ Applied rules leave trace records (in original vertex labels) that
 of the input.
 
 A step that applies rule 2 deletes every vertex on no terminal cycle at
-once, in ascending order, with one record each: the records the
-one-at-a-time rule would leave over as many steps. A cycle never leaves its
-strong component, and by Camion's theorem a strong tournament has a
-Hamiltonian cycle, so a vertex lies on a terminal cycle exactly when its
-component holds a terminal and more than one vertex. Deleting a vertex on
-no terminal cycle leaves every other component as it is, and what is left
-of its own component, which held no terminal or only that vertex, holds no
-terminal. So the vertices on no terminal cycle after a deletion are those
-before it less the deleted one, and one pass over `_landau`'s components
-finds them all. Nor can rule 1 act in between, as k does not change and
-was positive. So rule 2 would delete the same vertices in the same order,
-and each record's counts are those of the instance it would have seen.
+once, in one record that lists them in ascending order. A cycle never
+leaves its strong component, and by Camion's theorem a strong tournament
+has a Hamiltonian cycle, so a vertex lies on a terminal cycle exactly when
+its component holds a terminal and more than one vertex. Deleting a vertex
+on no terminal cycle leaves every other component as it is, and what is
+left of its own component, which held no terminal or only that vertex,
+holds no terminal. So the vertices on no terminal cycle after a deletion
+are those before it less the deleted one, and one pass over `_landau`'s
+components finds them all. Nor can rule 1 act in between, as k does not
+change and was positive. So the sweep is rule 2 applied to exhaustion.
 
 A step that applies rule 8 with no arc swap goes on deleting (`_rr8_run`)
-and hands the next step the decompositions of the big classes that are
-left. A step handed them runs rules 1 and 2 as every step does; a rule-2
-sweep drops them, and the step after it runs every rule. Otherwise the step
-goes straight to rule 7, as deleting v, an irrelevant core vertex of its
-class Z, keeps rules 3 to 6 inapplicable: each rule-3 triangle count only
-loses its triangles through v, rules 4 and 5 read only |S| and k, and no
-other vertex changes its terminal in-neighbourhood, so the class count
-stays put.
+in one record and hands the next step the decompositions of the big
+classes that are left. A step handed them runs rules 1 and 2 as every
+step does; a rule-2 sweep drops them, and the step after it runs every
+rule. Otherwise the step goes straight to rule 7, as deleting v, an
+irrelevant core vertex of its class Z, keeps rules 3 to 6 inapplicable:
+each rule-3 triangle count only loses its triangles through v, rules 4 and
+5 read only |S| and k, and no other vertex changes its terminal
+in-neighbourhood, so the class count stays put.
 
 A big class Y other than Z keeps its in-class degrees, its core and its
 r-sets less v. Its relevant core stays too: v is no wrong-direction
@@ -103,8 +101,9 @@ search finds a swap, or when no class is deletable. Then one
 are cut to its columns, and a class whose threshold was crossed is
 decomposed afresh there.
 
-Every applied record is a delta in original labels: the vertex it deleted
-or the arcs it reversed. The trace holds no instance. Outside a rule-8 run,
+Every applied record is a delta in original labels: the vertices it
+deleted, in the order deleted, or the arcs it reversed. The trace holds no
+instance and one record per rule application. Outside a rule-8 run,
 `_apply` builds the instance a record leaves by replaying that delta, so
 the driver executes exactly what its trace says; `lift_solution` replays
 the same deltas onto the input.
@@ -191,9 +190,10 @@ class RuleOutcome:
     """What one rule did: applied, or a verdict.
 
     An applied record is a delta: ``detail`` names, in original labels, the
-    vertex ``deleted`` (rr2, rr8) or the arcs ``reversed`` (rr3, rr5, arc
-    swaps), and ``pre`` and ``post`` the vertex count, terminal count and k
-    before and after; rr3 and rr5 spend one unit of k per arc. ``next`` is
+    vertices ``deleted`` (rr2, rr8), in the order deleted, or the arcs
+    ``reversed`` (rr3, rr5, arc swaps), and ``pre`` and ``post`` the vertex
+    count, terminal count and k before and after; rr3 and rr5 spend one
+    unit of k per arc. ``next`` is
     always None. It stays declared because the benchmark still reads it
     (its trace-size count skips a None).
     """
@@ -277,29 +277,24 @@ def _outcome(
     status: str,
     instance: Instance,
     note: str = "",
-    n: Optional[int] = None,
-    s: Optional[int] = None,
     *,
-    deleted: Optional[int] = None,
+    deleted: Optional[Sequence[int]] = None,
     arcs: Optional[Collection[Arc]] = None,
     **detail: object,
 ) -> RuleOutcome:
-    """A record of ``rule`` on ``instance``, which has n vertices and s
-    terminals left (all of them by default; a rule-2 sweep or a rule-8 run
-    counts off the ones it deleted). An applied record gives its delta in
-    indices of ``instance``, the vertex ``deleted`` or the ``arcs``
-    reversed, and keeps it in labels, under ``deleted`` or ``reversed``,
-    after the ``pre`` and ``post`` stats."""
-    k = instance.k
-    if s is None:
-        s = len(instance.terminals)
-    pre = [instance.n if n is None else n, s, k]
+    """A record of ``rule`` on ``instance``. An applied record gives its
+    delta in indices of ``instance``, the distinct vertices ``deleted`` in
+    the order deleted or the ``arcs`` reversed, and keeps it in labels,
+    under ``deleted`` or ``reversed``, after the ``pre`` and ``post``
+    stats."""
+    n, s, k = instance.n, len(instance.terminals), instance.k
+    pre = [n, s, k]
     labels = instance.tournament.labels
     if deleted is not None:
-        post = [pre[0] - 1, s - (deleted in instance.terminals), k]
-        data: dict = {"pre": pre, "post": post, "deleted": [labels[deleted]]}
+        post = [n - len(deleted), s - len(instance.terminals.intersection(deleted)), k]
+        data: dict = {"pre": pre, "post": post, "deleted": [labels[v] for v in deleted]}
     elif arcs is not None:
-        post = [pre[0], s, k - _spent(rule, arcs)]
+        post = [n, s, k - _spent(rule, arcs)]
         pairs = sorted([labels[u], labels[v]] for u, v in arcs)
         data = {"pre": pre, "post": post, "reversed": pairs}
     else:
@@ -316,19 +311,12 @@ def _spent(rule: str, arcs: Collection[Arc]) -> int:
 
 def _apply(instance: Instance, rec: RuleOutcome) -> Instance:
     """The instance that the applied record ``rec`` leaves from ``instance``."""
+    index = instance.tournament.index_of()
     if "deleted" in rec.detail:
-        return _drop(instance, (rec,))
-    index = instance.tournament.labels.index
-    arcs = [(index(a), index(b)) for a, b in rec.detail["reversed"]]
+        return instance.drop([index[label] for label in rec.detail["deleted"]])
+    arcs = [(index[a], index[b]) for a, b in rec.detail["reversed"]]
     k = instance.k - _spent(rec.rule, arcs)
     return Instance(reverse_arcs(instance.tournament, arcs), instance.terminals, k)
-
-
-def _drop(instance: Instance, records: Iterable[RuleOutcome]) -> Instance:
-    """The instance that the deletion ``records`` leave from ``instance``,
-    built by one `Instance.drop`."""
-    index = instance.tournament.index_of()
-    return instance.drop([index[label] for rec in records for label in rec.detail["deleted"]])
 
 
 # -- Rules 1 to 4 -----------------------------------------------------------
@@ -352,9 +340,9 @@ def rr1_sanity(instance: Instance) -> RuleOutcome:
     )
 
 
-def rr2_triangle_free_terminal(instance: Instance) -> tuple[RuleOutcome, ...]:
-    """Delete every vertex on no terminal cycle, in ascending order: one
-    record per vertex, () when there is none. These are the vertices alone
+def rr2_triangle_free_terminal(instance: Instance) -> RuleOutcome:
+    """Delete every vertex on no terminal cycle, in ascending order, in one
+    record; not-applicable when there is none. These are the vertices alone
     in their strong component or in one without a terminal, and the sweep
     is the one-at-a-time rule run to exhaustion (see the module
     docstring)."""
@@ -365,13 +353,9 @@ def rr2_triangle_free_terminal(instance: Instance) -> tuple[RuleOutcome, ...]:
     held = np.empty(instance.n, dtype=bool)
     held[order] = (np.bincount(comp, weights=term[order]) > 0)[comp]
     free = np.flatnonzero(~(held & on_cycle)).tolist()
-    n, s = instance.n, len(instance.terminals)
-    note = "on no terminal cycle"
-    records = []
-    for j, v in enumerate(free):
-        records.append(_outcome("rr2", STATUS_APPLIED, instance, note, n - j, s, deleted=v))
-        s -= v in instance.terminals
-    return tuple(records)
+    if not free:
+        return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
+    return _outcome("rr2", STATUS_APPLIED, instance, "on no terminal cycle", deleted=free)
 
 
 def rr3_many_triangles(instance: Instance) -> RuleOutcome:
@@ -824,6 +808,9 @@ def rr9_vertex_bound(instance: Instance) -> RuleOutcome:
 # -- Driver ------------------------------------------------------------------
 
 
+_RR8_NOTE = "deleted an irrelevant core vertex"
+
+
 def _step(
     instance: Instance, decs: Optional[Sequence[ClassDecomposition]] = None
 ) -> tuple[tuple[RuleOutcome, ...], Optional[Instance], Optional[tuple[ClassDecomposition, ...]]]:
@@ -837,24 +824,21 @@ def _step(
     to 8 share one classification. Rule 8 starts with one
     `arc_swap_normalize` of the first deletable class. A step with arc
     swaps returns them followed by the rule-8 deletion; a step without goes
-    on deleting by rule 8 (`_rr8_run`) and hands on exact decompositions of
-    the next instance's big classes, ordered by their smallest member. A
-    step handed them runs rules 1 and 2 and skips rules 3 to 6 (see the
-    module docstring).
+    on deleting by rule 8 (`_rr8_run`), in one record, and hands on exact
+    decompositions of the next instance's big classes, ordered by their
+    smallest member. A step handed them runs rules 1 and 2 and skips rules
+    3 to 6 (see the module docstring).
     """
-    out = rr1_sanity(instance)
-    if out.status != STATUS_NOT_APPLICABLE:
-        return (out,), None, None
-    sweep = rr2_triangle_free_terminal(instance)
-    if sweep:
-        return sweep, _drop(instance, sweep), None
+    rules = [rr1_sanity, rr2_triangle_free_terminal]
     if decs is None:
-        for rule in (rr3_many_triangles, rr4_bounded_terminal, rr5_safe_partition):
-            out = rule(instance)
-            if out.status == STATUS_APPLIED:
-                return (out,), _apply(instance, out), None
-            if out.status != STATUS_NOT_APPLICABLE:
-                return (out,), None, None
+        rules += [rr3_many_triangles, rr4_bounded_terminal, rr5_safe_partition]
+    for rule in rules:
+        out = rule(instance)
+        if out.status == STATUS_APPLIED:
+            return (out,), _apply(instance, out), None
+        if out.status != STATUS_NOT_APPLICABLE:
+            return (out,), None, None
+    if decs is None:
         classes = equivalence_classes(instance.tournament, instance.terminals)
         out = rr6_many_types(instance, classes)
         if out.status != STATUS_NOT_APPLICABLE:
@@ -874,20 +858,21 @@ def _step(
         return (), instance, None
     swapped, dec, swaps = arc_swap_normalize(instance, decs[deletable[0]])
     if not swaps:
-        return _rr8_run(instance, decs, deletable[0])
-    out = _rule8(swapped, _core(dec.masks), swapped.n)[0]
+        out, nxt, decs = _rr8_run(instance, decs, deletable[0])
+        return (out,), nxt, decs
+    out = _outcome("rr8", STATUS_APPLIED, swapped, _RR8_NOTE, deleted=[next(_core(dec.masks))])
     return swaps + (out,), _apply(swapped, out), None
 
 
 def _rr8_run(
     instance: Instance, decs: Sequence[ClassDecomposition], first: int
-) -> tuple[tuple[RuleOutcome, ...], Instance, tuple[ClassDecomposition, ...]]:
+) -> tuple[RuleOutcome, Instance, tuple[ClassDecomposition, ...]]:
     """Rule-8 deletions from ``decs[first]`` on, the class in which
     `arc_swap_normalize` just found no swap, until a deletion takes a
     member's in- or out-degree in its class to k, a newly first class has
     a swap, or no class is deletable (see the module docstring). Returns
-    the records, the instance less the deleted vertices, and the
-    decompositions of its big classes."""
+    one record that lists the deletions in order, the instance less the
+    deleted vertices, and the decompositions of its big classes."""
     k, adj = instance.k, instance.tournament.adj
     masks = np.stack([dec.masks for dec in decs])
     indeg = np.stack([dec.indeg for dec in decs])
@@ -896,12 +881,10 @@ def _rr8_run(
     cores = list(map(_core, masks))
     settled = {first}
     big = deletion_class_size(k)
-    records: list[RuleOutcome] = []
     deleted: list[int] = []
     i, fresh = first, None
     while True:
-        out, v = _rule8(instance, cores[i], instance.n - len(deleted))
-        records.append(out)
+        v = next(cores[i])
         deleted.append(v)
         # v leaves its class, so the vertices it beats lose an in-neighbour
         # there and the other members an out-neighbour. A threshold is
@@ -933,32 +916,24 @@ def _rr8_run(
         dec = class_decomposition(nxt, np.flatnonzero(masks[fresh, _Z]))
         masks[fresh], indeg[fresh] = dec.masks, dec.indeg
     order = np.argsort(masks[:, _Z].argmax(axis=1))
-    return tuple(records), nxt, tuple(map(ClassDecomposition, masks[order], indeg[order]))
+    out = _outcome("rr8", STATUS_APPLIED, instance, _RR8_NOTE, deleted=deleted)
+    return out, nxt, tuple(map(ClassDecomposition, masks[order], indeg[order]))
 
 
 def _core(masks: np.ndarray) -> Iterator[int]:
     """A cursor along the irrelevant core of the class decomposed as
-    ``masks``, in ascending order."""
-    return iter(np.flatnonzero(masks[_IRRELEVANT]).tolist())
-
-
-def _rule8(instance: Instance, core: Iterator[int], n: int) -> tuple[RuleOutcome, int]:
-    """Rule 8's record for deleting the next vertex of ``core``, the
-    smallest irrelevant core vertex of its class still alive, from the
-    instance with n of its vertices still alive, and that vertex."""
-    v = next(core, None)
-    if v is None:
-        raise InternalInvariantError("large class with empty irrelevant core")
-    note = "deleted an irrelevant core vertex"
-    return _outcome("rr8", STATUS_APPLIED, instance, note, n, deleted=v), v
+    ``masks``, in ascending order, that raises once it has run dry."""
+    yield from np.flatnonzero(masks[_IRRELEVANT]).tolist()
+    raise InternalInvariantError("large class with empty irrelevant core")
 
 
 def kernelize(instance: Instance) -> KernelResult:
     """Apply the reduction rules to exhaustion.
 
     Returns a reduced kernel, or a trivial verdict when some rule decides the
-    instance outright. The trace holds one record per applied rule (plus the
-    deciding rule), in original labels, and is what `lift_solution` consumes.
+    instance outright. The trace holds one record per rule application (a
+    rule-2 sweep or a rule-8 run is one) plus the deciding rule's, in
+    original labels, and is what `lift_solution` consumes.
     """
     trace: list[RuleOutcome] = []
     state: Optional[Instance] = instance
@@ -1031,33 +1006,25 @@ def lift_solution(
     into a solution of the original instance (all arcs in original labels).
 
     The applied records are replayed as deltas onto one writable copy of the
-    input matrix: a vertex deleted (rr2, rr8) or arcs reversed (rr3, rr5,
-    arc swaps), with k spent as `_spent` says; a record that names a vertex
-    already gone or an arc not there is rejected. The walk back then
-    undoes one delta per step and keeps the alive vertices' scores
-    (out-degrees among the alive vertices) current: a vertex put back adds
-    its column and gets its row's count, O(n), and an arc turned back moves
-    its two ends' scores, O(1).
+    input matrix: vertices deleted (rr2, rr8), one at a time, or arcs
+    reversed (rr3, rr5, arc swaps), with k spent as `_spent` says; a record
+    that names a vertex already gone, its own repeats included, or an arc
+    not there is rejected. The walk back then undoes one record per step
+    and keeps the alive vertices' scores (out-degrees among the alive
+    vertices) current: the vertices put back add their columns and get
+    their rows' counts, O(n) each, and an arc turned back moves its two
+    ends' scores, O(1).
 
     The kernel's solution is verified exactly, and so is the solution after
-    every undone rr3, rr5 and arc-swap record: each arc must be present
-    with both ends alive, the solution must fit that step's k, and no alive
-    terminal may lie on a cycle once the solution's arcs are reversed.
-    Reversing an arc (u, v) takes one from u's score and gives it to v, and
-    the result is again a tournament on the alive vertices, so by Landau's
-    theorem its strong components, and with them the terminals on a cycle,
-    follow from those scores by one sort (`graphs._landau`). A stretch of
-    consecutive deletions, rr2 and rr8 records alike, is verified once,
-    after its last undo (at the record earliest in the trace). Each undo
-    inside it revives one vertex and keeps the arcs, k and the solution,
-    and a cycle of an induced subtournament is a cycle of the whole one, so
-    that check passes exactly when every check inside the stretch would; a
-    failure raises the "lift through" error of the stretch's earliest
-    record. The one undo that may change the solution inside a stretch is
-    an rr2 undo that minimalizes it (below), so the solution is also
-    verified just before that. A failure means the trace or the rule
-    algebra is broken and raises InternalInvariantError; an arc absent from
-    the kernel raises InvalidArcError.
+    every undone record: each arc must be present with both ends alive, the
+    solution must fit that step's k, and no alive terminal may lie on a
+    cycle once the solution's arcs are reversed. Reversing an arc (u, v)
+    takes one from u's score and gives it to v, and the result is again a
+    tournament on the alive vertices, so by Landau's theorem its strong
+    components, and with them the terminals on a cycle, follow from those
+    scores by one sort (`graphs._landau`). A failure means the trace or the
+    rule algebra is broken and raises InternalInvariantError; an arc absent
+    from the kernel raises InvalidArcError.
 
     `minimalize_solution` runs at rr2 and arc-swap undos, but only once per
     reversal: after it runs, the solution stays minimal until an rr3, rr5
@@ -1081,16 +1048,18 @@ def lift_solution(
             raise InternalInvariantError(f"{rec.rule} record names vertex {label}, absent there")
         return v
 
-    # Per step, the vertex deleted or the arcs reversed, as input indices,
+    # Per step, the vertices deleted or the arcs reversed, as input indices,
     # and the k before it.
-    moves: list[int | list[Arc]] = []
+    moves: list[list[int] | list[Arc]] = []
     budgets = [original.k]
     for rec in steps:
         if rec.rule in ("rr2", "rr8"):
-            (label,) = rec.detail["deleted"]
-            v = vertex(label, rec)
-            alive[v] = False
-            moves.append(v)
+            vs = []
+            for label in rec.detail["deleted"]:
+                v = vertex(label, rec)
+                alive[v] = False
+                vs.append(v)
+            moves.append(vs)
             spent = 0
         elif rec.rule in ("rr3", "rr5", "arc-swap"):
             arcs = [(vertex(a, rec), vertex(b, rec)) for a, b in rec.detail["reversed"]]
@@ -1134,10 +1103,10 @@ def lift_solution(
         if rec.rule in ("rr2", "arc-swap") and not minimal:
             current = minimalize_solution(child(budgets[i + 1]), current)
             minimal = True
-        if isinstance(move, int):
+        if rec.rule in ("rr2", "rr8"):
             alive[move] = True
-            scores += adj[:, move]
-            scores[move] = np.count_nonzero(adj[move] & alive)
+            scores += adj[:, move].sum(axis=1)
+            scores[move] = (adj[move] & alive).sum(axis=1)
         else:
             for a, b in move:
                 adj[a, b], adj[b, a] = True, False
@@ -1150,11 +1119,7 @@ def lift_solution(
             if cancelled or rec.rule != "arc-swap":
                 current = current - {(v, u) for u, v in cancelled} | (pair - cancelled)
             minimal = False
-        # A deletion is checked with the next undo when that one revives a
-        # vertex too and will not minimalize the solution first.
-        waits = isinstance(move, int) and i > 0 and isinstance(moves[i - 1], int)
-        if not waits or (steps[i - 1].rule == "rr2" and not minimal):
-            check(current, budgets[i], rec.rule)
+        check(current, budgets[i], rec.rule)
     if not verify_solution(original, [(index[u], index[v]) for u, v in current]):
         raise InternalInvariantError("lifted solution fails the input")
     return frozenset(current)

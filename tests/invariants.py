@@ -33,7 +33,7 @@ def assert_kernel_exhausted(kernel: Instance) -> None:
     if has_s_triangle(t, terminals) is None:
         assert kernel.n == 0
 
-    assert rr2_triangle_free_terminal(kernel) == ()
+    assert rr2_triangle_free_terminal(kernel).status == STATUS_NOT_APPLICABLE
     for rule in (
         rr3_many_triangles,
         rr4_bounded_terminal,

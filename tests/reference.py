@@ -29,21 +29,26 @@ raise the same error.
 pass over the whole pruned digraph per solution arc; the reachability
 searches of `minimalize_solution` must return the same arc set.
 
-`reference_kernelize` is the driver loop with every step run from rule 1
-and at most one rule-2 or rule-8 deletion per step: it keeps a fresh
-step's records through the first rule-2 or rule-8 record, drops the rest,
-and steps afresh. So each deletion of a rule-2 sweep or a batched rule-8
-run must match the rule applied from scratch, record for record.
-`reference_rr2` is rule 2 as one deletion per step, the smallest vertex on
-no terminal cycle by Tarjan's strong components, or not-applicable, and
-`reference_rr8_run` is the rule-8 run that clears every deleted column of
-every class and recounts the class sizes and smallest members after each
-deletion, and searches a class for a swap each time it becomes first; a
-sweep must equal `reference_rr2` stepped to exhaustion, and a run must
-return the same records, instance and decompositions. `successor` replays
-one applied record's delta (the vertex it deleted or the arcs it reversed)
-onto the instance before it, with a deletion and a budget rule of its own,
-and checks that the record carries no successor instance.
+`split_deletions` splits each deletion record, one per rule-2 sweep or
+rule-8 run, into one record per deleted vertex, in deletion order, with
+the counts taken off one vertex at a time: the records that rule 2 or
+rule 8 applied one vertex per step would leave. `reference_kernelize` is
+the driver loop with every step run from rule 1 and at most one rule-2 or
+rule-8 deletion per step: it keeps a fresh step's split records through
+the first rule-2 or rule-8 one, drops the rest, and steps afresh. So each
+deletion of a rule-2 sweep or a batched rule-8 run must match the rule
+applied from scratch, record for record. `reference_rr2` is rule 2 as one
+deletion per step, the smallest vertex on no terminal cycle by Tarjan's
+strong components, or not-applicable, and `reference_rr8_run` is the
+rule-8 run that clears every deleted column of every class and recounts
+the class sizes and smallest members after each deletion, and searches a
+class for a swap each time it becomes first, with one record per
+deletion; a split sweep must equal `reference_rr2` stepped to exhaustion,
+and a split run must return the same records, instance and
+decompositions. `successor` replays one applied record's delta (the
+vertices it deleted, one at a time, or the arcs it reversed) onto the
+instance before it, with a deletion and a budget rule of its own, and
+checks that the record carries no successor instance.
 
 `decomposition_sets` reads a `ClassDecomposition`'s mask rows as the named
 frozensets that `reference_class_decomposition` returns.
@@ -95,6 +100,7 @@ from sfast.kernel import (
     STATUS_NOT_APPLICABLE,
     ClassDecomposition,
     KernelResult,
+    RuleOutcome,
     _IRRELEVANT,
     _MINUS,
     _PLUS,
@@ -332,28 +338,54 @@ def decomposition_sets(dec) -> dict[str, frozenset[int]]:
     return {name: frozenset(np.flatnonzero(row).tolist()) for name, row in rows}
 
 
+def split_deletions(instance, records) -> tuple[RuleOutcome, ...]:
+    """``records`` with each deletion record of several vertices split into
+    one record per vertex, in deletion order, each with the ``pre`` and
+    ``post`` counts of deleting that vertex alone; a vertex is a terminal
+    when its label is one of ``instance``'s terminals. The split counts
+    must end where the record's do."""
+    labels = instance.tournament.labels
+    terminals = {labels[s] for s in instance.terminals}
+    split = []
+    for rec in records:
+        deleted = rec.detail.get("deleted", ())
+        if len(deleted) < 2:
+            split.append(rec)
+            continue
+        n, s, k = rec.detail["pre"]
+        for label in deleted:
+            post = [n - 1, s - (label in terminals), k]
+            detail = {"pre": [n, s, k], "post": post, "deleted": [label]}
+            split.append(RuleOutcome(rec.rule, rec.status, note=rec.note, detail=detail))
+            n, s = post[:2]
+        assert [n, s, k] == rec.detail["post"], rec.rule
+    return tuple(split)
+
+
 def successor(instance, rec) -> Instance:
-    """The instance that the applied record ``rec`` leaves from ``instance``."""
-    index = instance.tournament.index_of()
-    if rec.rule in ("rr2", "rr8"):
-        (label,) = rec.detail["deleted"]
-        v = index[label]
-        terminals = frozenset(s - (s > v) for s in instance.terminals if s != v)
-        nxt = Instance(instance.tournament.drop([v]), terminals, instance.k)
-    else:
+    """The instance that the applied record ``rec`` leaves from ``instance``,
+    deleting its vertices one at a time."""
+    assert rec.next is None, rec.rule
+    if rec.rule not in ("rr2", "rr8"):
+        index = instance.tournament.index_of()
         arcs = [(index[a], index[b]) for a, b in rec.detail["reversed"]]
         spent = len(arcs) if rec.rule in ("rr3", "rr5") else 0
-        nxt = Instance(reverse_arcs(instance.tournament, arcs), instance.terminals, instance.k - spent)
-    assert rec.next is None, rec.rule
-    return nxt
+        return Instance(reverse_arcs(instance.tournament, arcs), instance.terminals, instance.k - spent)
+    for piece in split_deletions(instance, (rec,)):
+        (label,) = piece.detail["deleted"]
+        v = instance.tournament.index_of()[label]
+        terminals = frozenset(s - (s > v) for s in instance.terminals if s != v)
+        instance = Instance(instance.tournament.drop([v]), terminals, instance.k)
+    return instance
 
 
 def reference_kernelize(instance) -> KernelResult:
-    """`kernelize` with every step run from scratch, one deletion at a time."""
+    """`kernelize` with every step run from scratch, one deletion at a time,
+    and its deletion records split."""
     trace = []
     cur = instance
     for _ in range(instance.n + max(instance.k, 0) + 8):
-        records = _step(cur)[0]
+        records = split_deletions(cur, _step(cur)[0])
         rules = [rec.rule for rec in records]
         if "rr8" in rules:
             records = records[: rules.index("rr8") + 1]
@@ -378,13 +410,13 @@ def reference_rr2(instance):
     free = [v for comp in comps if len(comp) == 1 or not terminals & set(comp) for v in comp]
     if not free:
         return _outcome("rr2", STATUS_NOT_APPLICABLE, instance)
-    return _outcome("rr2", STATUS_APPLIED, instance, "on no terminal cycle", deleted=min(free))
+    return _outcome("rr2", STATUS_APPLIED, instance, "on no terminal cycle", deleted=[min(free)])
 
 
 def reference_rr8_run(instance, decs, first):
     """The rule-8 run that updates every class's masks and recounts the
     sizes and smallest members after each deletion, and searches a class
-    for a swap whenever it becomes first."""
+    for a swap whenever it becomes first, with one record per deletion."""
     k, adj = instance.k, instance.tournament.adj
     masks = np.stack([dec.masks for dec in decs])
     indeg = np.stack([dec.indeg for dec in decs])
@@ -420,11 +452,17 @@ def reference_rr8_run(instance, decs, first):
 
 
 def _reference_rule8(instance, masks, n):
+    """The record for deleting the smallest irrelevant core vertex of the
+    class decomposed as ``masks``, from ``instance`` with n vertices left
+    (the terminals all stay), and that vertex."""
     v = int(masks[_IRRELEVANT].argmax())
     if not masks[_IRRELEVANT, v]:
         raise InternalInvariantError("large class with empty irrelevant core")
+    s, k = len(instance.terminals), instance.k
+    label = instance.tournament.labels[v]
+    detail = {"pre": [n, s, k], "post": [n - 1, s, k], "deleted": [label]}
     note = "deleted an irrelevant core vertex"
-    return _outcome("rr8", STATUS_APPLIED, instance, note, n, deleted=v), v
+    return RuleOutcome("rr8", STATUS_APPLIED, note=note, detail=detail), v
 
 
 def reference_generate_random(spec: GeneratorSpec) -> Instance:

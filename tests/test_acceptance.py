@@ -22,7 +22,7 @@ from families import (
     rule8_instance,
 )
 from invariants import assert_kernel_exhausted
-from reference import interleaving_count, reference_minimum, successor
+from reference import interleaving_count, reference_minimum, split_deletions, successor
 from sfast.graphs import Instance, Tournament, s_backward_arcs, verify_solution
 from sfast.kernel import (
     _step,
@@ -87,15 +87,15 @@ def cascade_check(instance, tally):
 
 def checked_step(instance, tally, decs=None):
     """`cascade_check`'s step: its records, the instance it leads to (None
-    unless it applied a rule), replayed record by record, and the
-    decompositions `_step` hands the next step. ``decs`` is what the
-    previous step handed on; a step handed them runs rules 1 and 2 and
-    skips rules 3 to 6."""
+    unless it applied a rule), replayed record by record and deleted
+    vertex by deleted vertex, and the decompositions `_step` hands the
+    next step. ``decs`` is what the previous step handed on; a step handed
+    them runs rules 1 and 2 and skips rules 3 to 6."""
     records, nxt, decs = _step(instance, decs)
     if not records:
         return (), None, None
     base = solvable(instance)
-    for rec in records:
+    for rec in split_deletions(instance, records):
         if rec.status == "applied":
             instance = successor(instance, rec)
             assert solvable(instance) == base
@@ -110,15 +110,15 @@ def checked_step(instance, tally, decs=None):
 
 def cascade_walk(instance, tally):
     """Kernelize with checked steps, handing on the decompositions from
-    step to step as `kernelize` does. Returns how many rule-8 deletions
-    came from a carried state: every deletion of a step handed
+    step to step as `kernelize` does. Returns how many vertices rule 8
+    deleted from a carried state: every one of a step handed
     decompositions, and every one after the first of a fresh step."""
     carried = 0
     decs = None
     while instance is not None:
         handed = decs is not None
         records, instance, decs = checked_step(instance, tally, decs)
-        deletions = sum(rec.rule == "rr8" for rec in records)
+        deletions = sum(len(rec.detail["deleted"]) for rec in records if rec.rule == "rr8")
         carried += deletions if handed else max(deletions - 1, 0)
     return carried
 

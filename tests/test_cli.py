@@ -21,6 +21,8 @@ from sfast.cli import (
 )
 from sfast.graphs import Instance, Tournament
 from sfast.instancefile import parse_instance, parse_solution
+from sfast.kernel import RuleOutcome
+from reference import split_deletions
 
 
 @pytest.fixture
@@ -69,18 +71,23 @@ class TestKernelizeCommand:
         assert kernel.k == 1
 
     def test_trace_file_records_the_applied_rules(self, runner, tmp_instance_file, tmp_path):
-        path = tmp_instance_file(transitive_instance(6, {0, 3}, 1))
+        instance = transitive_instance(6, {0, 3}, 1)
+        path = tmp_instance_file(instance)
         trace_path = tmp_path / "trace.json"
         result = runner.invoke(main, ["kernelize", path, "--trace", str(trace_path)])
         assert result.exit_code == 0
+        assert "6 vertices to 0, budget 1 to 1, 1 rule application\n" in result.output
         trace = [json.loads(line) for line in trace_path.read_text().splitlines()]
-        # No vertex of a transitive tournament lies on a cycle, so rule 2
-        # deletes all six, and the terminal count drops at 0 and 3 only.
-        assert [rec["rule"] for rec in trace] == ["rr2"] * 6
-        assert all(rec["status"] == "applied" for rec in trace)
+        # No vertex of a transitive tournament lies on a cycle, so one rule-2
+        # record deletes all six, and split one vertex at a time the
+        # terminal count drops at 0 and 3 only.
+        assert [rec["rule"] for rec in trace] == ["rr2"]
         assert all({"rule", "status", "note", "detail"} <= set(rec) for rec in trace)
-        assert [rec["detail"]["deleted"] for rec in trace] == [[v] for v in range(6)]
-        assert [rec["detail"]["pre"][1] for rec in trace] == [2, 1, 1, 1, 0, 0]
+        assert trace[0]["detail"] == {"pre": [6, 2, 1], "post": [0, 0, 1], "deleted": list(range(6))}
+        records = split_deletions(instance, [RuleOutcome(**rec) for rec in trace])
+        assert all(rec.status == "applied" for rec in records)
+        assert [rec.detail["deleted"] for rec in records] == [[v] for v in range(6)]
+        assert [rec.detail["pre"][1] for rec in records] == [2, 1, 1, 1, 0, 0]
 
     def test_trace_file_of_a_rule7_verdict(self, runner, tmp_instance_file, tmp_path):
         # Rule 7 counts the wrong-direction fringe; its record's detail

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -40,6 +41,7 @@ from reference import (
     reference_rr2,
     reference_rr8_run,
     s_triangles_through_arc,
+    split_deletions,
     successor,
 )
 from sfast.graphs import (
@@ -125,8 +127,12 @@ class TestRule1:
 
 class TestRule2:
     def test_deletes_every_vertex_on_no_terminal_cycle_in_ascending_order(self):
-        # Only a deleted terminal lowers the terminal count.
-        records = rr2_triangle_free_terminal(transitive_instance(4, {1, 2}, 1))
+        # One record deletes all four; split one vertex at a time, only a
+        # deleted terminal lowers the terminal count.
+        instance = transitive_instance(4, {1, 2}, 1)
+        out = rr2_triangle_free_terminal(instance)
+        assert out.detail == {"pre": [4, 2, 1], "post": [0, 0, 1], "deleted": [0, 1, 2, 3]}
+        records = split_deletions(instance, (out,))
         assert [rec.status for rec in records] == ["applied"] * 4
         assert [rec.note for rec in records] == ["on no terminal cycle"] * 4
         assert [rec.detail for rec in records] == [
@@ -142,9 +148,10 @@ class TestRule2:
         arcs = [(4, v) for v in range(4)] + [(1, 2), (2, 3), (3, 1), (1, 0), (2, 0), (3, 0)]
         instance = Instance(Tournament.from_arcs(5, arcs), frozenset({0, 2}), 1)
         records, nxt, decs = _step(instance)
-        assert [rec.rule for rec in records] == ["rr2", "rr2"] and decs is None
-        assert [rec.detail["deleted"] for rec in records] == [[0], [4]]
-        assert successor(successor(instance, records[0]), records[1]) == nxt
+        assert [rec.rule for rec in records] == ["rr2"] and decs is None
+        assert [rec.detail["deleted"] for rec in records] == [[0, 4]]
+        first, second = split_deletions(instance, records)
+        assert successor(successor(instance, first), second) == nxt
         assert nxt.tournament.labels == (1, 2, 3)
         assert nxt.terminals == frozenset({1}) and nxt.k == 1
 
@@ -154,10 +161,10 @@ class TestRule2:
         arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
         arcs += [(u, v) for u in range(3) for v in range(3, 6)]
         instance = Instance(Tournament.from_arcs(6, arcs), frozenset({0}), 1)
-        records = rr2_triangle_free_terminal(instance)
+        records = split_deletions(instance, (rr2_triangle_free_terminal(instance),))
         assert [rec.detail["deleted"] for rec in records] == [[3], [4], [5]]
         assert [rec.detail["pre"] for rec in records] == [[6, 1, 1], [5, 1, 1], [4, 1, 1]]
-        assert rr2_triangle_free_terminal(_step(instance)[1]) == ()
+        assert rr2_triangle_free_terminal(_step(instance)[1]).status == "not-applicable"
 
     def test_deletes_exactly_what_networkx_finds_on_no_terminal_cycle(self):
         # The sweep deletes the vertices of the strong components, as
@@ -192,15 +199,17 @@ class TestRule2:
                     seen["with a terminal" if held else "without a terminal"] += 1
             labels = instance.tournament.labels
             sweep = rr2_triangle_free_terminal(instance)
-            assert [rec.detail["deleted"] for rec in sweep] == [[labels[v]] for v in sorted(free)]
-            seen["deleted"] += len(sweep)
+            assert sweep.status == ("applied" if free else "not-applicable")
+            records = split_deletions(instance, (sweep,)) if free else ()
+            assert [rec.detail["deleted"] for rec in records] == [[labels[v]] for v in sorted(free)]
+            seen["deleted"] += len(records)
         assert min(seen.values()) >= 100, seen
 
     def test_keeps_the_terminals_on_a_cycle(self):
         # 0 -> 1 -> 2 -> 0 beat the sink 3: terminal 3 goes, 0 stays.
         arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]
         instance = Instance(Tournament.from_arcs(4, arcs), frozenset({0, 3}), 1)
-        (out,) = rr2_triangle_free_terminal(instance)
+        out = rr2_triangle_free_terminal(instance)
         assert out.detail["deleted"] == [3]
         nxt = _step(instance)[1]
         assert nxt.tournament.labels == (0, 1, 2)
@@ -208,13 +217,16 @@ class TestRule2:
 
     @pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (40, 3)])
     def test_one_step_deletes_every_terminal_of_a_transitive_instance(self, n, k):
-        records, nxt, _ = _step(transitive_instance(n, range(n), k))
+        instance = transitive_instance(n, range(n), k)
+        (out,), nxt, _ = _step(instance)
+        assert out.detail == {"pre": [n, n, k], "post": [0, 0, k], "deleted": list(range(n))}
+        records = split_deletions(instance, (out,))
         assert [rec.detail["deleted"] for rec in records] == [[v] for v in range(n)]
         assert [rec.detail["pre"] for rec in records] == [[n - j, n - j, k] for j in range(n)]
         assert nxt.n == 0 and nxt.k == k
 
     def test_not_applicable_when_every_terminal_rides_a_triangle(self):
-        assert rr2_triangle_free_terminal(triangle_instance()) == ()
+        assert rr2_triangle_free_terminal(triangle_instance()).status == "not-applicable"
 
 
 class TestRule3:
@@ -705,9 +717,10 @@ class TestRule9:
 
 def chain(instance, trace):
     """The instance and every instance the trace's applied records leave,
-    re-applied from the recorded label-space operations step by step."""
+    re-applied from the recorded label-space operations step by step and
+    deleted vertex by deleted vertex."""
     instances = [instance]
-    for rec in trace:
+    for rec in split_deletions(instance, trace):
         if rec.status == "applied":
             instances.append(successor(instances[-1], rec))
     return instances
@@ -876,15 +889,23 @@ CARRIED_CORPUS = [
 ]
 
 
+def split_kernelize(instance):
+    """`kernelize` with every deletion record split into one record per
+    deleted vertex, as `reference_kernelize` writes its trace."""
+    result = kernelize(instance)
+    return dataclasses.replace(result, trace=split_deletions(instance, result.trace))
+
+
 class TestCarriedState:
     """`kernelize` runs rule 8 on within a step and hands the class
-    decompositions to the next step; the result must equal the driver's
-    that steps afresh after every deletion, record for record."""
+    decompositions to the next step; the result, its deletion records
+    split, must equal the driver's that steps afresh after every deletion,
+    record for record."""
 
     @pytest.mark.parametrize("n, s_count, seed", PLANTED_CORPORA)
     def test_planted_corpora_match_the_stateless_driver(self, n, s_count, seed):
         instance = planted(n, s_count, seed)
-        assert kernelize(instance) == reference_kernelize(instance)
+        assert split_kernelize(instance) == reference_kernelize(instance)
 
     @pytest.mark.parametrize("n", [12, 40, 150])
     def test_random_tournaments_match_the_stateless_driver(self, n):
@@ -893,7 +914,7 @@ class TestCarriedState:
                 t = random_tournament(n, 100 * n + 10 * s_count + k)
                 terminals = frozenset(random.Random(k).sample(range(n), s_count))
                 instance = Instance(t, terminals, k)
-                assert kernelize(instance) == reference_kernelize(instance)
+                assert split_kernelize(instance) == reference_kernelize(instance)
 
     @pytest.mark.parametrize(
         "n, s_count, seed, k, swaps",
@@ -914,25 +935,26 @@ class TestCarriedState:
         # replayed instance, and the decompositions must be fresh ones of
         # its big classes, in order, in-degree counts included. Rules 1 and
         # 2 run in the step handed them: it starts with rule 2's sweep
-        # whenever there is one.
+        # whenever there is one. Deleted vertices are counted one by one.
         cur = planted(n, s_count, seed, k)
         decs = None
         handed = swapped = deleted = 0
-        sweep = ()
+        sweep = None
         while True:
             records, nxt, decs = _step(cur, decs)
-            if sweep:
-                assert records == sweep
+            if sweep is not None and sweep.status == "applied":
+                assert records == (sweep,)
             if not records or records[-1].status != "applied":
                 break
-            for rec in records:
+            pieces = split_deletions(cur, records)
+            for rec in pieces:
                 cur = successor(cur, rec)
             assert nxt == cur
-            deleted += sum(rec.rule == "rr8" for rec in records)
+            deleted += sum(rec.rule == "rr8" for rec in pieces)
             if records[0].rule == "arc-swap":
                 swapped += 1
                 assert decs is None
-            sweep = ()
+            sweep = None
             if decs is None:
                 continue
             handed += 1
@@ -982,7 +1004,7 @@ class TestCarriedState:
         assert [rec.rule for rec in records] == ["arc-swap"] * (len(records) - 1) + ["rr8"]
         assert len(records) > 1
         monkeypatch.undo()
-        assert kernelize(instance) == reference_kernelize(instance)
+        assert split_kernelize(instance) == reference_kernelize(instance)
 
     def test_a_run_ends_at_a_crossing_exactly_when_its_class_changes(self):
         # A run stops after a deletion that takes a member's in- or
@@ -1004,7 +1026,8 @@ class TestCarriedState:
                 if records[0].rule != "rr8":
                     cur = nxt
                     continue
-                for pos, rec in enumerate(records):
+                pieces = split_deletions(cur, records)
+                for pos, rec in enumerate(pieces):
                     v = cur.tournament.index_of()[rec.detail["deleted"][0]]
                     classes = equivalence_classes(cur.tournament, cur.terminals)
                     (members,) = (vs for vs in classes if v in vs)
@@ -1013,7 +1036,7 @@ class TestCarriedState:
                     left = [u - (u > v) for u in members if u != v]
                     after = class_decomposition(cur, left).masks[rows]
                     changed = not np.array_equal(np.delete(before, v, axis=1), after)
-                    assert not changed or pos == len(records) - 1
+                    assert not changed or pos == len(pieces) - 1
                 if changed:
                     crossings += 1
                     continue
@@ -1062,9 +1085,10 @@ def stepped_corpus():
 
 
 class TestSweepsAndRuns:
-    """A rule-2 sweep is rule 2 stepped one vertex at a time, and a rule-8
-    run returns what the run that updates every class after each deletion
-    returns (`reference_rr2`, `reference_rr8_run`)."""
+    """A rule-2 sweep's record, split one vertex at a time, is rule 2
+    stepped one vertex at a time, and a rule-8 run returns what the run
+    that updates every class after each deletion returns, its record split
+    likewise (`reference_rr2`, `reference_rr8_run`)."""
 
     def test_every_step_matches_the_one_at_a_time_loops(self, monkeypatch):
         counts = Counter()
@@ -1073,7 +1097,7 @@ class TestSweepsAndRuns:
         def checked_run(instance, decs, first):
             got = run(instance, decs, first)
             records, nxt, handed = reference_rr8_run(instance, decs, first)
-            assert got[0] == records and got[1] == nxt
+            assert split_deletions(instance, (got[0],)) == records and got[1] == nxt
             assert len(got[2]) == len(handed)
             for dec, expected in zip(got[2], handed):
                 assert np.array_equal(dec.masks, expected.masks)
@@ -1088,14 +1112,15 @@ class TestSweepsAndRuns:
             while True:
                 records, nxt, decs = _step(cur, decs)
                 if records and records[0].rule == "rr2":
+                    split = split_deletions(cur, records)
                     stepped = []
                     while (out := reference_rr2(cur)).status == "applied":
                         assert rr1_sanity(cur).status == "not-applicable"
                         stepped.append(out)
                         cur = successor(cur, out)
-                    assert records == tuple(stepped) and nxt == cur
+                    assert split == tuple(stepped) and nxt == cur
                     counts["sweeps"] += 1
-                    counts["sweeps of several"] += len(records) > 1
+                    counts["sweeps of several"] += len(split) > 1
                 if not records or records[-1].status != "applied":
                     break
                 cur = nxt
@@ -1352,7 +1377,8 @@ class TestLifting:
         result = kernelize(instance)
         assert result.status == "reduced"
         assert result.kernel.n == 0
-        assert [rec.rule for rec in result.trace] == ["rr2"] * 4
+        assert [rec.rule for rec in result.trace] == ["rr2"]
+        assert [rec.rule for rec in split_deletions(instance, result.trace)] == ["rr2"] * 4
         lifted = lift_solution(instance, result.trace, [])
         assert lifted == frozenset()
 
@@ -1414,7 +1440,12 @@ class TestLifting:
 def deletion(label, rule="rr8"):
     """A hand-built record of a rule that deleted ``label`` (rule 8 unless
     ``rule`` says otherwise): the delta alone, as `kernelize` writes it."""
-    return RuleOutcome(rule, "applied", detail={"deleted": [label]})
+    return deletions([label], rule)
+
+
+def deletions(labels, rule="rr8"):
+    """A hand-built record of a rule that deleted ``labels`` in order."""
+    return RuleOutcome(rule, "applied", detail={"deleted": list(labels)})
 
 
 def reversal(rule, *arcs):
@@ -1426,7 +1457,9 @@ def test_lift_step_checks_agree_with_verify_solution():
     # A hand-built trace of rule-8 deletions lifts an arc set of the kernel
     # back through every instance in between. The lift's score-based check
     # must first fail where verify_solution first fails, from the kernel
-    # back, or nowhere; then the arcs come back as they are.
+    # back, or nowhere; then the arcs come back as they are. The same
+    # deletions as one record must give the same result: a cycle through
+    # a revived vertex stays in the input.
     seen = Counter()
     for n in (3, 6, 10, 20, 40):
         rng = random.Random(1000 + n)
@@ -1451,21 +1484,38 @@ def test_lift_step_checks_agree_with_verify_solution():
                 if not verify_solution(state, [(index[u], index[v]) for u, v in arcs]):
                     expected = "kernel solution" if i == len(gone) else "rr8"
                     break
-            trace = [deletion(v) for v in gone]
-            if expected is None:
-                assert lift_solution(instance, trace, arcs) == arcs
-            else:
-                with pytest.raises(InternalInvariantError, match=f"lift through {expected} broke"):
-                    lift_solution(instance, trace, arcs)
+            for trace in ([deletion(v) for v in gone], [deletions(gone)]):
+                if expected is None:
+                    assert lift_solution(instance, trace, arcs) == arcs
+                else:
+                    match = f"lift through {expected} broke"
+                    with pytest.raises(InternalInvariantError, match=match):
+                        lift_solution(instance, trace, arcs)
             seen[expected] += 1
     assert min(seen[None], seen["rr8"], seen["kernel solution"]) >= 20, seen
 
 
-def test_lift_checks_once_per_stretch_of_deletions(monkeypatch):
-    # The lift checks the kernel's solution, the solution after every
-    # undone reversal, and a stretch of consecutive deletions once, at its
-    # top, and once more before an rr2 undo inside it minimalizes. A check
-    # per rr8 undo made about 113 Landau passes per planted_kernel lift.
+@pytest.mark.parametrize(
+    "trace, message",
+    [
+        ([deletions([2, 3, 2])], "rr8 record names vertex 2, absent there"),
+        ([deletions([2, 3], "rr2"), deletions([4, 3])], "rr8 record names vertex 3, absent there"),
+    ],
+    ids=["repeated", "deleted-earlier"],
+)
+def test_lift_rejects_a_record_naming_a_vertex_already_gone(trace, message):
+    # A deletion record is replayed one vertex at a time, so a label it
+    # names twice is gone the second time, as is one an earlier record
+    # deleted.
+    with pytest.raises(InternalInvariantError, match=message):
+        lift_solution(transitive_instance(5, {0}, 1), trace, [])
+
+
+def test_lift_checks_once_per_record(monkeypatch):
+    # The lift checks the kernel's solution and the solution after every
+    # undone record, one Landau pass each. With one record per rule-2
+    # sweep or rule-8 run that is 64 passes over the ten planted_kernel
+    # lifts, which put back 1282 deleted vertices.
     lifts = []
 
     def recording_lift(*args):
@@ -1475,37 +1525,36 @@ def test_lift_checks_once_per_stretch_of_deletions(monkeypatch):
     monkeypatch.setattr(sfast.solver, "lift_solution", recording_lift)
     for seed in range(10):
         solve_report(planted(150, 10, seed))
-    calls = Counter()
-    for name in ("_landau", "minimalize_solution"):
-        original = getattr(sfast.kernel, name)
+    calls = 0
+    landau = sfast.kernel._landau
 
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counting_landau(scores):
+        nonlocal calls
+        calls += 1
+        return landau(scores)
 
-        monkeypatch.setattr(sfast.kernel, name, counting)
+    monkeypatch.setattr(sfast.kernel, "_landau", counting_landau)
     assert len(lifts) >= 10
-    total = deletions = 0
+    total = deleted = 0
     for original, trace, solution in lifts:
-        deletes = [rec.rule in ("rr2", "rr8") for rec in trace if rec.status == "applied"]
-        stretches = sum(b and not a for a, b in zip([False] + deletes, deletes))
-        calls.clear()
+        applied = [rec for rec in trace if rec.status == "applied"]
+        calls = 0
         lift_solution(original, trace, solution)
-        reversals = len(deletes) - sum(deletes)
-        bound = 1 + reversals + stretches + calls["minimalize_solution"]
-        assert 0 < calls["_landau"] <= bound
-        total += calls["_landau"]
-        deletions += sum(deletes)
-    assert total * 20 < deletions
+        assert calls == 1 + len(applied)
+        total += calls
+        deleted += sum(len(rec.detail.get("deleted", ())) for rec in applied)
+    assert total * 20 < deleted
 
 
 def mixed_deletion_trace(rng, stretches):
     """A near-ordered instance with two terminals and a hand-built trace:
     the deletion records of each stretch in ``stretches``, by rule, with an
     rr3 record between each two, and a minimal kernel solution; or None
-    when some deletion finds no vertex to take. Every deleted vertex lies
-    on no terminal cycle where it goes, so every lift of the trace
-    succeeds."""
+    when some deletion finds no vertex to take. A stretch entry is a rule,
+    for a record that deletes one vertex, or a (rule, count) pair, for one
+    that deletes count vertices. Every deleted vertex lies on no terminal
+    cycle where it goes, so the lift succeeds when the solution is minimal
+    at each rr8 undo: when every stretch but the last ends in rr2."""
     n = rng.randrange(12, 20)
     t = Tournament(_near_order_tournament(n, rng.randrange(1, 5), rng)[0])
     instance = cur = Instance(t, frozenset(rng.sample(range(n), 2)), n * n)
@@ -1516,29 +1565,37 @@ def mixed_deletion_trace(rng, stretches):
             a, b = rng.choice(list(cur.tournament.arcs()))
             trace.append(reversal("rr3", (labels[a], labels[b])))
             cur = successor(cur, trace[-1])
-        for rule in rules:
-            free = rr2_triangle_free_terminal(cur)
-            if not free:
-                return None
-            trace.append(deletion(rng.choice(free).detail["deleted"][0], rule))
-            cur = successor(cur, trace[-1])
+        for entry in rules:
+            rule, count = (entry, 1) if isinstance(entry, str) else entry
+            gone = []
+            for _ in range(count):
+                free = rr2_triangle_free_terminal(cur)
+                if free.status != "applied":
+                    return None
+                gone.append(rng.choice(free.detail["deleted"]))
+                cur = successor(cur, deletion(gone[-1]))
+            trace.append(deletions(gone, rule))
     labels = cur.tournament.labels
     order = np.argsort(-cur.tournament.adj.sum(axis=1), kind="stable").tolist()
     backward = s_backward_arcs(cur.tournament, cur.terminals, order)
     return instance, trace, minimalize_solution(cur, {(labels[u], labels[v]) for u, v in backward})
 
 
-@pytest.mark.parametrize("last", [["rr8", "rr2"], ["rr2", "rr8"]], ids=["rr2-top", "rr8-top"])
-def test_lift_checks_a_stretch_of_rr2_and_rr8_records_once(last, monkeypatch):
+@pytest.mark.parametrize(
+    "stretches",
+    [
+        [["rr2", "rr8", "rr2"], ["rr8", "rr8", "rr2"], ["rr8", "rr2"]],
+        [["rr2", "rr8", "rr2"], ["rr8", "rr8", "rr2"], ["rr2", "rr8"]],
+        [["rr8", ("rr2", 2)], [("rr8", 2), "rr2"], [("rr2", 2)]],
+    ],
+    ids=["rr2-top", "rr8-top", "merged"],
+)
+def test_lift_checks_after_every_record(stretches, monkeypatch):
     # Three stretches of deletions, rr2 and rr8 mixed, with a reversal
     # between each two: the lift runs one Landau check for the kernel's
-    # solution, one per reversal and one per stretch. A stretch undone
-    # after a reversal starts at an rr2 record, which minimalizes first.
-    # The trace's last stretch, undone first, has rr8 on top in the second
-    # case and takes one check more: the kernel's solution, lifted through
-    # that rr8 undo, is checked before the rr2 undo minimalizes it.
+    # solution and one per record, whether a record deletes one vertex or
+    # several, and whether or not an rr2 undo minimalizes first.
     rng = random.Random(24)
-    stretches = [["rr2", "rr8", "rr2"], ["rr8", "rr8", "rr2"], last]
     cases = [mixed_deletion_trace(rng, stretches) for _ in range(200)]
     cases = [case for case in cases if case is not None]
     assert len(cases) >= 30
@@ -1554,7 +1611,7 @@ def test_lift_checks_a_stretch_of_rr2_and_rr8_records_once(last, monkeypatch):
     for instance, trace, solution in cases:
         calls = 0
         lift_solution(instance, trace, solution)
-        assert calls == 1 + 2 + 3 + (last[-1] == "rr8")
+        assert calls == 1 + len(trace)
 
 
 def test_lift_minimalizes_again_after_each_reversal_undo():
@@ -1602,63 +1659,67 @@ def test_lift_minimalizes_again_after_each_reversal_undo():
 
 def test_kernelize_builds_a_compact_instance_only_where_a_rule_needs_one(monkeypatch):
     # A run of rule-8 deletions reads the instance of the step where it
-    # began, so a compact instance, one Tournament.drop, is built only for
-    # an rr2 deletion, a class decomposed afresh, a found swap and the end
-    # of a run: where a step with swaps follows it, and at the kernel.
-    # Over the ten planted_kernel kernelizations that is 139 calls; a copy
-    # per deletion made 1103, 1014 of them for rr8.
-    drops = decomposed = 0
-    drop, decompose = Tournament.drop, sfast.kernel.class_decomposition
+    # began, so a compact instance, one Tournament.drop, is built once per
+    # deletion record: for a rule-2 sweep, at the end of a rule-8 run, and
+    # for the deletion after arc swaps. Over the ten planted_kernel
+    # kernelizations that is 35 calls; a copy per deleted vertex would
+    # make 1282, 245 of them for rr8.
+    drops = 0
+    drop = Tournament.drop
 
     def counting_drop(self, vertices):
         nonlocal drops
         drops += 1
         return drop(self, vertices)
 
-    def counting_decompose(instance, members):
-        nonlocal decomposed
-        decomposed += 1
-        return decompose(instance, members)
-
     monkeypatch.setattr(Tournament, "drop", counting_drop)
-    monkeypatch.setattr(sfast.kernel, "class_decomposition", counting_decompose)
-    budget = deletions = 0
+    records = deleted = 0
     for seed in range(10):
-        rules = [rec.rule for rec in kernelize(planted(150, 10, seed)).trace]
-        swap_steps = sum(a == "arc-swap" and b == "rr8" for a, b in zip(rules, rules[1:]))
-        budget += rules.count("rr2") + 2 * swap_steps + 1
-        deletions += rules.count("rr8")
-    assert drops <= budget + decomposed
-    assert drops < deletions // 4
+        instance = planted(150, 10, seed)
+        trace = kernelize(instance).trace
+        records += sum(rec.rule in ("rr2", "rr8") for rec in trace)
+        deleted += [rec.rule for rec in split_deletions(instance, trace)].count("rr8")
+    assert drops == records
+    assert drops < deleted // 4
 
 
-def kernel_digest(instances):
+def kernel_digests(instances):
     """SHA-256 over each kernelization's trace records (rule, status, note,
-    detail), its status and its kernel (labels, terminals, k and arcs)."""
-    digest = hashlib.sha256()
+    detail), its status and its kernel (labels, terminals, k and arcs):
+    once with every deletion record split into one record per deleted
+    vertex, and once with the records as `kernelize` writes them."""
+    split, merged = hashlib.sha256(), hashlib.sha256()
     for instance in instances:
         result = kernelize(instance)
-        trace = [[rec.rule, rec.status, rec.note, rec.detail] for rec in result.trace]
         kernel = result.kernel
         if kernel is not None:
             t = kernel.tournament
             arcs = np.packbits(t.adj).tobytes().hex()
             kernel = [list(t.labels), sorted(kernel.terminals), kernel.k, arcs]
-        digest.update(json.dumps([trace, result.status, kernel], default=int).encode())
-    return digest.hexdigest()
+        for digest, records in ((split, split_deletions(instance, result.trace)), (merged, result.trace)):
+            trace = [[rec.rule, rec.status, rec.note, rec.detail] for rec in records]
+            digest.update(json.dumps([trace, result.status, kernel], default=int).encode())
+    return split.hexdigest(), merged.hexdigest()
 
 
 def test_kernel_traces_match_their_pinned_digest():
     # The kernelizations of the planted_dp, planted_kernel and random_budget
     # corpora, pinned. A change that is meant to alter a trace updates the
-    # digest and names the instances whose traces changed.
+    # digest and names the instances whose traces changed. The split
+    # digest is the one pinned when every deleted vertex had a record of
+    # its own; the merged one pins one record per rule-2 sweep or rule-8
+    # run.
     instances = (
         [planted(50, 6, seed) for seed in range(20)]
         + [planted(150, 10, seed) for seed in range(10)]
         + [generate_random(GeneratorSpec(12, 2, seed, k=6)) for seed in range(12)]
     )
-    assert kernel_digest(instances) == (
+    split, merged = kernel_digests(instances)
+    assert split == (
         "10b6d307568873e49377dd0f4ec68432f12b485ab2deebe4fcb5b43fa84db0be"
+    )
+    assert merged == (
+        "ee829b3f1e2ffca34fc0090496cfa89241c7a3d395a7c5c20120eda12fca1184"
     )
 
 
