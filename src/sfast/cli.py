@@ -47,6 +47,11 @@ EXIT_INVALID = 40
 EXIT_SCALE = 50
 
 
+def _count(n: int, noun: str) -> str:
+    """``n`` and the noun, plural unless n is 1: "1 arc", "0 trials"."""
+    return f"{n} {noun}{'' if n == 1 else 's'}"
+
+
 def _load_instance(path: str) -> Instance:
     try:
         return parse_instance(Path(path).read_text())
@@ -99,8 +104,7 @@ def kernelize_cmd(ctx, input_file: str, output: Optional[str], trace_path: Optio
     elif result.kernel is not None:
         click.echo(
             f"reduced: {instance.n} vertices to {result.kernel.n}, "
-            f"budget {instance.k} to {result.kernel.k}, {len(trace)} rule "
-            f"application{'' if len(trace) == 1 else 's'}"
+            f"budget {instance.k} to {result.kernel.k}, {_count(len(trace), 'rule application')}"
         )
     else:
         click.echo(f"{result.status} ({result.trace[-1].note})")
@@ -135,11 +139,11 @@ def solve_cmd(ctx, input_file: str, output: Optional[str], seed: int, trials: Op
         click.echo(json.dumps(blob))
     elif report.solution is not None:
         tag = "minimum" if report.certified else "best found"
-        click.echo(f"{tag} solution: {report.size} arcs after {report.trials} trials")
+        click.echo(f"{tag} solution: {_count(report.size, 'arc')} after {_count(report.trials, 'trial')}")
         for u, v in sorted(report.solution):
             click.echo(f"r {u} {v}")
     elif not report.certified:
-        click.echo(f"no solution found in {report.trials} trials")
+        click.echo(f"no solution found in {_count(report.trials, 'trial')}")
     elif report.kernel.status == "trivial-no":
         click.echo("no solution: refuted during kernelization")
     else:
@@ -170,7 +174,7 @@ def verify(ctx, input_file: str, solution_file: str, mode: str) -> None:
     except InvalidArcError as exc:
         raise click.ClickException(str(exc)) from exc
     if ok:
-        click.echo(f"valid: {len(arcs)} arcs within budget {instance.k}")
+        click.echo(f"valid: {_count(len(arcs), 'arc')} within budget {instance.k}")
     else:
         click.echo("invalid")
         ctx.exit(EXIT_INVALID)

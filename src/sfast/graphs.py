@@ -100,19 +100,6 @@ class Tournament(Digraph):
         if len(set(self.labels)) != n:
             raise ValueError("labels must be distinct")
 
-    @classmethod
-    def from_arcs(cls, n: int, arcs: Iterable[Arc]) -> "Tournament":
-        adj = np.zeros((n, n), dtype=bool)
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError(f"bad arc ({u}, {v})")
-            if adj[u, v] or adj[v, u]:
-                raise ValueError(f"pair {{{u}, {v}}} oriented twice")
-            adj[u, v] = True
-        if int(adj.sum()) != n * (n - 1) // 2:
-            raise ValueError("not every pair is oriented")
-        return cls(adj)
-
     def arcs(self) -> Iterator[Arc]:
         for u, v in np.argwhere(self.adj):
             yield (int(u), int(v))

@@ -118,7 +118,6 @@ import numpy as np
 
 from .graphs import (
     Arc,
-    Digraph,
     Instance,
     InternalInvariantError,
     InvalidArcError,
@@ -151,7 +150,6 @@ __all__ = [
     "kernelize",
     "lift_solution",
     "max_matching_min_vertex_cover",
-    "minimalize_solution",
     "packing_ordering",
     "rr1_sanity",
     "rr2_triangle_free_terminal",
@@ -953,42 +951,44 @@ def kernelize(instance: Instance) -> KernelResult:
 
 
 def minimalize_solution(
-    instance: Instance, solution_labels: Iterable[tuple[int, int]]
+    adj: np.ndarray,
+    alive: np.ndarray,
+    term: np.ndarray,
+    index: dict[int, int],
+    solution_labels: Iterable[tuple[int, int]],
 ) -> set[tuple[int, int]]:
-    """Greedy prune to an inclusion-minimal solution (label arcs).
+    """Greedy prune of a lift step's solution to an inclusion-minimal one.
 
-    Works under deletion semantics; minimal deletion and reversal solutions
-    coincide, so the result is again a reversal solution. The arcs are
-    tried in sorted label order, and an arc goes when the tournament T
-    minus the arcs still kept has no cycle through a terminal (S-cycle).
-    A set that is no deletion solution has no subset that is one, so it
-    comes back unchanged. An arc absent from T raises InvalidArcError.
+    ``adj`` is the lift's working matrix, ``alive`` and ``term`` mask its
+    alive vertices and its terminals, and ``index`` maps a label to its row.
+    ``solution_labels`` names arcs between alive vertices whose reversal
+    leaves no cycle through an alive terminal (S-cycle), as the lift's check
+    has just verified. The alive vertices are compacted once, the
+    solution's arcs cleared, and the arcs tried in sorted label order: an
+    arc goes when the tournament T on the alive vertices minus the arcs
+    still kept has no S-cycle.
+    This works under deletion semantics; minimal deletion and reversal
+    solutions coincide, so the result is again a reversal solution.
 
     Let F be the arcs kept and D = T - F. D is a subgraph of T with F
-    reversed, so when that reversal is S-acyclic (Landau, which the
-    verified lift steps always pass) so is D; only otherwise does Tarjan's
-    search decide. The greedy keeps D S-acyclic, so every S-cycle of
-    D + (u, v) uses the arc (u, v) and lies in the arc's strong component,
-    every vertex of which is on some cycle. So D + (u, v) has an S-cycle
-    exactly when a terminal lies in that component. It is desc(v) ∩ anc(u)
-    in D, as a simple path out of v or into u never uses the arc, and it
-    is empty unless u is reachable from v: two reachability searches per
-    arc decide whether the arc goes.
+    reversed, so D starts S-acyclic, and the greedy keeps it so. So every
+    S-cycle of D + (u, v) uses the arc (u, v) and lies in the arc's strong
+    component, every vertex of which is on some cycle. So D + (u, v) has an
+    S-cycle exactly when a terminal lies in that component. It is
+    desc(v) ∩ anc(u) in D, as a simple path out of v or into u never uses
+    the arc, and it is empty unless u is reachable from v: two reachability
+    searches per arc decide whether the arc goes.
     """
-    t, terminals = instance.tournament, instance.terminals
-    index = t.index_of()
-    current = {tuple(a) for a in solution_labels}
-    arcs = sorted(current)
-    # reverse_arcs rejects an absent arc before any pruning, and an unknown
-    # label maps to the absent index -1.
-    pairs = [(index.get(u, -1), index.get(v, -1)) for u, v in arcs]
-    flipped = reverse_arcs(t, pairs)
-    d = t.adj & flipped.adj
-    if not is_s_acyclic(flipped, terminals) and not is_s_acyclic(Digraph(d), terminals):
-        return current
+    kept = np.flatnonzero(alive)
+    arcs = sorted(solution_labels)
+    ends = np.array([(index[u], index[v]) for u, v in arcs], dtype=np.intp)
+    pairs = (np.cumsum(alive) - 1)[ends].reshape(-1, 2)
+    d = adj.take(kept, axis=0).take(kept, axis=1)
+    d[pairs[:, 0], pairs[:, 1]] = False
     d_in = np.ascontiguousarray(d.T)
-    is_term = _term_mask(t.n, terminals)
-    for arc, (u, v) in zip(arcs, pairs):
+    is_term = term[kept]
+    current = set(arcs)
+    for arc, (u, v) in zip(arcs, pairs.tolist()):
         desc = _reachable(d, v)
         if desc[u] and (desc & is_term & _reachable(d_in, u)).any():
             continue
@@ -1026,14 +1026,13 @@ def lift_solution(
     rule algebra is broken and raises InternalInvariantError; an arc absent
     from the kernel raises InvalidArcError.
 
-    `minimalize_solution` runs at rr2 and arc-swap undos, but only once per
-    reversal: after it runs, the solution stays minimal until an rr3, rr5
-    or arc-swap record is undone. Reviving a vertex keeps a minimal set
-    minimal, since every arc's S-cycle survives, and keeps a set that is no
-    solution no solution, so a second call before the next reversal would
-    return its input unchanged. A compact tournament is built only for
-    those calls, and the lifted solution passes `verify_solution` on the
-    input at the end.
+    `minimalize_solution` prunes the checked solution on the working matrix
+    at rr2 and arc-swap undos, but only once per reversal: after it runs,
+    the solution stays minimal until an rr3, rr5 or arc-swap record is
+    undone. Reviving a vertex keeps a minimal set minimal, since every
+    arc's S-cycle survives, so a second call before the next reversal would
+    return its input unchanged. The lifted solution passes
+    `verify_solution` on the input at the end.
     """
     t = original.tournament
     index = t.index_of()
@@ -1089,19 +1088,13 @@ def lift_solution(
         if len(pairs) > k or _landau(flipped[alive])[2][term[alive]].any():
             raise InternalInvariantError(f"lift through {context} broke the solution")
 
-    def child(k: int) -> Instance:
-        # A read-only view of the working matrix, from which Instance.drop
-        # copies the compact tournament of the alive vertices.
-        frame = Instance(Tournament._derived(adj.view(), t.labels), original.terminals, k)
-        return frame.drop(np.flatnonzero(~alive).tolist())
-
     current = {(int(u), int(v)) for u, v in kernel_solution_labels}
     check(current, budgets[-1], "kernel solution")
     minimal = False
     for i in reversed(range(len(steps))):
         rec, move = steps[i], moves[i]
         if rec.rule in ("rr2", "arc-swap") and not minimal:
-            current = minimalize_solution(child(budgets[i + 1]), current)
+            current = minimalize_solution(adj, alive, term, index, current)
             minimal = True
         if rec.rule in ("rr2", "rr8"):
             alive[move] = True

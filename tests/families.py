@@ -18,6 +18,21 @@ import numpy as np
 from sfast.graphs import Instance, Tournament
 
 
+def from_arcs(n: int, arcs) -> Tournament:
+    """The tournament on 0..n-1 with the given arcs, which must orient every
+    pair exactly once."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in arcs:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise ValueError(f"bad arc ({u}, {v})")
+        if adj[u, v] or adj[v, u]:
+            raise ValueError(f"pair {{{u}, {v}}} oriented twice")
+        adj[u, v] = True
+    if int(adj.sum()) != n * (n - 1) // 2:
+        raise ValueError("not every pair is oriented")
+    return Tournament(adj)
+
+
 def random_tournament(n: int, seed: int) -> Tournament:
     rng = random.Random(seed)
     adj = np.zeros((n, n), dtype=bool)
@@ -37,7 +52,7 @@ def all_tournaments(n: int):
         arcs = [
             (u, v) if bits >> i & 1 else (v, u) for i, (u, v) in enumerate(pairs)
         ]
-        yield Tournament.from_arcs(n, arcs)
+        yield from_arcs(n, arcs)
 
 
 def transitive(n: int) -> np.ndarray:
@@ -223,7 +238,7 @@ def stubborn_instance() -> Instance:
     so kernelization returns a reduced instance; the solver's packing lower
     bound refutes it before the first trial.
     """
-    t = Tournament.from_arcs(
+    t = from_arcs(
         5,
         [
             (0, 1), (1, 2), (2, 0),
@@ -242,5 +257,5 @@ def unrefuted_no_instance() -> Instance:
     while k = 2, no rule fires and a packing holds only two arc-disjoint
     terminal triangles, so the solver can only exhaust its trials.
     """
-    t = Tournament.from_arcs(5, [(i, (i + d) % 5) for i in range(5) for d in (1, 2)])
+    t = from_arcs(5, [(i, (i + d) % 5) for i in range(5) for d in (1, 2)])
     return Instance(t, frozenset({0, 1}), 2)

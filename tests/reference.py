@@ -25,9 +25,12 @@ loops of their own, where `_find_swap` runs the sink search twice, the
 second time in the reversed tournament; both must find the same swap or
 raise the same error.
 
-`reference_minimalize_solution` is the lift's greedy prune with one Tarjan
-pass over the whole pruned digraph per solution arc; the reachability
-searches of `minimalize_solution` must return the same arc set.
+`reference_minimalize_solution` is the lift's greedy prune on an instance,
+with one Tarjan pass over the whole pruned digraph per solution arc.
+`minimalize_solution` prunes on the lift's working matrix, its alive mask
+and its terminal mask, with two reachability searches per arc; given the
+instance of the alive vertices and the same reversal solution, both must
+return the same arc set.
 
 `split_deletions` splits each deletion record, one per rule-2 sweep or
 rule-8 run, into one record per deleted vertex, in deletion order, with

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import families
-from families import rule6_instance, stubborn_instance, unrefuted_no_instance
+from families import from_arcs, rule6_instance, stubborn_instance, unrefuted_no_instance
 import sfast.cli
 import sfast.kernel
 import sfast.solver
@@ -35,7 +35,7 @@ def combined(result):
 
 
 def triangle_instance(k=1):
-    return Instance(Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), k)
+    return Instance(from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), k)
 
 
 def transitive_instance(n, terminals, k):
@@ -115,7 +115,7 @@ class TestSolveCommand:
         out = tmp_path / "solution.txt"
         result = runner.invoke(main, ["solve", path, "-o", str(out)])
         assert result.exit_code == 0
-        assert "minimum solution: 1 arcs" in result.output
+        assert "minimum solution: 1 arc after 0 trials\n" in result.output
         assert any(line.startswith("r ") for line in result.output.splitlines())
         arcs = parse_solution(out.read_text())
         assert len(arcs) == 1
@@ -126,7 +126,7 @@ class TestSolveCommand:
         assert runner.invoke(main, ["solve", path, "-o", str(out)]).exit_code == 0
         result = runner.invoke(main, ["verify", path, str(out)])
         assert result.exit_code == 0
-        assert "valid: 1 arcs within budget 1" in result.output
+        assert "valid: 1 arc within budget 1" in result.output
 
     def test_planted_3000_solves_and_verifies(self, runner, tmp_path):
         # The largest instance a test solves: a 50 MB file, generated,

@@ -16,6 +16,7 @@ import sfast.kernel
 import sfast.solver
 from families import (
     all_tournaments,
+    from_arcs,
     random_tournament,
     relabel,
     rule5_chain,
@@ -49,6 +50,7 @@ from sfast.graphs import (
     InternalInvariantError,
     InvalidArcError,
     Tournament,
+    _term_mask,
     has_s_triangle,
     is_s_acyclic,
     reverse_arcs,
@@ -100,11 +102,20 @@ RULE5_BASES = {
 
 
 def triangle_instance(k=1, terminals=frozenset({0})):
-    return Instance(Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), terminals, k)
+    return Instance(from_arcs(3, [(0, 1), (1, 2), (2, 0)]), terminals, k)
 
 
 def transitive_instance(n, terminals, k):
     return Instance(Tournament(families.transitive(n)), frozenset(terminals), k)
+
+
+def minimalize(instance, solution_labels):
+    """`minimalize_solution` on the whole of ``instance``, as the lift calls
+    it on its working matrix; the arcs must form a reversal solution."""
+    t = instance.tournament
+    alive = np.ones(t.n, dtype=bool)
+    term = _term_mask(t.n, instance.terminals)
+    return minimalize_solution(t.adj, alive, term, t.index_of(), solution_labels)
 
 
 class TestRule1:
@@ -146,7 +157,7 @@ class TestRule2:
         # Source 4 beats the cycle 1 -> 2 -> 3 -> 1, which beats the sink,
         # terminal 0: the sink and the source go.
         arcs = [(4, v) for v in range(4)] + [(1, 2), (2, 3), (3, 1), (1, 0), (2, 0), (3, 0)]
-        instance = Instance(Tournament.from_arcs(5, arcs), frozenset({0, 2}), 1)
+        instance = Instance(from_arcs(5, arcs), frozenset({0, 2}), 1)
         records, nxt, decs = _step(instance)
         assert [rec.rule for rec in records] == ["rr2"] and decs is None
         assert [rec.detail["deleted"] for rec in records] == [[0, 4]]
@@ -160,7 +171,7 @@ class TestRule2:
         # 3 -> 4 -> 5 -> 3: its vertices lie on cycles, on no terminal one.
         arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
         arcs += [(u, v) for u in range(3) for v in range(3, 6)]
-        instance = Instance(Tournament.from_arcs(6, arcs), frozenset({0}), 1)
+        instance = Instance(from_arcs(6, arcs), frozenset({0}), 1)
         records = split_deletions(instance, (rr2_triangle_free_terminal(instance),))
         assert [rec.detail["deleted"] for rec in records] == [[3], [4], [5]]
         assert [rec.detail["pre"] for rec in records] == [[6, 1, 1], [5, 1, 1], [4, 1, 1]]
@@ -208,7 +219,7 @@ class TestRule2:
     def test_keeps_the_terminals_on_a_cycle(self):
         # 0 -> 1 -> 2 -> 0 beat the sink 3: terminal 3 goes, 0 stays.
         arcs = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]
-        instance = Instance(Tournament.from_arcs(4, arcs), frozenset({0, 3}), 1)
+        instance = Instance(from_arcs(4, arcs), frozenset({0, 3}), 1)
         out = rr2_triangle_free_terminal(instance)
         assert out.detail["deleted"] == [3]
         nxt = _step(instance)[1]
@@ -239,7 +250,7 @@ class TestRule3:
             (4, 1), (5, 1), (6, 1), (2, 3), (5, 6),
             (4, 2), (4, 3), (2, 5), (2, 6), (3, 5), (3, 6),
         ]
-        return Instance(Tournament.from_arcs(7, arcs), frozenset({0}), 1)
+        return Instance(from_arcs(7, arcs), frozenset({0}), 1)
 
     def brute_eligible(self, instance):
         t, terms, k = instance.tournament, instance.terminals, instance.k
@@ -1328,20 +1339,24 @@ class TestFindSwap:
 class TestLifting:
     def test_minimalize_drops_redundant_arcs(self):
         instance = triangle_instance(k=2)
-        trimmed = minimalize_solution(instance, [(0, 1), (1, 2)])
+        trimmed = minimalize(instance, [(0, 1), (1, 2)])
         assert len(trimmed) == 1
         arcs = [tuple(a) for a in trimmed]
         assert verify_solution(instance, arcs, mode="reversal")
 
     @pytest.mark.parametrize(
-        "arcs",
-        [[(1, 0)], [(1, 0), (0, 2)], [(0, 3)]],
+        "arcs, error, message",
+        [
+            ([(1, 0)], InvalidArcError, r"arc \(1, 0\) not present"),
+            ([(1, 0), (0, 2)], InvalidArcError, r"arc \(1, 0\) not present"),
+            ([(0, 3)], InternalInvariantError, r"names a deleted vertex"),
+        ],
         ids=["alone", "with-a-present-arc", "unknown-label"],
     )
-    def test_minimalize_rejects_an_absent_arc(self, arcs):
+    def test_lift_rejects_an_absent_arc(self, arcs, error, message):
         instance = transitive_instance(3, range(3), 2)
-        with pytest.raises(InvalidArcError):
-            minimalize_solution(instance, arcs)
+        with pytest.raises(error, match=message):
+            lift_solution(instance, [], arcs)
 
     def test_lift_through_rule5_and_rule2(self):
         instance = rule5_instance()
@@ -1372,7 +1387,7 @@ class TestLifting:
         # the lone terminal rides no triangle and the triangle holds no
         # terminal, so rule 2 removes all four vertices: an empty kernel
         # solution lifts to an empty original solution
-        t = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
+        t = from_arcs(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (3, 2)])
         instance = Instance(t, frozenset({3}), 1)
         result = kernelize(instance)
         assert result.status == "reduced"
@@ -1413,7 +1428,7 @@ class TestLifting:
         # The kernel 0 -> 1 -> 2 -> 0 is mended by reversing (2, 0); putting
         # back vertex 3, with 2 -> 3 -> 0, closes 0 -> 2 -> 3 -> 0 through the
         # terminal 0. Only the rr8 step's own check sees it.
-        t = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3)])
+        t = from_arcs(4, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3)])
         instance = Instance(t, frozenset({0}), 1)
         with pytest.raises(InternalInvariantError, match="lift through rr8 broke"):
             lift_solution(instance, [deletion(3)], [(2, 0)])
@@ -1578,7 +1593,7 @@ def mixed_deletion_trace(rng, stretches):
     labels = cur.tournament.labels
     order = np.argsort(-cur.tournament.adj.sum(axis=1), kind="stable").tolist()
     backward = s_backward_arcs(cur.tournament, cur.terminals, order)
-    return instance, trace, minimalize_solution(cur, {(labels[u], labels[v]) for u, v in backward})
+    return instance, trace, minimalize(cur, {(labels[u], labels[v]) for u, v in backward})
 
 
 @pytest.mark.parametrize(
@@ -1649,7 +1664,7 @@ def test_lift_minimalizes_again_after_each_reversal_undo():
         backward = s_backward_arcs(kernel.tournament, kernel.terminals, order)
         solution = {(labels[u], labels[v]) for u, v in backward}
         lifted = lift_solution(instance, trace, solution)
-        assert minimalize_solution(instance, lifted) == lifted
+        assert minimalize(instance, lifted) == lifted
         if (arc[1], arc[0]) in solution:
             seen["cancelled"] += 1
         else:
@@ -1681,6 +1696,35 @@ def test_kernelize_builds_a_compact_instance_only_where_a_rule_needs_one(monkeyp
         deleted += [rec.rule for rec in split_deletions(instance, trace)].count("rr8")
     assert drops == records
     assert drops < deleted // 4
+
+
+def test_lift_builds_no_compact_tournament(monkeypatch):
+    # The lift minimalizes on its own working matrix, so over the planted
+    # corpora it calls Tournament.drop nowhere; the kernel's calls are not
+    # counted. A compact instance of the alive vertices for each of the 57
+    # minimalizations (34 + 23, counted in the reference test below) would
+    # make 57 calls.
+    lifts = drops = 0
+    drop = Tournament.drop
+
+    def counting_drop(self, vertices):
+        nonlocal drops
+        drops += lifts > 0
+        return drop(self, vertices)
+
+    def counting_lift(*args):
+        nonlocal lifts
+        lifts += 1
+        try:
+            return lift_solution(*args)
+        finally:
+            lifts -= 1
+
+    monkeypatch.setattr(Tournament, "drop", counting_drop)
+    monkeypatch.setattr(sfast.solver, "lift_solution", counting_lift)
+    for n, s_count, seed in PLANTED_CORPORA:
+        solve_report(planted(n, s_count, seed))
+    assert drops == 0
 
 
 def kernel_digests(instances):
@@ -1802,22 +1846,16 @@ def _near_order_tournament(n, flips, rng):
 
 
 def _minimalize_cases(adj, order, terminals, rng):
-    """Index arc sets by kind: the terminal-backward arcs of ``order`` (a
-    reversal solution), those plus a few random arcs, those plus a forward
-    arc whose reversal closes a terminal cycle (a deletion-only solution),
-    and a random half of them that leaves a terminal cycle (no solution)."""
+    """Index reversal solutions by kind: the terminal-backward arcs of
+    ``order``, and those plus a few random arcs when reversing them all
+    leaves no terminal cycle."""
     t = Tournament(adj)
     backward = sorted(s_backward_arcs(t, terminals, order))
     others = [a for a in sorted(t.arcs()) if a not in backward]
-    cases = {"backward": backward, "superset": backward + rng.sample(others, min(3, len(others)))}
-    rng.shuffle(others)
-    for a in others:
-        if not is_s_acyclic(reverse_arcs(t, backward + [a]), terminals):
-            cases["deletion-only"] = backward + [a]
-            break
-    half = rng.sample(backward, len(backward) // 2)
-    if not verify_solution(Instance(t, terminals, len(half)), half, mode="deletion"):
-        cases["none"] = half
+    cases = {"backward": backward}
+    superset = backward + rng.sample(others, min(3, len(others)))
+    if is_s_acyclic(reverse_arcs(t, superset), terminals):
+        cases["superset"] = superset
     return cases
 
 
@@ -1827,7 +1865,7 @@ def test_minimalize_matches_the_one_tarjan_pass_per_arc_reference(n):
     # the thousands of backward arcs of a uniform tournament's random order,
     # so there the tournament is a random order with a few arcs flipped.
     rng = random.Random(n)
-    seen = set()
+    seen = Counter()
     for _ in range(3 if n <= 40 else 1):
         if n <= 40:
             adj = random_tournament(n, rng.randrange(10**6)).adj
@@ -1839,15 +1877,12 @@ def test_minimalize_matches_the_one_tarjan_pass_per_arc_reference(n):
             instance = Instance(Tournament(adj, labels), terminals, n * n)
             for kind, arcs in _minimalize_cases(adj, order, terminals, rng).items():
                 solution = [(labels[u], labels[v]) for u, v in arcs]
-                got = minimalize_solution(instance, solution)
+                got = minimalize(instance, solution)
                 assert got == reference_minimalize_solution(instance, solution), kind
-                if kind == "none":
-                    assert got == set(solution)
-                else:
-                    index = instance.tournament.index_of()
-                    assert verify_solution(instance, [(index[u], index[v]) for u, v in got])
-                seen.add(kind)
-    assert seen == {"backward", "superset", "deletion-only", "none"}
+                index = instance.tournament.index_of()
+                assert verify_solution(instance, [(index[u], index[v]) for u, v in got])
+                seen[kind] += 1
+    assert seen["backward"] and seen["superset"], seen
 
 
 @pytest.mark.parametrize(
@@ -1856,11 +1891,16 @@ def test_minimalize_matches_the_one_tarjan_pass_per_arc_reference(n):
     ids=["planted_dp", "planted_kernel"],
 )
 def test_minimalize_matches_the_reference_on_every_lift_call(n, s_count, seeds, calls, monkeypatch):
+    # The reference reads the compact instance of the alive vertices.
     seen = []
 
-    def checked(instance, solution_labels):
+    def checked(adj, alive, term, index, solution_labels):
         solution = list(solution_labels)
-        got = minimalize_solution(instance, solution)
+        got = minimalize_solution(adj, alive, term, index, solution)
+        kept = np.flatnonzero(alive)
+        labels = sorted(index, key=index.get)
+        t = Tournament(adj[np.ix_(kept, kept)], [labels[v] for v in kept.tolist()])
+        instance = Instance(t, frozenset(np.flatnonzero(term[kept]).tolist()), len(solution))
         assert got == reference_minimalize_solution(instance, solution)
         seen.append(len(solution))
         return got

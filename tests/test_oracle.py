@@ -8,7 +8,7 @@ import random
 import pytest
 
 import sfast.oracle as oracle_module
-from families import random_tournament
+from families import from_arcs, random_tournament
 from reference import reference_generate_planted, reference_generate_random
 from sfast.graphs import Instance, verify_solution
 from sfast.oracle import (
@@ -71,9 +71,7 @@ def test_acyclic_instance_needs_nothing():
 
 
 def test_budget_zero_with_a_terminal_cycle():
-    from sfast.graphs import Tournament
-
-    t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    t = from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     assert oracle_min_deletion(t, frozenset({1}), 0) is None
     assert oracle_min_deletion(t, frozenset({1}), 1) == 1
 
@@ -81,9 +79,7 @@ def test_budget_zero_with_a_terminal_cycle():
 def test_a_cap_past_the_arc_count_answers_at_once():
     # The score order's one S-backward arc is a solution, so a cap of 10**20
     # counts as 1 instead of summing and enumerating subset sizes up to it.
-    from sfast.graphs import Tournament
-
-    t = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
+    t = from_arcs(3, [(0, 1), (1, 2), (2, 0)])
     assert oracle_min_deletion(t, frozenset({1}), 10**20) == 1
 
 

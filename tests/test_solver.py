@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from families import (
+    from_arcs,
     random_tournament,
     rule6_instance,
     stubborn_instance,
@@ -166,19 +167,19 @@ class TestColoring:
 class TestClassesFeasible:
     def test_monochromatic_terminal_triangle_is_infeasible(self):
         instance = Instance(
-            Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), 1
+            from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), 1
         )
         assert not classes_feasible(instance, (0, 0, 0), 3)
 
     def test_terminal_free_cycle_is_fine(self):
         instance = Instance(
-            Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset(), 1
+            from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset(), 1
         )
         assert classes_feasible(instance, (0, 0, 0), 3)
 
     def test_splitting_the_triangle_restores_feasibility(self):
         instance = Instance(
-            Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), 1
+            from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), 1
         )
         assert classes_feasible(instance, (0, 0, 1), 3)
 
@@ -252,7 +253,7 @@ class TestContract:
 
     def test_terminal_inside_a_cycle_is_rejected(self):
         instance = Instance(
-            Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({1}), 1
+            from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({1}), 1
         )
         with pytest.raises(InternalInvariantError, match="nontrivial component"):
             contract(instance, (0, 0, 0), 3)
@@ -337,7 +338,7 @@ class TestSolveContracted:
             assert node_order_cost(ct, order) == value
 
     def test_single_vertex(self):
-        instance = Instance(Tournament.from_arcs(1, []), frozenset({0}), 1)
+        instance = Instance(from_arcs(1, []), frozenset({0}), 1)
         ct = contract(instance, (0,), 3)
         assert solve_contracted(ct) == (0, [0])
 
@@ -388,7 +389,7 @@ class TestScaleGuard:
 class TestKernelSolutionFromColoring:
     def test_infeasible_coloring_yields_none(self):
         instance = Instance(
-            Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), 1
+            from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), 1
         )
         assert kernel_solution_from_coloring(instance, (0, 0, 0), 3) is None
 
@@ -419,7 +420,7 @@ class TestKernelSolutionFromColoring:
             assert kernel_solution_from_coloring(instance, coloring, q) is None
 
     def test_arcs_are_reported_as_labels(self):
-        base = Tournament.from_arcs(
+        base = from_arcs(
             5,
             [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 1), (1, 4), (2, 4), (3, 4)],
         )
@@ -491,7 +492,7 @@ class TestSolveReport:
 
     def test_single_triangle_needs_one_reversal(self):
         instance = Instance(
-            Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), 1
+            from_arcs(3, [(0, 1), (1, 2), (2, 0)]), frozenset({0}), 1
         )
         report = solve_report(instance)
         assert report.size == 1
