@@ -54,7 +54,7 @@ def _count(n: int, noun: str) -> str:
 
 def _load_instance(path: str) -> Instance:
     try:
-        return parse_instance(Path(path).read_text())
+        return parse_instance(Path(path).read_bytes())
     except (InstanceFormatError, ValueError) as exc:
         raise click.ClickException(f"{path}: {exc}") from exc
 

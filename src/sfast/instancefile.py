@@ -6,14 +6,26 @@ ordered pair, together describing a full tournament on vertices 0..n-1.
 Comment lines starting with `c` and blank lines are ignored anywhere. A
 solution file lists arcs to reverse, one `r <u> <v>` line each.
 
-Nearly all of an instance file is its n(n-1)/2 arc lines, so the plain
-ones (`a`, then two ASCII numbers of at most 18 digits, with spaces or tabs
-between) are found and decoded together, as arrays over the file's bytes.
-Every other line, including an arc line spelt any other way (`+1`, `1_0`,
-other Unicode digits or blanks, longer numbers), is read one at a time with
-`str.split` and `int`, so what the format accepts is what those accept.
-All arc lines are then checked together in line order, and an error names
-the first offending line.
+Files are UTF-8, and a line ends at any line break that `str.splitlines`
+knows. `parse_instance` takes the file's bytes, or its text, which it
+encodes once; a byte that is not UTF-8 is an error on its line. ASCII
+whose only line break is `\\n`, as `serialize_instance` writes, is scanned
+as it stands. Any other file is first cut with `str.splitlines` and joined
+with `\\n`, so that its lines and their numbers stay the same.
+
+Nearly all of an instance file is its n(n-1)/2 arc lines. The bytes are
+scanned in chunks of 24 KiB, each cut just after a `\\n`, so that a
+chunk's scratch arrays stay in cache and in memory the allocator reuses.
+In each chunk the plain arc lines (`a`, then two ASCII numbers of at most
+9 digits, with spaces or tabs between and optionally after) are found and
+decoded together, as arrays over the chunk's bytes; only their line
+numbers, tails and heads are kept, as int32. Of the chunk's other lines
+only their byte spans are kept. Each of those (the problem and terminal
+lines, comments, blank lines, and an arc line spelt any other way: `+1`,
+`1_0`, other Unicode digits or blanks, longer numbers) is then decoded on
+its own and read with `str.split` and `int`, so what the format accepts is
+what those accept. All arc lines are checked together in line order, and
+an error names the first offending line.
 """
 
 from __future__ import annotations
@@ -31,6 +43,18 @@ __all__ = [
     "serialize_instance",
     "serialize_solution",
 ]
+
+# Bytes per scanned chunk. A chunk is cut just after the last `\n` in this
+# many bytes, and holds the whole of a longer line. A chunk's scratch arrays
+# come to about ten times its size. Once that outgrows what glibc's malloc
+# keeps between frees, every chunk draws fresh pages: at 64 KiB a planted
+# n=150 parse took some 200 page faults, a third of its time. Smaller chunks
+# cost more numpy calls per byte; of 16 KiB to 1 MiB, 24 KiB parsed planted
+# n=150 files fastest (2-CPU x86-64 machine).
+_CHUNK = 24 << 10
+
+# The line breaks of `str.splitlines` that ASCII text can hold, but `\n`.
+_BREAKS = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
 
 
 class InstanceFormatError(ValueError):
@@ -55,19 +79,19 @@ def _ints(number: int, fields: list[str]) -> list[int]:
         raise InstanceFormatError(number, f"expected integers, got {' '.join(fields)}") from None
 
 
-def parse_instance(text: str) -> Instance:
-    lines = text.splitlines()
-    plain, plain_tails, plain_heads = _plain_arcs(lines)
-    plain_lines = np.flatnonzero(plain) + 1
+def parse_instance(text: str | bytes) -> Instance:
+    data = _file_bytes(text)
+    plain_lines, plain_tails, plain_heads, others = _scan(data)
     n = k = None
     terminals: frozenset[int] | None = None
     # The arc lines are checked together once the line loop ends, or when
-    # it stops at an error, so that an earlier arc line's error wins.
-    arc_lines: list[int] = []
+    # it stops at an error, so that an earlier arc line's error wins. The
+    # fields of the arc lines that are not plain go by line number.
+    arc_fields: dict[int, list[str]] = {}
     last = 0
     try:
-        for number in (np.flatnonzero(~plain) + 1).tolist():
-            fields = lines[number - 1].split()
+        for number, begin, end in others:
+            fields = data[begin:end].decode("utf-8", "surrogatepass").split()
             if not fields or fields[0].startswith("c"):
                 continue
             if n is None and plain_lines.size and plain_lines[0] < number:
@@ -79,15 +103,16 @@ def parse_instance(text: str) -> Instance:
                     raise InstanceFormatError(number, "arc line before the problem line")
                 if len(fields) != 3:
                     raise InstanceFormatError(number, "arc line must read `a <u> <v>`")
-                arc_lines.append(number)
+                arc_fields[number] = fields[1:]
             elif kind == "p":
                 if n is not None:
                     raise InstanceFormatError(number, "second problem line")
                 if len(fields) != 4 or fields[1] != "sfast":
                     raise InstanceFormatError(number, "problem line must read `p sfast <n> <k>`")
-                n, k = _ints(number, fields[2:])
-                if n < 0:
+                size, budget = _ints(number, fields[2:])
+                if size < 0:
                     raise InstanceFormatError(number, "negative vertex count")
+                n, k = size, budget
             elif kind == "s":
                 if n is None:
                     raise InstanceFormatError(number, "terminal line before the problem line")
@@ -113,125 +138,214 @@ def parse_instance(text: str) -> Instance:
     except InstanceFormatError as error:
         if n is not None:
             cut = int(np.searchsorted(plain_lines, error.line))
-            _arc_arrays(
-                n, lines, plain_lines[:cut], plain_tails[:cut], plain_heads[:cut], arc_lines
-            )
+            _arc_matrix(n, plain_lines[:cut], plain_tails[:cut], plain_heads[:cut], arc_fields)
         raise
-    tails, heads = _arc_arrays(n, lines, plain_lines, plain_tails, plain_heads, arc_lines)
-    if tails.size != n * (n - 1) // 2:
+    adj = _arc_matrix(n, plain_lines, plain_tails, plain_heads, arc_fields)
+    arcs = plain_lines.size + len(arc_fields)
+    if arcs != n * (n - 1) // 2:
         raise InstanceFormatError(
-            last + 1,
-            f"{tails.size} arcs given, a tournament on {n} vertices has {n * (n - 1) // 2}",
+            last + 1, f"{arcs} arcs given, a tournament on {n} vertices has {n * (n - 1) // 2}"
         )
-    adj = np.zeros((n, n), dtype=bool)
-    adj[tails, heads] = True
-    return Instance(Tournament(adj), terminals, k)
+    # Every pair is oriented once and no arc is a loop, so `adj` is a
+    # tournament already and needs no second check.
+    return Instance(Tournament._derived(adj, tuple(range(n))), terminals, k)
 
 
-def _plain_arcs(lines: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Which lines are plain arc lines, and the tail and head each names.
+def _file_bytes(file: str | bytes) -> bytes:
+    """The file as UTF-8 whose only line break is ``\\n``, one line per
+    line of its text's ``splitlines()``.
 
-    A plain arc line is ``a``, spaces or tabs, 1-18 ASCII digits, spaces or
-    tabs, 1-18 ASCII digits, and optional trailing spaces or tabs; its two
-    numbers fit an int64. The lines are joined by single ``\\n`` bytes, so
-    that each line break is one byte.
+    ASCII without another line break is returned as it is (a `str` encoded
+    once); anything else is cut into lines and joined again. A byte that is
+    not UTF-8 raises InstanceFormatError on its line.
     """
-    data = np.frombuffer(
-        ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass"), dtype=np.uint8
-    )
-    found, offsets, lengths = _plain_runs(data)
-    plain = np.zeros(len(lines), dtype=bool)
+    data = file.encode("ascii") if isinstance(file, str) and file.isascii() else file
+    if isinstance(data, bytes):
+        if data.isascii() and not any(brk in data for brk in _BREAKS):
+            return data
+        try:
+            file = data.decode("utf-8")
+        except UnicodeDecodeError as error:
+            line = len((data[: error.start].decode("utf-8") + "?").splitlines())
+            raise InstanceFormatError(line, f"byte {data[error.start]:#04x} is not UTF-8") from None
+    return "\n".join([*file.splitlines(), ""]).encode("utf-8", "surrogatepass")
+
+
+def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, zip]:
+    """The plain arc lines' numbers, tails and heads, and the number and
+    byte span of each other line, in line order.
+
+    ``data`` is scanned in chunks that end just after a ``\\n``; a last
+    line without one is scanned from a copy that has it. The plain lines'
+    arrays are allocated once, for as many lines as the bytes could hold
+    (six bytes at least, `a 0 1` and a break), and only the pages that
+    their lines fill are ever touched.
+    """
+    most = (len(data) + 1) // 6
+    found = np.empty(most, dtype=np.int32 if len(data) < 2**31 else np.int64)
+    tails = np.empty(most, dtype=np.int32)
+    heads = np.empty(most, dtype=np.int32)
+    others: list[list[np.ndarray]] = [[], [], []]
+    kept = lines = start = 0
+    while start < len(data):
+        stop = data.rfind(b"\n", start, start + _CHUNK) + 1
+        if not stop:
+            stop = data.find(b"\n", start + _CHUNK) + 1 or len(data)
+        if data[stop - 1] == ord("\n"):
+            chunk = np.frombuffer(data, np.uint8, stop - start, start)
+        else:
+            chunk = np.frombuffer(data[start:] + b"\n", np.uint8)
+        plain, plain_tails, plain_heads, odd, begins, ends, count = _chunk_lines(chunk)
+        part = slice(kept, kept + plain.size)
+        np.add(plain, lines + 1, out=found[part], casting="unsafe")
+        tails[part] = plain_tails
+        heads[part] = plain_heads
+        for column, more in zip(others, (odd + (lines + 1), begins + start, ends + start)):
+            column.append(more)
+        kept = part.stop
+        lines += count
+        start = stop
+    odd, begins, ends = (np.concatenate(column).tolist() if column else [] for column in others)
+    return found[:kept], tails[:kept], heads[:kept], zip(odd, begins, ends)
+
+
+# The class of each run's first byte in `_chunk_lines`: a digit is 1, as
+# `np.less` writes it, and any byte not named here is 0. A plain line's
+# first five runs, read as one little-endian word of classes, are `a`, a
+# digit, a blank, a digit, and a blank or its break; those last two classes
+# differ in one bit, which the mask clears.
+_DIGIT, _BLANK, _A, _BREAK = 1, 2, 3, 6
+_PLAIN = int.from_bytes(bytes([_A, _DIGIT, _BLANK, _DIGIT, _BLANK]), "little")
+_PLAIN_MASK = int.from_bytes(bytes([255, 255, 255, 255, 255 & ~(_BLANK ^ _BREAK)]), "little")
+
+
+def _chunk_lines(x: np.ndarray) -> tuple:
+    """Read a chunk of bytes that ends in ``\\n``, a line per ``\\n``.
+
+    Returns the indices of its plain arc lines, their tails and heads, the
+    indices of its other lines with the byte span of each (its break left
+    out), and the chunk's line count.
+
+    One pass over the bytes finds the first byte of each run that matters:
+    each line's first byte, each byte that is no digit, space or tab (`a`,
+    a line break, anything else), each digit after a blank (a number
+    starts) and each blank after a digit (a number ends). A plain line is
+    then four runs and its break: `a` with the blanks after it, a number,
+    blanks and a number; or five, with trailing blanks. Every array here
+    is per byte, per run or per line of the chunk alone, and dies with it.
+    """
+    digit = x - ord("0")
+    digit = np.less(digit, 10, out=digit.view(bool))  # uint8 wraps below "0"
+    blank = x == ord(" ")
+    blank |= x == ord("\t")
+    run = digit | blank
+    np.logical_not(run, out=run)
+    edge = digit[1:] ^ digit[:-1]
+    edge &= blank[1:] ^ blank[:-1]
+    edge |= x[:-1] == ord("\n")
+    run[1:] |= edge
+    run[0] = True
+    at = np.flatnonzero(run)
+    byte = x.take(at)
+    # Seven spare bytes let every line's first eight classes make one word.
+    kind = np.zeros(at.size + 7, dtype=np.uint8)
+    runs = kind[: at.size]
+    np.less(byte - ord("0"), 10, out=runs.view(bool))
+    runs |= ((byte == ord(" ")) | (byte == ord("\t"))).view(np.uint8) * np.uint8(_BLANK)
+    runs |= (byte == ord("a")).view(np.uint8) * np.uint8(_A)
+    brk = byte == ord("\n")
+    runs |= brk.view(np.uint8) * np.uint8(_BREAK)
+    breaks = np.flatnonzero(brk)
+    first = np.empty_like(breaks)
+    first[:1] = 0
+    np.add(breaks[:-1], 1, out=first[1:])
+    words = np.ndarray((at.size,), "V8", buffer=kind, strides=(1,)).take(first)
+    ok = (words.view("<u8") & _PLAIN_MASK) == _PLAIN
+    ok &= ((breaks - first) >> 1) == 2  # four or five runs
+    found = np.flatnonzero(ok)
+    e = first.take(found)
+    s1, e1, s2, e2 = (at.take(e + i) for i in range(1, 5))
+    fits = (e1 - s1 <= 9) & (e2 - s2 <= 9)
+    if not fits.all():
+        found, s1, e1, s2, e2 = found[fits], s1[fits], e1[fits], s2[fits], e2[fits]
+    plain = np.zeros(breaks.size, dtype=bool)
     plain[found] = True
-    tails, heads = _decimal(data, offsets, lengths)
-    return plain, tails, heads
+    odd = np.flatnonzero(~plain)
+    ends = at.take(breaks.take(odd))
+    begins = at.take(breaks.take(odd - 1)) + 1
+    begins[odd == 0] = 0
+    return found, _decimal(x, s1, e1), _decimal(x, s2, e2), odd, begins, ends, breaks.size
 
 
-def _plain_runs(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The indices of the plain arc lines in the joined text, and the
-    offsets and lengths of their two digit runs (two rows).
-
-    The text is cut into runs of one byte class, a line break being a run of
-    its own, so a plain line is five runs, or six with trailing blanks, of
-    fixed classes. The per-byte and per-run arrays die when this returns,
-    before the numbers are decoded, which keeps the parse's peak memory
-    below that of a line-at-a-time parse.
-    """
-    # Byte classes: 0 other, 1 digit, 2 space or tab, 3 `a`, 4 line break.
-    kind = ((data - ord("0")) < 10).view(np.uint8)
-    kind |= ((data == ord(" ")) | (data == ord("\t"))).view(np.uint8) << 1
-    kind |= (data == ord("a")).view(np.uint8) * np.uint8(3)
-    kind |= (data == ord("\n")).view(np.uint8) << 2
-    edge = kind == 4
-    edge[1:] |= kind[1:] != kind[:-1]
-    edge[0] = True
-    starts = np.flatnonzero(edge)
-    kind = kind[starts]
-    breaks = np.flatnonzero(kind == 4)
-    first = np.concatenate(([0], breaks[:-1] + 1))
-    runs = breaks - first
-    candidates = np.flatnonzero((runs == 5) | (runs == 6))
-    # Run i is starts[i + 1] - starts[i] bytes long. The sixth run of a
-    # candidate line is its trailing blanks or its line break.
-    at = first[candidates]
-    sixth = kind[at + 5]
-    ok = (sixth == 2) | (sixth == 4)
-    for offset, want in enumerate((3, 2, 1, 2, 1)):
-        ok &= kind[at + offset] == want
-    ok &= starts[at + 1] - starts[at] == 1
-    digits = np.stack((at[ok] + 2, at[ok] + 4))
-    offsets = starts[digits]
-    lengths = starts[digits + 1] - offsets
-    fits = (lengths <= 18).all(axis=0)
-    return candidates[ok][fits], offsets[:, fits], lengths[:, fits]
+# Row c holds the place value of a number's c-th digit from the right, by
+# the number's length: 10**c if it has that digit, else 0. `_ZEROS` is the
+# weighted sum of the "0" bytes that a number of each length reads.
+_WEIGHT = np.array([[10**c if c < n else 0 for n in range(10)] for c in range(9)], np.int32)
+_ZEROS = _WEIGHT.sum(axis=0, dtype=np.int32) * np.int32(ord("0"))
 
 
-def _decimal(data: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The values of ASCII digit runs, by Horner's rule over digit columns."""
-    values = np.zeros(starts.shape, dtype=np.int64)
-    for column in range(int(lengths.max(initial=0))):
-        more = lengths > column
-        digits = data[np.minimum(starts + column, data.size - 1)] - ord("0")
-        np.multiply(values, 10, out=values, where=more)
-        np.add(values, digits, out=values, where=more)
+def _decimal(x: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The int32 values of the ASCII digit runs ``x[starts:stops]`` of 1 to
+    9 digits, by place value, one digit column at a time from the right."""
+    lengths = stops - starts
+    at = stops - 1
+    values = x.take(at).astype(np.int32)
+    for column in range(1, int(lengths.max(initial=0))):
+        at -= 1
+        values += x.take(at, mode="clip") * _WEIGHT[column].take(lengths)
+    values -= _ZEROS.take(lengths)
     return values
 
 
-def _arc_arrays(
+def _arc_matrix(
     n: int,
-    lines: list[str],
     plain_lines: np.ndarray,
     tails: np.ndarray,
     heads: np.ndarray,
-    arc_lines: list[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """The tails and heads of all arc lines in line order: the plain ones,
-    decoded already, and the others by line number. Raises for the first
-    line that is not two integers, names a bad arc, or orients a pair a
-    second time."""
+    arc_fields: dict[int, list[str]],
+) -> np.ndarray | None:
+    """The adjacency matrix that the arc lines set: the plain ones, decoded
+    already, and the others from their fields. Raises for the first line
+    in line order that is not two integers, names a bad arc, or orients a
+    pair a second time. Returns None when the arcs would fill less than a
+    quarter of the matrix, too few for a tournament, without building it.
+    """
     numbers = plain_lines
-    if arc_lines:
-        ends = [_arc_ends(n, lines[number - 1].split()[1:]) for number in arc_lines]
-        numbers = np.concatenate((plain_lines, arc_lines))
+    if arc_fields:
+        ends = [_arc_ends(n, fields) for fields in arc_fields.values()]
+        numbers = np.concatenate((plain_lines, list(arc_fields)))
         order = np.argsort(numbers)
         numbers = numbers[order]
         tails = np.concatenate((tails, [u for u, _ in ends]))[order]
         heads = np.concatenate((heads, [v for _, v in ends]))[order]
     bad = (tails < 0) | (tails >= n) | (heads < 0) | (heads >= n) | (tails == heads)
     first = int(bad.argmax()) if bad.any() else bad.size
-    lo = np.minimum(tails[:first], heads[:first])
-    hi = np.maximum(tails[:first], heads[:first])
-    # The lines before the first bad one name pairs below n * n. When they
-    # would fill a good share of that many codes, one count shows that no
-    # pair repeats; the first repeat is looked for only when one may exist.
-    if first and (n * n > 4 * first + 64 or np.bincount(lo * n + hi).max() > 1):
+    # The lines before the first bad one name arcs between vertices below n.
+    # When they fill a good share of the matrix, setting them in it shows
+    # whether a pair repeats, as an arc set twice or as both arcs of a pair;
+    # the first repeat is looked for only when one may exist.
+    adj = None
+    if n * n <= 4 * first + 64:
+        adj = np.zeros((n, n), dtype=bool)
+        flat = tails[:first] * np.intp(n)
+        flat += heads[:first]
+        adj.ravel()[flat] = True
+        del flat
+    if first and (adj is None or np.count_nonzero(adj) < first or (adj & adj.T).any()):
+        lo = np.minimum(tails[:first], heads[:first])
+        hi = np.maximum(tails[:first], heads[:first])
         order = np.lexsort((np.arange(first), hi, lo))
         repeat = (lo[order[1:]] == lo[order[:-1]]) & (hi[order[1:]] == hi[order[:-1]])
         if repeat.any():
             first = int(order[1:][repeat].min())
     if first == bad.size:
-        return tails, heads
+        return adj
     number = int(numbers[first])
-    u, v = _ints(number, lines[number - 1].split()[1:])
+    fields = arc_fields.get(number)
+    if fields is None:
+        u, v = int(tails[first]), int(heads[first])
+    else:
+        u, v = _ints(number, fields)
     if bad[first]:
         raise InstanceFormatError(number, f"bad arc ({u}, {v})")
     raise InstanceFormatError(number, f"pair {{{u}, {v}}} oriented twice")
@@ -252,11 +366,16 @@ def _arc_ends(n: int, fields: list[str]) -> tuple[int, int]:
 
 
 def serialize_instance(instance: Instance) -> str:
-    lines = [f"p sfast {instance.n} {instance.k}"]
-    lines.append(" ".join(["s", *map(str, sorted(instance.terminals))]).rstrip())
-    tails, heads = np.nonzero(instance.tournament.adj)
-    lines.extend(map("a {} {}".format, tails.tolist(), heads.tolist()))
-    return "\n".join(lines) + "\n"
+    """The instance file, written a row of the matrix at a time: the arc
+    lines out of u join the tokens `` v\\n`` of its heads with ``a u``."""
+    tokens = [f" {v}\n" for v in range(instance.n)]
+    rows = [
+        f"p sfast {instance.n} {instance.k}\n",
+        " ".join(["s", *map(str, sorted(instance.terminals))]).rstrip() + "\n",
+    ]
+    for u, row in enumerate(instance.tournament.adj):
+        rows.append(f"a {u}".join(["", *map(tokens.__getitem__, np.flatnonzero(row).tolist())]))
+    return "".join(rows)
 
 
 def parse_solution(text: str) -> frozenset[Arc]:

@@ -1024,7 +1024,8 @@ def lift_solution(
     components, and with them the terminals on a cycle, follow from those
     scores by one sort (`graphs._landau`). A failure means the trace or the
     rule algebra is broken and raises InternalInvariantError; an arc absent
-    from the kernel raises InvalidArcError.
+    from the kernel, or one naming a label the input lacks, raises
+    InvalidArcError.
 
     `minimalize_solution` prunes the checked solution on the working matrix
     at rr2 and arc-swap undos, but only once per reversal: after it runs,
@@ -1076,10 +1077,10 @@ def lift_solution(
     def check(labeled: set[tuple[int, int]], k: int, context: str) -> None:
         pairs = [(index.get(u, -1), index.get(v, -1)) for u, v in labeled]
         for (lu, lv), (u, v) in zip(labeled, pairs):
-            if min(u, v) < 0 or not (alive[u] and alive[v]):
+            if min(u, v) >= 0 and not (alive[u] and alive[v]):
                 raise InternalInvariantError(f"lifted arc ({lu}, {lv}) names a deleted vertex")
         for (lu, lv), (u, v) in zip(labeled, pairs):
-            if not adj[u, v]:
+            if min(u, v) < 0 or not adj[u, v]:
                 raise InvalidArcError(f"arc ({lu}, {lv}) not present")
         flipped = scores.copy()
         for u, v in pairs:

@@ -20,7 +20,12 @@ from sfast.cli import (
     main,
 )
 from sfast.graphs import Instance, Tournament
-from sfast.instancefile import parse_instance, parse_solution
+from sfast.instancefile import (
+    InstanceFormatError,
+    parse_instance,
+    parse_solution,
+    serialize_instance,
+)
 from sfast.kernel import RuleOutcome
 from reference import split_deletions
 
@@ -407,6 +412,37 @@ class TestErrorPaths:
             result = runner.invoke(main, command + [str(path)])
             assert result.exit_code == 1
             assert "line 1" in combined(result)
+
+    @pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_breaks_read_as_text_reads_them(self, tmp_path, brk):
+        # The commands parse the file's bytes; `Path.read_text`, with its
+        # universal newlines, is what they read before.
+        path = tmp_path / "instance.sfast"
+        path.write_bytes(serialize_instance(stubborn_instance()).replace("\n", brk).encode())
+        loaded = sfast.cli._load_instance(str(path))
+        assert loaded == parse_instance(path.read_text()) == stubborn_instance()
+
+    @pytest.mark.parametrize("brk", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_breaks_keep_the_error_lines(self, runner, tmp_path, brk):
+        path = tmp_path / "twice.sfast"
+        text = "c a pair oriented twice\np sfast 3 1\n\ns 0\na 0 1\na 1 2\na 2 0\na 1 0\n"
+        path.write_bytes(text.replace("\n", brk).encode())
+        with pytest.raises(InstanceFormatError) as before:
+            parse_instance(path.read_text())
+        assert before.value.line == 8
+        result = runner.invoke(main, ["kernelize", str(path)])
+        assert result.exit_code == 1
+        assert f"{path}: {before.value}" in combined(result)
+
+    def test_a_byte_that_is_not_utf8_names_its_line(self, runner, tmp_path):
+        path = tmp_path / "latin1.sfast"
+        path.write_bytes(b"p sfast 3 1\r\ns 0\r\nc caf\xe9\r\na 0 1\na 1 2\na 2 0\n")
+        for command in (["kernelize"], ["solve"], ["oracle"], ["bench"]):
+            result = runner.invoke(main, command + [str(path)])
+            assert result.exit_code == 1
+            assert f"{path}: line 3: byte 0xe9 is not UTF-8" in combined(result)
+            assert isinstance(result.exception, SystemExit)
+            assert "Traceback" not in combined(result)
 
     def test_missing_file_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["kernelize", "nowhere.sfast"])

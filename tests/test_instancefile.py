@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from families import random_tournament
 from reference import reference_parse_instance, reference_serialize_instance
+from sfast import instancefile
 from sfast.graphs import Instance
 from sfast.instancefile import (
     InstanceFormatError,
@@ -206,19 +207,69 @@ def parsed(parse, text):
         return error.line, str(error)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_parse_matches_the_line_at_a_time_reference_on_mutated_files(seed):
+def mutated_files(seed):
+    """The 250 mutated instance files drawn for a seed, of 0 to 6 vertices."""
     rng = random.Random(seed)
-    kinds = set()
     for _ in range(250):
         n = rng.randrange(0, 7)
         terminals = frozenset(v for v in range(n) if rng.random() < 0.4)
         instance = Instance(random_tournament(n, rng.randrange(2**30)), terminals, rng.randrange(-1, 5))
-        text = mutated(serialize_instance(instance), rng)
+        yield mutated(serialize_instance(instance), rng)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_matches_the_line_at_a_time_reference_on_mutated_files(seed):
+    kinds = set()
+    for text in mutated_files(seed):
         got = parsed(parse_instance, text)
         assert got == parsed(reference_parse_instance, text), repr(text)
         kinds.add(type(got))
     assert kinds == {Instance, tuple}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bytes_parse_as_their_text_on_mutated_files(seed):
+    for text in mutated_files(seed):
+        data = text.encode("utf-8", "surrogatepass")
+        assert parsed(parse_instance, data) == parsed(parse_instance, text), repr(text)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 9])
+@pytest.mark.parametrize("seed", range(3))
+def test_parse_matches_the_reference_when_chunks_cut_lines(seed, chunk, monkeypatch):
+    # A chunk this small ends inside most lines; the scan must carry on to
+    # the line's end, whatever the line.
+    monkeypatch.setattr(instancefile, "_CHUNK", chunk)
+    for text in mutated_files(seed):
+        assert parsed(parse_instance, text) == parsed(reference_parse_instance, text), repr(text)
+        data = text.encode("utf-8", "surrogatepass")
+        assert parsed(parse_instance, data) == parsed(reference_parse_instance, text), repr(text)
+
+
+def wrapping(digits: int, value: int) -> int:
+    """The smallest number of this many digits that is ``value`` modulo 2**32."""
+    return -(-(10 ** (digits - 1) - value) // 2**32) * 2**32 + value
+
+
+@pytest.mark.parametrize("digits", range(10, 20))
+def test_long_arc_numbers_are_bad_arcs_never_wrapped(digits):
+    # Each long number is vertex 2 modulo 2**32: read into an int32, it
+    # would wrap into a good arc.
+    big = wrapping(digits, 2)
+    assert len(str(big)) == digits
+    for arc, shown in ((f"{big} 0", f"({big}, 0)"), (f"1 {big}", f"(1, {big})")):
+        text = f"p sfast 3 1\ns 0\na 0 1\na {arc}\na 0 2\n"
+        got = parsed(parse_instance, text)
+        assert got == parsed(reference_parse_instance, text)
+        assert got == (4, f"line 4: bad arc {shown}")
+
+
+def test_long_spellings_of_small_numbers_are_read_as_int_reads_them():
+    text = "p sfast 3 1\ns 0\na 0000000000 0000000001\na 1 002\na 000000000000000000002 0\n"
+    assert parse_instance(text) == reference_parse_instance(text)
+    assert parse_instance(text).tournament.adj[2, 0]
+    nine = "p sfast 3 1\ns 0\na 0 999999999\n"
+    assert parsed(parse_instance, nine) == (3, "line 3: bad arc (0, 999999999)")
 
 
 @pytest.mark.parametrize("n, s_count", [(50, 6), (150, 10), (1000, 10)])

@@ -1349,7 +1349,7 @@ class TestLifting:
         [
             ([(1, 0)], InvalidArcError, r"arc \(1, 0\) not present"),
             ([(1, 0), (0, 2)], InvalidArcError, r"arc \(1, 0\) not present"),
-            ([(0, 3)], InternalInvariantError, r"names a deleted vertex"),
+            ([(0, 3)], InvalidArcError, r"arc \(0, 3\) not present"),
         ],
         ids=["alone", "with-a-present-arc", "unknown-label"],
     )
