@@ -13,6 +13,7 @@ and solve and bench exit 50 when an input is beyond the solver's scale limit
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -59,6 +60,16 @@ def _load_instance(path: str) -> Instance:
         raise click.ClickException(f"{path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` with its line breaks as they stand; a path
+    that cannot be written ends the command with exit 1 and a one-line
+    error."""
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise click.ClickException(f"{path}: cannot write: {exc.strerror}") from exc
+
+
 def _solve_report(ctx, path: str, instance: Instance, config: SolverConfig) -> SolveReport:
     """`solve_report`, ending the command with EXIT_SCALE past the scale limit."""
     try:
@@ -89,9 +100,9 @@ def kernelize_cmd(ctx, input_file: str, output: Optional[str], trace_path: Optio
         for rec in result.trace
     ]
     if trace_path:
-        Path(trace_path).write_text("".join(json.dumps(rec) + "\n" for rec in trace))
+        _write(trace_path, "".join(json.dumps(rec) + "\n" for rec in trace))
     if result.kernel is not None and output:
-        Path(output).write_text(serialize_instance(result.kernel))
+        _write(output, serialize_instance(result.kernel))
     if as_json:
         blob = {"status": result.status, "applied": len([r for r in trace if r["status"] == "applied"])}
         if result.kernel is not None:
@@ -127,7 +138,7 @@ def solve_cmd(ctx, input_file: str, output: Optional[str], seed: int, trials: Op
     config = SolverConfig(seed=seed, max_trials=trials)
     report = _solve_report(ctx, input_file, instance, config)
     if report.solution is not None and output:
-        Path(output).write_text(serialize_solution(report.solution))
+        _write(output, serialize_solution(report.solution))
     if as_json:
         blob = {
             "size": report.size,
@@ -161,7 +172,7 @@ def verify(ctx, input_file: str, solution_file: str, mode: str) -> None:
     """Check a solution file; exit 0 valid, 40 invalid."""
     instance = _load_instance(input_file)
     try:
-        arcs = parse_solution(Path(solution_file).read_text())
+        arcs = parse_solution(Path(solution_file).read_bytes())
     except InstanceFormatError as exc:
         raise click.ClickException(f"{solution_file}: {exc}") from exc
     index = instance.tournament.index_of()
@@ -216,13 +227,13 @@ def gen(n: int, s_count: int, seed: int, k: Optional[int], planted: Optional[int
         if planted is not None:
             spec = GeneratorSpec(n=n, s_count=s_count, seed=seed, planted_k=planted)
             instance, arcs = generate_planted(spec)
-            Path(output + ".planted").write_text(serialize_solution(arcs))
+            _write(output + ".planted", serialize_solution(arcs))
         else:
             spec = GeneratorSpec(n=n, s_count=s_count, seed=seed, k=k)
             instance = generate_random(spec)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    Path(output).write_text(serialize_instance(instance))
+    _write(output, serialize_instance(instance))
     click.echo(f"wrote {output}")
 
 
@@ -257,10 +268,11 @@ def bench(ctx, inputs: tuple[str, ...], seed: int, trials: Optional[int], csv_pa
     for row in rows:
         click.echo("  ".join(str(row[h]).ljust(w) for h, w in zip(header, widths)))
     if csv_path:
-        with open(csv_path, "w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=header)
-            writer.writeheader()
-            writer.writerows(rows)
+        table = io.StringIO(newline="")
+        writer = csv.DictWriter(table, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
+        _write(csv_path, table.getvalue())
 
 
 if __name__ == "__main__":

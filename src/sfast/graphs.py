@@ -130,20 +130,13 @@ class Tournament(Digraph):
         """The tournament without the given vertices, renumbered in order.
 
         ``vertices`` holds indices in any order, repeats allowed; one outside
-        0..n-1 raises ValueError. Labels stay with their vertices. One vertex
-        goes by two slicing deletions, more by a `take` of the kept rows and
-        one of the kept columns, read off a mask, so that the indices need no
-        sorting. Both give a C-contiguous matrix, which freezing does not copy
-        again; an `np.ix_` gather is several times slower at every size.
+        0..n-1 raises ValueError. Labels stay with their vertices. The kept
+        vertices are read off a mask, so that the indices need no sorting,
+        and the kept rows and then the kept columns go by one `take` each.
+        That gives a C-contiguous matrix, which freezing does not copy again;
+        an `np.ix_` gather is several times slower at every size.
         """
-        gone = list(vertices)
-        if len(gone) == 1:
-            (v,) = gone
-            if not 0 <= v < self.n:
-                raise ValueError("vertex index out of range")
-            adj = np.delete(np.delete(self.adj, v, axis=0), v, axis=1)
-            return Tournament._derived(adj, self.labels[:v] + self.labels[v + 1 :])
-        index = np.array(gone, dtype=np.intp)
+        index = np.array(list(vertices), dtype=np.intp)
         if index.size and not (0 <= index.min() and index.max() < self.n):
             raise ValueError("vertex index out of range")
         keep = np.ones(self.n, dtype=bool)

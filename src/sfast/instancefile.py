@@ -7,11 +7,12 @@ Comment lines starting with `c` and blank lines are ignored anywhere. A
 solution file lists arcs to reverse, one `r <u> <v>` line each.
 
 Files are UTF-8, and a line ends at any line break that `str.splitlines`
-knows. `parse_instance` takes the file's bytes, or its text, which it
-encodes once; a byte that is not UTF-8 is an error on its line. ASCII
-whose only line break is `\\n`, as `serialize_instance` writes, is scanned
-as it stands. Any other file is first cut with `str.splitlines` and joined
-with `\\n`, so that its lines and their numbers stay the same.
+knows. `parse_instance` and `parse_solution` take the file's bytes or its
+text; a byte that is not UTF-8 is an error on its line. `parse_instance`
+encodes text once. ASCII whose only line break is `\\n`, as
+`serialize_instance` writes, is scanned as it stands. Any other instance
+file is first cut with `str.splitlines` and joined with `\\n`, so that its
+lines and their numbers stay the same.
 
 Nearly all of an instance file is its n(n-1)/2 arc lines. The bytes are
 scanned in chunks of 24 KiB, each cut just after a `\\n`, so that a
@@ -160,15 +161,22 @@ def _file_bytes(file: str | bytes) -> bytes:
     not UTF-8 raises InstanceFormatError on its line.
     """
     data = file.encode("ascii") if isinstance(file, str) and file.isascii() else file
-    if isinstance(data, bytes):
-        if data.isascii() and not any(brk in data for brk in _BREAKS):
-            return data
-        try:
-            file = data.decode("utf-8")
-        except UnicodeDecodeError as error:
-            line = len((data[: error.start].decode("utf-8") + "?").splitlines())
-            raise InstanceFormatError(line, f"byte {data[error.start]:#04x} is not UTF-8") from None
-    return "\n".join([*file.splitlines(), ""]).encode("utf-8", "surrogatepass")
+    if isinstance(data, bytes) and data.isascii() and not any(brk in data for brk in _BREAKS):
+        return data
+    return "\n".join([*_text(data).splitlines(), ""]).encode("utf-8", "surrogatepass")
+
+
+def _text(file: str | bytes) -> str:
+    """The file as text: bytes decoded as UTF-8, text as it is. A byte that
+    is not UTF-8 raises InstanceFormatError on its line, counted as
+    ``str.splitlines`` counts lines."""
+    if isinstance(file, str):
+        return file
+    try:
+        return file.decode("utf-8")
+    except UnicodeDecodeError as error:
+        line = len((file[: error.start].decode("utf-8") + "?").splitlines())
+        raise InstanceFormatError(line, f"byte {file[error.start]:#04x} is not UTF-8") from None
 
 
 def _scan(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, zip]:
@@ -378,9 +386,10 @@ def serialize_instance(instance: Instance) -> str:
     return "".join(rows)
 
 
-def parse_solution(text: str) -> frozenset[Arc]:
+def parse_solution(file: str | bytes) -> frozenset[Arc]:
+    """The arcs of a solution file, given as its bytes or its text."""
     arcs: set[Arc] = set()
-    for number, fields in _tokens(text):
+    for number, fields in _tokens(_text(file)):
         if fields[0] != "r" or len(fields) != 3:
             raise InstanceFormatError(number, "solution lines must read `r <u> <v>`")
         u, v = _ints(number, fields[1:])

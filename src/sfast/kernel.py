@@ -21,14 +21,14 @@ components finds them all. Nor can rule 1 act in between, as k does not
 change and was positive. So the sweep is rule 2 applied to exhaustion.
 
 A step that applies rule 8 with no arc swap goes on deleting (`_rr8_run`)
-in one record and hands the next step the decompositions of the big
-classes that are left. A step handed them runs rules 1 and 2 as every
-step does; a rule-2 sweep drops them, and the step after it runs every
-rule. Otherwise the step goes straight to rule 7, as deleting v, an
-irrelevant core vertex of its class Z, keeps rules 3 to 6 inapplicable:
-each rule-3 triangle count only loses its triangles through v, rules 4 and
-5 read only |S| and k, and no other vertex changes its terminal
-in-neighbourhood, so the class count stays put.
+in one record, and tells the next step whether the run stopped because no
+class was deletable. That step is then settled: it runs rules 1 and 2, as
+every step does, then rule 9, and returns the kernel. Every other step
+runs every rule. Within a run, deleting v, an irrelevant core vertex of
+its class Z, keeps rules 3 to 6 inapplicable: each rule-3 triangle count
+only loses its triangles through v, rules 4 and 5 read only |S| and k,
+and no other vertex changes its terminal in-neighbourhood, so the class
+count stays put.
 
 A big class Y other than Z keeps its in-class degrees, its core and its
 r-sets less v. Its relevant core stays too: v is no wrong-direction
@@ -39,10 +39,9 @@ than k core vertices y' that v beats. If Z -> s and s -> Y, then y is in
 Z's r_less, as a source into v would make v relevant, and s -> y -> z -> s
 for the more than k core vertices z of Z that y beats. Either way one arc
 lies on more than k terminal triangles, but rule 3 was exhausted before
-the deletion. So each such decomposition is carried over as it is, less
-v's column.
+the deletion. So each such decomposition stays exact, less v's column.
 
-Z itself is decomposed afresh only when the deletion crosses a degree
+Z's decomposition stays exact as well until the deletion crosses a degree
 threshold. The seven degree-derived sets, z_prime to r_greater_tilde,
 follow by thresholds from four degrees: k + 1 on a member's in- and
 out-degree in the class, k + 1 and 1 on an outside vertex's in- and
@@ -62,10 +61,16 @@ at most k, but they add up to the core size, which exceeds 2k: the class
 keeps at least 6k + 6 members, at most 4k + 2 of them off the core. A
 fringe member likewise keeps its other degree above k, as its two degrees
 add up to the class size less one. So a crossing takes a core member off
-the core, and then Z is decomposed afresh. Otherwise none of the seven
-sets changes, and Z's decomposition is carried less v and is settled. Its
-relevant core stands as well, as the core, the sinks and the sources are
-the same vertices less v, with the same arcs among them.
+the core. Otherwise none of the seven sets changes, and Z's decomposition
+stays exact less v and is settled. Its relevant core stands as well, as
+the core, the sinks and the sources are the same vertices less v, with
+the same arcs among them.
+
+So until a deletion crosses a threshold every decomposition is exact less
+the deleted columns, and rule 7 stays inapplicable, as the r-sets it
+counts only lose vertices. A run that stops for want of a deletable class
+crossed no threshold, and its classes are those before it less the
+deleted vertices: after rules 1 and 2, only rule 9 is left.
 
 Rule 8's swap search is skipped when it would run on a settled class. The
 search that preceded the deletion of v found no swap on Z; it ran there, or
@@ -75,13 +80,11 @@ smallest members (the anchors) and the rest (the far members) are the same,
 with the same arcs to the same pivots, and the search would again find
 nothing. The relevant core is unchanged as well, so its 2k+2 bound holds. A
 class Y whose search found no swap stays settled while the run deletes
-outside it, too: Y's decomposition is carried exactly, less the deleted
-vertices, so its side sets, its far members and its pivots can only lose
-vertices, and no far member that beats a pivot can appear. As the run ends
-at the first crossing, every class stays settled once searched, and a run
-searches each class at most once, when it first becomes first. A step of
-any other rule, or with arc swaps, hands on nothing, and the next step runs
-every rule.
+outside it, too: Y's decomposition stays exact, less the deleted vertices,
+so its side sets, its far members and its pivots can only lose vertices,
+and no far member that beats a pivot can appear. As the run ends at the
+first crossing, every class stays settled once searched, and a run
+searches each class at most once, when it first becomes first.
 
 The run is a loop inside one step. It deletes in rule 8's order, from the
 first deletable class by its smallest alive member. The sizes, the smallest
@@ -96,17 +99,14 @@ member row and updates that class's degree count, the two arrays the
 threshold test reads; another class's masks lose the deleted columns just
 before that class's swap search. The loop stops after a deletion that
 crosses a threshold, before deleting from a newly first class whose swap
-search finds a swap, or when no class is deletable. Then one
-`Instance.drop` builds the next step's instance, the masks and the counts
-are cut to its columns, and a class whose threshold was crossed is
-decomposed afresh there.
+search finds a swap, or when no class is deletable.
 
 Every applied record is a delta in original labels: the vertices it
 deleted, in the order deleted, or the arcs it reversed. The trace holds no
-instance and one record per rule application. Outside a rule-8 run,
-`_apply` builds the instance a record leaves by replaying that delta, so
-the driver executes exactly what its trace says; `lift_solution` replays
-the same deltas onto the input.
+instance and one record per rule application. `_apply` builds the
+instance every applied record leaves, a rule-8 run's included, by
+replaying that delta, so the driver executes exactly what its trace says;
+`lift_solution` replays the same deltas onto the input.
 """
 
 from __future__ import annotations
@@ -810,77 +810,81 @@ _RR8_NOTE = "deleted an irrelevant core vertex"
 
 
 def _step(
-    instance: Instance, decs: Optional[Sequence[ClassDecomposition]] = None
-) -> tuple[tuple[RuleOutcome, ...], Optional[Instance], Optional[tuple[ClassDecomposition, ...]]]:
+    instance: Instance, settled: bool = False
+) -> tuple[tuple[RuleOutcome, ...], Optional[Instance], bool]:
     """One driver step: the records of the first rule, in the fixed order,
     whose status is not not-applicable, the instance the next step starts
-    from (None after a verdict), and the decompositions it starts with.
-    When no rule acts the records are () and the instance, the kernel,
-    comes back.
+    from (None after a verdict), and whether that step is settled. When no
+    rule acts the records are () and the instance, the kernel, comes back.
+    Every applied record's next instance is `_apply`'s.
 
     Rule 2 deletes every vertex on no terminal cycle in one sweep. Rules 6
     to 8 share one classification. Rule 8 starts with one
     `arc_swap_normalize` of the first deletable class. A step with arc
     swaps returns them followed by the rule-8 deletion; a step without goes
-    on deleting by rule 8 (`_rr8_run`), in one record, and hands on exact
-    decompositions of the next instance's big classes, ordered by their
-    smallest member. A step handed them runs rules 1 and 2 and skips rules
-    3 to 6 (see the module docstring).
+    on deleting by rule 8 (`_rr8_run`), in one record, and the next step is
+    settled when the run stopped because no class was deletable. A settled
+    step runs rules 1 and 2, then rule 9, and returns the kernel (see the
+    module docstring); every other step runs every rule.
     """
     rules = [rr1_sanity, rr2_triangle_free_terminal]
-    if decs is None:
+    if settled:
+        rules.append(rr9_vertex_bound)
+    else:
         rules += [rr3_many_triangles, rr4_bounded_terminal, rr5_safe_partition]
     for rule in rules:
         out = rule(instance)
         if out.status == STATUS_APPLIED:
-            return (out,), _apply(instance, out), None
+            return (out,), _apply(instance, out), False
         if out.status != STATUS_NOT_APPLICABLE:
-            return (out,), None, None
-    if decs is None:
-        classes = equivalence_classes(instance.tournament, instance.terminals)
-        out = rr6_many_types(instance, classes)
-        if out.status != STATUS_NOT_APPLICABLE:
-            return (out,), None, None
-        big = [vs for vs in classes if len(vs) >= decomposition_class_size(instance.k)]
-        decs = [class_decomposition(instance, vs) for vs in big]
+            return (out,), None, False
+    if settled:
+        return (), instance, False
+    classes = equivalence_classes(instance.tournament, instance.terminals)
+    out = rr6_many_types(instance, classes)
+    if out.status != STATUS_NOT_APPLICABLE:
+        return (out,), None, False
+    big = [vs for vs in classes if len(vs) >= decomposition_class_size(instance.k)]
+    decs = [class_decomposition(instance, vs) for vs in big]
     for dec in decs:
         out = rr7_wrong_arcs(instance, dec)
         if out.status != STATUS_NOT_APPLICABLE:
-            return (out,), None, None
+            return (out,), None, False
 
     deletable = [i for i, dec in enumerate(decs) if dec.size >= deletion_class_size(instance.k)]
     if not deletable:
         out = rr9_vertex_bound(instance)
         if out.status != STATUS_NOT_APPLICABLE:
-            return (out,), None, None
-        return (), instance, None
+            return (out,), None, False
+        return (), instance, False
     swapped, dec, swaps = arc_swap_normalize(instance, decs[deletable[0]])
     if not swaps:
-        out, nxt, decs = _rr8_run(instance, decs, deletable[0])
-        return (out,), nxt, decs
+        out, settled = _rr8_run(instance, decs, deletable[0])
+        return (out,), _apply(instance, out), settled
     out = _outcome("rr8", STATUS_APPLIED, swapped, _RR8_NOTE, deleted=[next(_core(dec.masks))])
-    return swaps + (out,), _apply(swapped, out), None
+    return swaps + (out,), _apply(swapped, out), False
 
 
 def _rr8_run(
     instance: Instance, decs: Sequence[ClassDecomposition], first: int
-) -> tuple[RuleOutcome, Instance, tuple[ClassDecomposition, ...]]:
+) -> tuple[RuleOutcome, bool]:
     """Rule-8 deletions from ``decs[first]`` on, the class in which
     `arc_swap_normalize` just found no swap, until a deletion takes a
     member's in- or out-degree in its class to k, a newly first class has
     a swap, or no class is deletable (see the module docstring). Returns
-    one record that lists the deletions in order, the instance less the
-    deleted vertices, and the decompositions of its big classes."""
+    one record that lists the deletions in order, and whether the run
+    stopped because no class was deletable."""
     k, adj = instance.k, instance.tournament.adj
     masks = np.stack([dec.masks for dec in decs])
     indeg = np.stack([dec.indeg for dec in decs])
     sizes = masks[:, _Z].sum(axis=1).tolist()
     smallest = masks[:, _Z].argmax(axis=1).tolist()
     cores = list(map(_core, masks))
-    settled = {first}
+    searched = {first}
     big = deletion_class_size(k)
     deleted: list[int] = []
-    i, fresh = first, None
+    # Only the stop for want of a deletable class leaves this empty.
+    i, deletable = first, [first]
     while True:
         v = next(cores[i])
         deleted.append(v)
@@ -894,7 +898,6 @@ def _rr8_run(
         count -= beaten
         sizes[i] -= 1
         if (z & (count == np.where(beaten, k, sizes[i] - 1 - k))).any():
-            fresh = i
             break
         if v == smallest[i]:
             smallest[i] = int(z.argmax())
@@ -902,20 +905,14 @@ def _rr8_run(
         if not deletable:
             break
         j = min(deletable, key=smallest.__getitem__)
-        if j not in settled:
+        if j not in searched:
             masks[j][:, deleted] = False
             if _find_swap(instance, masks[j]) is not None:
                 break
-            settled.add(j)
+            searched.add(j)
         i = j
-    nxt = instance.drop(deleted)
-    masks, indeg = np.delete(masks, deleted, axis=2), np.delete(indeg, deleted, axis=1)
-    if fresh is not None:
-        dec = class_decomposition(nxt, np.flatnonzero(masks[fresh, _Z]))
-        masks[fresh], indeg[fresh] = dec.masks, dec.indeg
-    order = np.argsort(masks[:, _Z].argmax(axis=1))
     out = _outcome("rr8", STATUS_APPLIED, instance, _RR8_NOTE, deleted=deleted)
-    return out, nxt, tuple(map(ClassDecomposition, masks[order], indeg[order]))
+    return out, not deletable
 
 
 def _core(masks: np.ndarray) -> Iterator[int]:
@@ -931,14 +928,15 @@ def kernelize(instance: Instance) -> KernelResult:
     Returns a reduced kernel, or a trivial verdict when some rule decides the
     instance outright. The trace holds one record per rule application (a
     rule-2 sweep or a rule-8 run is one) plus the deciding rule's, in
-    original labels, and is what `lift_solution` consumes.
+    original labels, and is what `lift_solution` consumes. Each step tells
+    the next whether it is settled (`_step`).
     """
     trace: list[RuleOutcome] = []
     state: Optional[Instance] = instance
-    decs = None
+    settled = False
     cap = instance.n + max(instance.k, 0) + 8
     for _ in range(cap):
-        records, state, decs = _step(state, decs)
+        records, state, settled = _step(state, settled)
         trace.extend(records)
         if not records:
             return KernelResult("reduced", state, tuple(trace))

@@ -47,8 +47,7 @@ rule-8 run that clears every deleted column of every class and recounts
 the class sizes and smallest members after each deletion, and searches a
 class for a swap each time it becomes first, with one record per
 deletion; a split sweep must equal `reference_rr2` stepped to exhaustion,
-and a split run must return the same records, instance and
-decompositions. `successor` replays one applied record's delta (the
+and a split run must return the same records, instance and stop reason. `successor` replays one applied record's delta (the
 vertices it deleted, one at a time, or the arcs it reversed) onto the
 instance before it, with a deletion and a budget rule of its own, and
 checks that the record carries no successor instance.
@@ -101,7 +100,6 @@ from sfast.instancefile import InstanceFormatError
 from sfast.kernel import (
     STATUS_APPLIED,
     STATUS_NOT_APPLICABLE,
-    ClassDecomposition,
     KernelResult,
     RuleOutcome,
     _IRRELEVANT,
@@ -114,7 +112,6 @@ from sfast.kernel import (
     _find_swap,
     _outcome,
     _step,
-    class_decomposition,
     decomposition_class_size,
     deletion_class_size,
 )
@@ -419,13 +416,15 @@ def reference_rr2(instance):
 def reference_rr8_run(instance, decs, first):
     """The rule-8 run that updates every class's masks and recounts the
     sizes and smallest members after each deletion, and searches a class
-    for a swap whenever it becomes first, with one record per deletion."""
+    for a swap whenever it becomes first, with one record per deletion.
+    Returns the records, the instance less the deleted vertices, and
+    whether the run stopped because no class was deletable."""
     k, adj = instance.k, instance.tournament.adj
     masks = np.stack([dec.masks for dec in decs])
     indeg = np.stack([dec.indeg for dec in decs])
     records = []
     deleted = []
-    i, fresh = first, None
+    i, stopped = first, False
     while True:
         out, v = _reference_rule8(instance, masks[i], instance.n - len(deleted))
         records.append(out)
@@ -436,22 +435,16 @@ def reference_rr8_run(instance, decs, first):
         sizes = masks[:, _Z].sum(axis=1)
         lowered = np.where(beaten, indeg[i], sizes[i] - indeg[i] - 1)
         if (masks[i, _Z] & (lowered == k)).any():
-            fresh = i
             break
         deletable = sizes >= deletion_class_size(k)
         if not deletable.any():
+            stopped = True
             break
         j = int(np.where(deletable, masks[:, _Z].argmax(axis=1), instance.n).argmin())
         if j != i and _find_swap(instance, masks[j]) is not None:
             break
         i = j
-    nxt = instance.drop(deleted)
-    masks, indeg = np.delete(masks, deleted, axis=2), np.delete(indeg, deleted, axis=1)
-    if fresh is not None:
-        dec = class_decomposition(nxt, np.flatnonzero(masks[fresh, _Z]))
-        masks[fresh], indeg[fresh] = dec.masks, dec.indeg
-    order = np.argsort(masks[:, _Z].argmax(axis=1))
-    return tuple(records), nxt, tuple(map(ClassDecomposition, masks[order], indeg[order]))
+    return tuple(records), instance.drop(deleted), stopped
 
 
 def _reference_rule8(instance, masks, n):

@@ -85,15 +85,15 @@ def cascade_check(instance, tally):
     return records[-1].rule if records else None
 
 
-def checked_step(instance, tally, decs=None):
+def checked_step(instance, tally, settled=False):
     """`cascade_check`'s step: its records, the instance it leads to (None
     unless it applied a rule), replayed record by record and deleted
-    vertex by deleted vertex, and the decompositions `_step` hands the
-    next step. ``decs`` is what the previous step handed on; a step handed
-    them runs rules 1 and 2 and skips rules 3 to 6."""
-    records, nxt, decs = _step(instance, decs)
+    vertex by deleted vertex, and whether `_step` hands the next step a
+    settled state. ``settled`` is what the previous step handed on; a
+    settled step runs rules 1 and 2, then rule 9."""
+    records, nxt, settled = _step(instance, settled)
     if not records:
-        return (), None, None
+        return (), None, False
     base = solvable(instance)
     for rec in split_deletions(instance, records):
         if rec.status == "applied":
@@ -103,23 +103,22 @@ def checked_step(instance, tally, decs=None):
             assert (rec.status == "trivial-yes") == base
     tally[records[-1].rule] += 1
     if records[-1].status != "applied":
-        return records, None, decs
+        return records, None, settled
     assert nxt == instance
-    return records, instance, decs
+    return records, instance, settled
 
 
 def cascade_walk(instance, tally):
-    """Kernelize with checked steps, handing on the decompositions from
+    """Kernelize with checked steps, handing on the settled state from
     step to step as `kernelize` does. Returns how many vertices rule 8
-    deleted from a carried state: every one of a step handed
-    decompositions, and every one after the first of a fresh step."""
+    deleted within a run, every one after the first of its step (a settled
+    step deletes none by rule 8)."""
     carried = 0
-    decs = None
+    settled = False
     while instance is not None:
-        handed = decs is not None
-        records, instance, decs = checked_step(instance, tally, decs)
+        records, instance, settled = checked_step(instance, tally, settled)
         deletions = sum(len(rec.detail["deleted"]) for rec in records if rec.rule == "rr8")
-        carried += deletions if handed else max(deletions - 1, 0)
+        carried += max(deletions - 1, 0)
     return carried
 
 
@@ -263,10 +262,11 @@ def test_c2_reduction_rules_match_oracle_verdicts():
     assert exhaustive["rr9"] == randomized["rr9"] == variant_tally["rr9"] == 0
 
     # Whole kernelizations, run as `kernelize` runs them: a rule-8 step
-    # without arc swaps goes on deleting and hands the next step its class
-    # decompositions. Every record of every step is checked; the variants
-    # above add steps whose arc swaps hand on nothing. Below n = 40 rule 2
-    # leaves rule 8 little to delete: 89 carried deletions at n = 20 to 32.
+    # without arc swaps goes on deleting and tells the next step whether it
+    # is settled. Every record of every step is checked; the variants
+    # above add steps whose arc swaps hand on no settled state. Below
+    # n = 40 rule 2 leaves rule 8 little to delete: 87 carried deletions at
+    # n = 20 to 32, against 789 here.
     walked = Counter()
     carried = 0
     for n in (40, 48, 56, 64):

@@ -274,6 +274,16 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", path, str(sol)])
         assert result.exit_code == 1
 
+    def test_a_solution_byte_that_is_not_utf8_names_its_line(self, runner, tmp_instance_file, tmp_path):
+        path = tmp_instance_file(triangle_instance())
+        sol = tmp_path / "latin1.sol"
+        sol.write_bytes(b"r 0 1\n\xff\n")
+        result = runner.invoke(main, ["verify", path, str(sol)])
+        assert result.exit_code == 1
+        assert f"{sol}: line 2: byte 0xff is not UTF-8" in combined(result)
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in combined(result)
+
     def test_mode_flag_changes_the_verdict(self, runner, tmp_instance_file, tmp_path):
         path = tmp_instance_file(transitive_instance(3, {0, 1, 2}, 2))
         sol = tmp_path / "both.txt"
@@ -443,6 +453,32 @@ class TestErrorPaths:
             assert f"{path}: line 3: byte 0xe9 is not UTF-8" in combined(result)
             assert isinstance(result.exception, SystemExit)
             assert "Traceback" not in combined(result)
+
+    @pytest.mark.parametrize(
+        "option", ["gen -o", "gen sidecar", "kernelize -o", "kernelize --trace", "solve -o", "bench --csv"]
+    )
+    def test_an_unwritable_output_path_is_a_one_line_error(self, runner, tmp_instance_file, tmp_path, option):
+        # Each output goes under a directory that does not exist, but the
+        # sidecar, whose path is a directory.
+        instance = tmp_instance_file(triangle_instance())
+        target = str(tmp_path / "missing" / "out")
+        gen = ["gen", "--n", "9", "--terminals", "4", "--seed", "5"]
+        args = {
+            "gen -o": gen + ["--k", "2", "-o", target],
+            "gen sidecar": gen + ["--planted", "2", "-o", str(tmp_path / "planted.sfast")],
+            "kernelize -o": ["kernelize", instance, "-o", target],
+            "kernelize --trace": ["kernelize", instance, "--trace", target],
+            "solve -o": ["solve", instance, "-o", target],
+            "bench --csv": ["bench", instance, "--csv", target],
+        }[option]
+        if option == "gen sidecar":
+            target = str(tmp_path / "planted.sfast.planted")
+            Path(target).mkdir()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert f"{target}: cannot write: " in combined(result)
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in combined(result)
 
     def test_missing_file_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["kernelize", "nowhere.sfast"])

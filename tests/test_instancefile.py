@@ -115,6 +115,28 @@ def test_solution_errors(text, fragment):
     assert fragment in str(info.value)
 
 
+def test_solution_bytes_parse_as_their_text():
+    text = "c caf\u00e9\r\nr 0 2\rr 5 4\n"
+    assert parse_solution(text.encode()) == parse_solution(text) == frozenset({(0, 2), (5, 4)})
+
+
+@pytest.mark.parametrize(
+    "data, line, byte",
+    [
+        (b"\xff", 1, 0xFF),
+        (b"r 0 1\n\xffr 1 2\n", 2, 0xFF),
+        (b"r 0 1\r\nc caf\xe9\r\nr 1 2\n", 2, 0xE9),
+        (b"c \xe2\x82\xac\rc x\rr 0 \xc3", 3, 0xC3),
+    ],
+)
+def test_a_byte_that_is_not_utf8_names_its_line_in_either_file(data, line, byte):
+    # Both parsers decode through one helper, so they name the same line.
+    for parse in (parse_solution, parse_instance):
+        with pytest.raises(InstanceFormatError) as info:
+            parse(data)
+        assert str(info.value) == f"line {line}: byte {byte:#04x} is not UTF-8"
+
+
 @pytest.mark.parametrize(
     "text, line, fragment",
     [
